@@ -4,8 +4,7 @@
 The determinism contract says `fpraker run --all` must produce the
 same results serially, in parallel, and at every slab_ops SIMD
 dispatch tier; every fpraker-result-v1 document carries a content
-fingerprint (timing experiments substitute their determinism
-checksums), so N sweeps agree iff the fingerprints match experiment
+fingerprint, so N sweeps agree iff the fingerprints match experiment
 by experiment. Accepts two or more trees; the first is the reference
 the rest are diffed against. CI runs:
 
@@ -29,8 +28,6 @@ def load(tree):
     for path in glob.glob(os.path.join(tree, "*.json")):
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
-        # BENCH_*.json duplicates perf_regression's document (--out);
-        # key by experiment id so the copy is not a spurious entry.
         docs[doc.get("experiment", os.path.basename(path))] = \
             doc.get("fingerprint")
     return docs

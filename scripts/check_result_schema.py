@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Validate fpraker-result-v1 JSON documents.
 
-Every document the new experiment API emits (``fpraker run <id>
---json=...`` / ``--json-dir=...`` and the BENCH_PR<N>.json trajectory
-files) must satisfy this schema; CI runs the script over the output of
+Every document the experiment API emits (``fpraker run <id>
+--json=...`` / ``--json-dir=...``, and documents served by fprakerd)
+must satisfy this schema; CI runs the script over the output of
 ``fpraker run --all``.
 
     scripts/check_result_schema.py result.json [more.json ...]
@@ -87,21 +87,6 @@ def validate(path, doc, errors):
                 _fail(path, errors,
                       "provenance.deadline_overrun_ms not a positive "
                       f"int: {overrun!r}")
-        # Optional: only when the experiment opted into simulation-memo
-        # provenance; the three fields travel together.
-        if "memo_mode" in prov or "memo_hits" in prov \
-                or "memo_misses" in prov:
-            mode = prov.get("memo_mode")
-            if mode not in ("on", "off"):
-                _fail(path, errors,
-                      f"provenance.memo_mode not on/off: {mode!r}")
-            for key in ("memo_hits", "memo_misses"):
-                count = prov.get(key)
-                if not isinstance(count, int) \
-                        or isinstance(count, bool) or count < 0:
-                    _fail(path, errors,
-                          f"provenance.{key} not a non-negative int: "
-                          f"{count!r}")
 
     scalars = doc.get("scalars")
     if not isinstance(scalars, dict):

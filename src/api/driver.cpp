@@ -5,7 +5,6 @@
 #include <cstring>
 #include <filesystem>
 
-#include "common/logging.h"
 #include "numeric/slab_ops.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -64,8 +63,6 @@ printUsage(FILE *to, const char *prog)
         "  --telemetry          fold the obs metrics snapshot into each\n"
         "                       result document (opt-in 'telemetry'\n"
         "                       section; never fingerprinted)\n"
-        "  --steps=N --reps=N --out=FILE\n"
-        "                       perf_regression workload knobs\n"
         "  --batch=N --seq=N --batches=LIST\n"
         "                       workload-experiment geometry knobs\n"
         "                       (ext_workload_catalog, ext_conv_im2col,\n"
@@ -74,17 +71,6 @@ printUsage(FILE *to, const char *prog)
         "Results are bit-identical at any thread count; the knobs only\n"
         "change wall-clock time and sampling noise.\n",
         prog);
-}
-
-void
-printShimUsage(FILE *to, const char *prog)
-{
-    std::fprintf(to,
-                 "usage: %s [--threads=N] [--sample-steps=N] "
-                 "[--json=FILE]\n"
-                 "(this binary is a thin shim over `fpraker run`; see "
-                 "`fpraker help`)\n",
-                 prog);
 }
 
 /** Strict positive-integer parse: all digits, value >= 1. */
@@ -141,9 +127,7 @@ parseCliArgs(int argc, char **argv, int first, bool allow_positionals,
             opts->traceOut = arg + 12;
         } else if (std::strcmp(arg, "--telemetry") == 0) {
             opts->telemetry = true;
-        } else if (std::strncmp(arg, "--steps=", 8) == 0 ||
-                   std::strncmp(arg, "--reps=", 7) == 0 ||
-                   std::strncmp(arg, "--batch=", 8) == 0 ||
+        } else if (std::strncmp(arg, "--batch=", 8) == 0 ||
                    std::strncmp(arg, "--seq=", 6) == 0) {
             const char *eq = std::strchr(arg, '=');
             int value = 0;
@@ -157,8 +141,6 @@ parseCliArgs(int argc, char **argv, int first, bool allow_positionals,
             opts->extras.emplace_back(
                 std::string(arg + 2, static_cast<size_t>(eq - arg - 2)),
                 eq + 1);
-        } else if (std::strncmp(arg, "--out=", 6) == 0) {
-            opts->extras.emplace_back("out", arg + 6);
         } else if (std::strncmp(arg, "--batches=", 10) == 0) {
             // Comma-separated batch list for ext_batch_sweep; each
             // entry is validated by the experiment itself.
@@ -189,10 +171,7 @@ produceResult(const ExperimentInfo &info, const CliOptions &opts,
     Session session;
     if (shared)
         session.shareEngine(shared);
-    // Record --threads even when an engine is shared: the pool is the
-    // shared one regardless, but experiments that drive their own
-    // engines (perf_regression) must still see the explicit knob.
-    if (opts.threads > 0)
+    else if (opts.threads > 0)
         session.threads(opts.threads);
     if (opts.sampleSteps > 0)
         session.overrideSampleSteps(opts.sampleSteps);
@@ -208,19 +187,14 @@ produceResult(const ExperimentInfo &info, const CliOptions &opts,
     result.title = info.title;
     result.expectation = info.expectation;
     result.configDigest = session.configDigest();
-    // Experiments that drive their own engines (perf_regression)
-    // record the knobs they actually used; only fill the blanks.
-    if (result.threads == 0)
-        result.threads = session.threadCount();
-    if (result.sampleSteps == 0)
-        result.sampleSteps = session.lastSampleSteps();
-    if (result.simdLevel.empty())
-        result.simdLevel = slab::simdLevel();
+    result.threads = session.threadCount();
+    result.sampleSteps = session.lastSampleSteps();
+    result.simdLevel = slab::simdLevel();
     result.variants = session.variantNames();
     if (opts.telemetry) {
         // Snapshot AFTER the run so the document reflects the work it
         // describes. Rendered only under the opt-in flag and excluded
-        // from the fingerprint, like the memo provenance trio.
+        // from the fingerprint.
         result.telemetry = obs::Registry::instance().snapshotJson();
         result.hasTelemetry = true;
     }
@@ -235,30 +209,14 @@ runExperimentBuffered(const ExperimentInfo &info, const CliOptions &opts,
 
     ExperimentOutcome out;
     out.text = ReportWriter::renderText(result);
-    if (!opts.jsonDir.empty()) {
-        // Before any write: --out may point into the directory.
-        std::error_code ec;
-        std::filesystem::create_directories(opts.jsonDir, ec);
-    }
-    // Under `run --all` the experiments share one CPU pool, so a
-    // timing experiment's wall-clock numbers are contaminated by its
-    // neighbors — don't let it silently overwrite its committed
-    // trajectory file (BENCH_PR<N>.json) unless the user explicitly
-    // pointed --out somewhere. Dedicated `run <id>` runs still write.
-    bool explicit_out = false;
-    for (const auto &[key, value] : opts.extras)
-        if (key == "out")
-            explicit_out = true;
-    if (!result.defaultJsonPath.empty() &&
-        (!opts.all || explicit_out)) {
-        ReportWriter::writeJson(result, result.defaultJsonPath);
-        out.text += "wrote " + result.defaultJsonPath + "\n";
-    }
     if (!opts.json.empty())
         ReportWriter::writeJson(result, opts.json);
-    if (!opts.jsonDir.empty())
+    if (!opts.jsonDir.empty()) {
+        std::error_code ec;
+        std::filesystem::create_directories(opts.jsonDir, ec);
         ReportWriter::writeJson(result,
                                 opts.jsonDir + "/" + info.id + ".json");
+    }
     out.status = result.ok ? 0 : 1;
     return out;
 }
@@ -269,39 +227,6 @@ runExperiment(const ExperimentInfo &info, const CliOptions &opts)
     ExperimentOutcome out = runExperimentBuffered(info, opts, nullptr);
     std::fputs(out.text.c_str(), stdout);
     return out.status;
-}
-
-int
-experimentMain(std::initializer_list<const char *> ids, int argc,
-               char **argv)
-{
-    CliOptions opts;
-    std::string error;
-    if (!parseCliArgs(argc, argv, 1, false, &opts, &error)) {
-        std::fprintf(stderr, "%s: %s\n", argv[0], error.c_str());
-        printShimUsage(stderr, argv[0]);
-        return 2;
-    }
-    if (!opts.json.empty() && ids.size() != 1) {
-        std::fprintf(stderr,
-                     "%s: --json requires exactly one experiment and "
-                     "this shim runs %zu (use --json-dir)\n",
-                     argv[0], ids.size());
-        return 2;
-    }
-
-    int status = 0;
-    bool first = true;
-    for (const char *id : ids) {
-        const ExperimentInfo *info =
-            ExperimentRegistry::instance().find(id);
-        panic_if(!info, "shim references unknown experiment '%s'", id);
-        if (!first)
-            std::printf("\n");
-        first = false;
-        status |= runExperiment(*info, opts);
-    }
-    return status;
 }
 
 int

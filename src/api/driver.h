@@ -1,7 +1,7 @@
 /**
  * @file
- * The experiment CLI driver shared by the `fpraker` multiplexer and
- * the per-figure shim binaries.
+ * The experiment CLI driver behind `fpraker list` / `fpraker run`,
+ * shared with the serve layer's `submit` and JobScheduler.
  *
  * Flag parsing is strict: unknown --flags and out-of-range values
  * (e.g. --threads=0) print usage to stderr and exit with status 2.
@@ -12,7 +12,6 @@
 #ifndef FPRAKER_API_DRIVER_H
 #define FPRAKER_API_DRIVER_H
 
-#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -32,18 +31,18 @@ struct CliOptions
     //! JSON when the run finishes (loadable in chrome://tracing).
     std::string traceOut;
     //! --telemetry: fold the obs-registry snapshot into each result
-    //! document (opt-in, like memo provenance).
+    //! document (opt-in; never fingerprinted).
     bool telemetry = false;
     bool all = false;    //!< run --all
-    //! Experiment-specific passthrough options (--steps/--reps/--out).
+    //! Experiment-specific workload options (--batch/--seq/--batches).
     std::vector<std::pair<std::string, std::string>> extras;
     std::vector<std::string> ids; //!< Positional experiment ids.
 };
 
 /**
  * Parse argv[first..). @p allow_positionals permits bare experiment
- * ids (the `fpraker run` form); shims accept flags only. On error
- * fills @p error and returns false.
+ * ids and --all (the `fpraker run` form); `fpraker list` accepts
+ * flags only. On error fills @p error and returns false.
  */
 bool parseCliArgs(int argc, char **argv, int first,
                   bool allow_positionals, CliOptions *opts,
@@ -55,7 +54,8 @@ bool parseCliArgs(int argc, char **argv, int first,
  * filled), without rendering or writing anything. This is the
  * execution core shared by the CLI paths below and the serve layer's
  * JobScheduler (src/serve/scheduler.h). When @p shared is non-null
- * the session borrows it as its worker pool.
+ * the session borrows it as its worker pool and opts.threads is
+ * ignored.
  */
 Result produceResult(const ExperimentInfo &info, const CliOptions &opts,
                      SimEngine *shared);
@@ -64,7 +64,7 @@ Result produceResult(const ExperimentInfo &info, const CliOptions &opts,
 struct ExperimentOutcome
 {
     int status = 0;   //!< Process exit status contribution (0 or 1).
-    std::string text; //!< Rendered report + "wrote ..." lines.
+    std::string text; //!< Rendered text report.
 };
 
 /**
@@ -84,14 +84,6 @@ ExperimentOutcome runExperimentBuffered(const ExperimentInfo &info,
  * document. Returns the process exit status contribution (0 or 1).
  */
 int runExperiment(const ExperimentInfo &info, const CliOptions &opts);
-
-/**
- * Entry point for the per-figure shim binaries: parse flags strictly,
- * then run the fixed experiment list in order. Returns the process
- * exit status (0 success, 1 experiment failure, 2 usage error).
- */
-int experimentMain(std::initializer_list<const char *> ids, int argc,
-                   char **argv);
 
 /** Entry point for the `fpraker` multiplexer (list / run). */
 int cliMain(int argc, char **argv);

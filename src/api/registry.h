@@ -2,8 +2,8 @@
  * @file
  * ExperimentRegistry: every figure/table/extension experiment
  * self-registers as a function from Session to Result, and the
- * `fpraker` multiplexer (plus the per-figure shim binaries) looks it
- * up by id. Registration happens from static initializers in the
+ * `fpraker` multiplexer (and the fprakerd daemon) looks it up by id.
+ * Registration happens from static initializers in the
  * src/api/experiments/ sources via REGISTER_EXPERIMENT, so linking
  * the experiment objects into a binary is what populates the
  * registry.

@@ -158,8 +158,6 @@ canonicalMetric(const MetricValue &v)
 uint64_t
 Result::fingerprint() const
 {
-    if (hasFingerprintOverride_)
-        return fingerprintOverride_;
     Fnv64 f;
     f.add(experiment);
     f.add(std::string(ok ? "ok" : "failed"));
@@ -224,14 +222,6 @@ Result::toJson() const
     // stay byte-identical to pre-deadline documents.
     if (deadlineOverrunMs > 0)
         prov.set("deadline_overrun_ms", deadlineOverrunMs);
-    // Only when the experiment opted in (see result.h): memo warmth
-    // varies run to run, so unconditional counts would break the
-    // serve layer's document byte-identity.
-    if (!memoMode.empty()) {
-        prov.set("memo_mode", memoMode);
-        prov.set("memo_hits", memoHits);
-        prov.set("memo_misses", memoMisses);
-    }
     doc.set("provenance", std::move(prov));
 
     JsonValue scalars = JsonValue::object();

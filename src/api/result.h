@@ -103,12 +103,6 @@ class Result
     std::string title;
     std::string expectation; //!< The paper's expected shape.
     bool ok = true;          //!< False = the experiment failed a gate.
-    /**
-     * A path the driver writes the JSON document to even without
-     * --json (the perf-regression trajectory file BENCH_PR<N>.json);
-     * empty for ordinary experiments.
-     */
-    std::string defaultJsonPath;
 
     // ----------------------------------------------------- provenance
     std::string configDigest; //!< Hex digest over the session variants.
@@ -117,10 +111,10 @@ class Result
     /**
      * slab_ops dispatch tier the run executed under ("scalar",
      * "sse2", "avx2", or "avx512" — whichever activeTier() resolved,
-     * including a FPRAKER_SIMD override). Filled by the driver when
-     * the experiment leaves it empty. Provenance only — the
-     * determinism contract says every tier produces the same bytes,
-     * so the tier must never be part of the fingerprint.
+     * including a FPRAKER_SIMD override). Filled by the driver.
+     * Provenance only — the determinism contract says every tier
+     * produces the same bytes, so the tier must never be part of the
+     * fingerprint.
      */
     std::string simdLevel;
     std::vector<std::string> variants;
@@ -143,28 +137,13 @@ class Result
     int deadlineOverrunMs = 0;
 
     /**
-     * Simulation-memoization provenance (sim/sim_memo.h), rendered as
-     * provenance.memo_mode/memo_hits/memo_misses only when an
-     * experiment sets memoMode (""/unset omits all three). Opt-in
-     * rather than driver-filled because hit counts depend on how warm
-     * the process-wide memo already is: unconditional rendering would
-     * break the serve layer's cold-document byte-identity (a direct
-     * rerun hits where the first run missed). Provenance only — memo
-     * state never changes simulated values, so it must never reach
-     * the fingerprint.
-     */
-    std::string memoMode;
-    uint64_t memoHits = 0;
-    uint64_t memoMisses = 0;
-
-    /**
      * Opt-in obs-registry snapshot (src/obs/metrics.h), rendered as a
      * top-level "telemetry" object only when hasTelemetry is set (the
-     * driver sets it for `fpraker run --telemetry`). Opt-in for the
-     * same reason as the memo trio: counter values depend on process
-     * history, so unconditional rendering would break the serve
-     * layer's document byte-identity. Telemetry only — never part of
-     * the fingerprint.
+     * driver sets it for `fpraker run --telemetry`). Opt-in because
+     * counter values depend on process history (how warm the memo
+     * and caches already are), so unconditional rendering would break
+     * the serve layer's document byte-identity. Telemetry only —
+     * never part of the fingerprint.
      */
     JsonValue telemetry;
     bool hasTelemetry = false;
@@ -202,28 +181,9 @@ class Result
      * The determinism guarantee makes this identical whether the
      * experiment ran serially or sharded (any thread count, `run
      * --all` serial or parallel); scripts/check_fingerprints.py and
-     * CI compare the emitted values across modes. Experiments whose
-     * documents contain wall-clock readings (perf_regression) must
-     * override it with their determinism checksums via
-     * setFingerprint, keeping the fingerprint run-invariant.
+     * CI compare the emitted values across modes.
      */
     uint64_t fingerprint() const;
-    /** Replace the computed fingerprint (timing experiments). */
-    void
-    setFingerprint(uint64_t fp)
-    {
-        fingerprintOverride_ = fp;
-        hasFingerprintOverride_ = true;
-    }
-    /**
-     * True for timing experiments whose document content is NOT
-     * run-invariant (wall-clock readings) — the serve layer must not
-     * cache such documents.
-     */
-    bool hasFingerprintOverride() const
-    {
-        return hasFingerprintOverride_;
-    }
 
     const std::deque<ResultTable> &tables() const { return tables_; }
     const std::vector<std::string> &notes() const { return notes_; }
@@ -260,8 +220,6 @@ class Result
     std::vector<std::pair<std::string, MetricValue>> scalars_;
     std::deque<ResultSeries> series_;
     std::vector<DisplayItem> order_;
-    uint64_t fingerprintOverride_ = 0;
-    bool hasFingerprintOverride_ = false;
 };
 
 /** Renders Result documents: legacy-style text or canonical JSON. */

@@ -65,12 +65,9 @@ class Session
     /**
      * Borrow @p engine as the session's worker pool instead of owning
      * one (how `fpraker run --all` drives many experiments through a
-     * single pool). The shared engine always provides the pool;
-     * threads() may still be set alongside it so the CLI --threads=N
-     * knob stays visible to experiments that read threadsExplicit()
-     * (perf_regression drives its own engines from it). Must be set
-     * before the runner materializes; @p engine must outlive the
-     * session.
+     * single pool). The shared engine always provides the pool, even
+     * when threads() is also set. Must be set before the runner
+     * materializes; @p engine must outlive the session.
      */
     Session &shareEngine(SimEngine *engine);
     /**
@@ -84,10 +81,6 @@ class Session
 
     /** Resolved worker count (materializes the runner). */
     int threadCount();
-    /** True when threads() was explicitly set (CLI --threads=N). */
-    bool threadsExplicit() const { return requestedThreads_ > 0; }
-    /** Requested (possibly 0 = default) thread knob. */
-    int requestedThreads() const { return requestedThreads_; }
 
     /**
      * Sampling budget: explicit sampleSteps(n) wins, then the
@@ -101,7 +94,7 @@ class Session
     double progress() const { return progress_; }
 
     // ---------------------------------------------------- options
-    /** Free-form experiment options (CLI --steps/--reps/--out...). */
+    /** Free-form experiment options (CLI --batch/--seq/--batches). */
     void setOption(const std::string &key, std::string value);
     /** Option value, or nullptr when unset. */
     const std::string *option(const std::string &key) const;

@@ -1,21 +1,17 @@
 /**
  * @file
- * The one FNV-1a implementation for every digest in the tree.
- *
- * Before PR 5 the repo carried three hand-rolled copies of this hash
- * (Session::configDigest, perf_regression's Checksum, and the Fnv
- * inside Result::fingerprint) plus per-test re-implementations. They
- * differed only in *framing* — whether a field separator is mixed in
- * between values — so this header provides one core with both
- * framings and the call sites pick:
+ * The one FNV-1a implementation for every digest in the tree
+ * (Session::configDigest, Result::fingerprint, the golden checksums in
+ * tests/test_sim.cpp). The digests differ only in *framing* — whether
+ * a field separator is mixed in between values — so this header
+ * provides both framings and the call sites pick:
  *
  *  - add(...)    — field-framed: the value's bytes followed by a 0xff
  *    separator, so {"ab","c"} and {"a","bc"} hash differently. Used
  *    by Result::fingerprint and Session::configDigest.
  *  - addRaw(...) / addBytes(...) — the bare byte stream, no
- *    separators. Used by the perf-regression checksums (and therefore
- *    pinned by bench/SMOKE_BASELINE.json — the byte streams here must
- *    not change).
+ *    separators. Used by the golden checksums in tests/test_sim.cpp,
+ *    which pin these byte streams: they must not change.
  *
  * The serve layer's ResultCache keys (docs/SERVING.md) reuse the
  * framed form over the canonical JobSpec description.

@@ -116,7 +116,7 @@ void packBf16(const int16_t *biased_exp, const uint8_t *man,
               const uint8_t *neg, size_t n, BFloat16 *out);
 
 // Fixed (non-dispatched) reference bodies, exposed for differential
-// tests and the perf_regression generation benchmark.
+// tests.
 void countTermsScalar(const BFloat16 *values, size_t n,
                       const uint8_t counts[256], uint64_t *zeros,
                       uint64_t *terms);

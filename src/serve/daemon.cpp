@@ -1,8 +1,10 @@
 #include "serve/daemon.h"
 
+#include <array>
 #include <cerrno>
 #include <cstring>
 #include <ctime>
+#include <iterator>
 
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -25,34 +27,52 @@ FPRAKER_METRIC_COUNTER(g_protocolErrors, "serve.protocol_errors",
                        "requests rejected before dispatch (bad JSON, "
                        "oversize, or framing failures)");
 
-/** Per-op request counter + latency histogram, resolved once per op
- *  string per process (the op set is tiny and closed). */
+/** The protocol's closed op set, plus "other" (last) for every op
+ *  string outside it. */
+constexpr const char *kKnownOps[] = {
+    "ping",  "submit",  "status",   "result",
+    "stats", "metrics", "shutdown", "other",
+};
+constexpr size_t kOpCount = std::size(kKnownOps);
+
+/** Per-op request counter + latency histogram. */
 struct OpInstruments
 {
-    obs::Counter &requests;
-    obs::Histogram &latency;
-
-    static OpInstruments &
-    of(const std::string &op)
-    {
-        static std::mutex mutex;
-        static std::vector<std::pair<std::string, OpInstruments *>>
-            known;
-        std::lock_guard<std::mutex> lock(mutex);
-        for (auto &[name, inst] : known)
-            if (name == op)
-                return *inst;
-        obs::Registry &reg = obs::Registry::instance();
-        auto *inst = new OpInstruments{
-            reg.counter("serve.requests." + op,
-                        "requests dispatched for op '" + op + "'"),
-            reg.histogram("serve.request_seconds." + op,
-                          "request latency for op '" + op + "'",
-                          obs::Buckets::latency())};
-        known.emplace_back(op, inst);
-        return *inst;
-    }
+    obs::Counter *requests = nullptr;
+    obs::Histogram *latency = nullptr;
 };
+
+/**
+ * The instruments of @p request's op, resolved once per process into
+ * a table indexed like kKnownOps. Op names come off the wire, so a
+ * missing or unknown op counts as "other": a hostile client cannot
+ * grow the registry.
+ */
+const OpInstruments &
+opInstruments(const api::JsonValue &request)
+{
+    static const std::array<OpInstruments, kOpCount> table = [] {
+        std::array<OpInstruments, kOpCount> t;
+        obs::Registry &reg = obs::Registry::instance();
+        for (size_t i = 0; i < kOpCount; ++i) {
+            const std::string op = kKnownOps[i];
+            t[i].requests = &reg.counter(
+                "serve.requests." + op,
+                "requests dispatched for op '" + op + "'");
+            t[i].latency = &reg.histogram(
+                "serve.request_seconds." + op,
+                "request latency for op '" + op + "'",
+                obs::Buckets::latency());
+        }
+        return t;
+    }();
+    const api::JsonValue *op = request.find("op");
+    if (op && op->kind() == api::JsonValue::Kind::String)
+        for (size_t i = 0; i + 1 < kOpCount; ++i)
+            if (op->str() == kKnownOps[i])
+                return table[i];
+    return table[kOpCount - 1];
+}
 
 } // namespace
 
@@ -410,28 +430,11 @@ Daemon::handleConnection(int fd)
             response = errorResponse(kErrBadRequest,
                                      "bad request: " + error);
         } else {
-            // Per-op request count + latency. Op names come off the
-            // wire, so anything outside the protocol's closed set is
-            // bucketed as "other" — a hostile stream of novel op
-            // strings must not grow the registry without bound.
-            static const char *const kKnownOps[] = {
-                "ping",   "submit",  "status",   "result",
-                "stats",  "metrics", "shutdown",
-            };
-            std::string opName = "other";
-            if (const api::JsonValue *op = request.find("op");
-                op && op->kind() == api::JsonValue::Kind::String) {
-                for (const char *known : kKnownOps)
-                    if (op->str() == known) {
-                        opName = known;
-                        break;
-                    }
-            }
-            OpInstruments &oi = OpInstruments::of(opName);
+            const OpInstruments &oi = opInstruments(request);
             const int64_t t0 = now_ns();
             response = handleRequest(request);
-            oi.requests.add();
-            oi.latency.observe(
+            oi.requests->add();
+            oi.latency->observe(
                 static_cast<double>(now_ns() - t0) * 1e-9);
         }
         if (FaultInjector::instance().fires("daemon.drop_connection"))

@@ -4,8 +4,8 @@
  *
  * One JobSpec names a registered experiment plus the Session knobs
  * the CLI would have passed to `fpraker run <id>` — worker-thread
- * request, sample-step budget, and the free-form extras options
- * (--steps/--reps/--out). It round-trips through JSON (the `spec`
+ * request, sample-step budget, and the workload options
+ * (--batch/--seq/--batches). It round-trips through JSON (the `spec`
  * object of the wire protocol, docs/SERVING.md) and defines the
  * content address of its result:
  *
@@ -49,9 +49,11 @@ constexpr const char *kServeCacheEpoch = "fpraker-serve-2";
 struct JobSpec
 {
     std::string experiment; //!< Registry id, e.g. "fig11".
-    int threads = 0;        //!< 0 = daemon default (shared engine).
+    //! Requested worker threads. Jobs always run on the daemon's
+    //! shared engine, so this only keys the cache (0 = unset).
+    int threads = 0;
     int sampleSteps = 0;    //!< 0 = env/experiment fallback.
-    //! Free-form experiment options (--steps/--reps/--out), CLI order.
+    //! Workload options (--batch/--seq/--batches), CLI order.
     std::vector<std::pair<std::string, std::string>> options;
     int priority = 0; //!< Higher runs first; NOT part of the key.
     /**

@@ -6,8 +6,8 @@
  * The daemon sheds excess submits with {"ok": false, "error_code":
  * "overloaded", "retry_after_ms": N}. A well-behaved client backs off
  * and resubmits; this header is that behavior, shared by `fpraker
- * submit` and the throughput harness so every client in the tree
- * reacts to pressure the same way:
+ * submit` and the overload tests so every client in the tree reacts
+ * to pressure the same way:
  *
  *  - capped exponential backoff (baseDelayMs * multiplier^attempt,
  *    capped at maxDelayMs) with multiplicative jitter;

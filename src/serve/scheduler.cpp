@@ -527,7 +527,6 @@ JobScheduler::execute(uint64_t id)
         out.error = "unknown experiment '" + spec.experiment + "'";
     } else {
         api::CliOptions opts;
-        opts.threads = spec.threads;
         opts.sampleSteps = spec.sampleSteps;
         opts.extras = spec.options;
         api::Result result =
@@ -536,13 +535,9 @@ JobScheduler::execute(uint64_t id)
         out.ok = result.ok;
         out.document = api::ReportWriter::renderJson(result);
         out.fingerprint = Fnv64::hex(result.fingerprint());
-        // Two kinds of document are served to their submitter but
-        // never cached: failed-gate results (a failure deserves a
-        // fresh look, not replay) and timing experiments (their
-        // fingerprint override marks content that is not
-        // run-invariant — replaying stale wall-clock numbers as a
-        // fresh document would mislead).
-        if (result.ok && !result.hasFingerprintOverride())
+        // A failed-gate result is served to its submitter but never
+        // cached: a failure deserves a fresh look, not replay.
+        if (result.ok)
             cache_->insert(key, out.document);
         // Deadline overrun: the job started in time, so the result is
         // real and already cached clean — but THIS submitter's copy

@@ -255,12 +255,12 @@ submitMain(int argc, char **argv, int first)
     const char *prog = argc > 0 ? argv[0] : "fpraker";
     const char *what =
         "submit <id> [--socket=PATH] [--threads=N] "
-        "[--sample-steps=N] [--steps=N] [--reps=N] [--out=FILE] "
+        "[--sample-steps=N] [--batch=N] [--seq=N] [--batches=LIST] "
         "[--priority=N] [--deadline-ms=N] [--retries=N] "
         "[--json=FILE] [--no-wait]";
 
     // Serve-specific flags are peeled off here; the shared run knobs
-    // (--threads/--sample-steps/--steps/--reps/--out/--json and the
+    // (--threads/--sample-steps/--batch/--seq/--batches/--json and the
     // experiment id) go through the one strict CLI parser so submit
     // and `fpraker run` can never drift apart.
     std::string socket;

@@ -1,14 +1,14 @@
 /**
  * @file
  * The serving subcommands of the `fpraker` CLI (and the `fprakerd`
- * shim binary):
+ * binary):
  *
  *   fpraker serve    [--socket=PATH] [--threads=N] [--workers=N]
  *                    [--cache-bytes=N] [--cache-dir=DIR]
  *                    [--trace-out=FILE]
  *   fpraker submit <id> [--socket=PATH] [--threads=N]
- *                    [--sample-steps=N] [--steps=N] [--reps=N]
- *                    [--out=FILE] [--priority=N] [--json=FILE]
+ *                    [--sample-steps=N] [--batch=N] [--seq=N]
+ *                    [--batches=LIST] [--priority=N] [--json=FILE]
  *                    [--no-wait]
  *   fpraker status <job> [--socket=PATH]
  *   fpraker result <job> [--socket=PATH] [--json=FILE]

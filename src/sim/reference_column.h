@@ -10,9 +10,9 @@
  *  - differential testing: the optimized FPRakerColumn / Tile must
  *    produce bit-identical cycles, accumulator values, and statistics
  *    (tests/test_sim.cpp fuzzes the two against each other);
- *  - perf regression: bench/perf_regression.cpp times this path as the
- *    "seed serial" baseline that optimized and parallel runs are
- *    measured against, so the speedup trajectory stays anchored.
+ *  - golden checksums: tests/test_sim.cpp pins this path's tile
+ *    digest, and requires the optimized engine at every thread count
+ *    to reproduce it.
  *
  * Do not optimize this file; it is the contract.
  */

@@ -251,7 +251,7 @@ BaselineTile::run(const std::vector<TileStep> &steps, SimEngine *engine)
     // reuse than a whole-batch decode pass).
     // Sharding only pays once the batch amortizes the fork/join
     // barrier and the whole-batch decode buffers; below kShardMinMacs
-    // the serial walk is faster (BENCH_PR8: 0.83x on 0.5 M MACs), so
+    // the serial walk is faster (measured 0.83x on 0.5 M MACs), so
     // small batches keep the interleaved per-step decode.
     const bool shard_rows =
         engine && engine->threads() > 1 && rows > 1 &&

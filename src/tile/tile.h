@@ -185,8 +185,8 @@ class BaselineTile
     /**
      * Minimum batch MACs before sharding pays. Below this the
      * fork/join barrier plus the whole-batch decode buffers cost more
-     * than the walk itself — BENCH_PR8 measured speedup_sharded 0.83x
-     * on a 0.5 M-MAC batch — so smaller runs stay on the serial path.
+     * than the walk itself — sharding measured 0.83x of serial on a
+     * 0.5 M-MAC batch — so smaller runs stay on the serial path.
      */
     static constexpr uint64_t kShardMinMacs = 2ull << 20;
 

@@ -52,8 +52,7 @@ class TensorGenerator
 
     /**
      * Fill via the value-at-a-time reference walk. Bit-identical to
-     * fill(); kept callable for the differential fuzz tests and the
-     * perf_regression generation benchmark.
+     * fill(); kept callable for the differential fuzz tests.
      */
     void fillScalar(BFloat16 *out, size_t n);
 

@@ -93,18 +93,16 @@ TEST(Session, KnobsAndVariants)
 {
     Session session;
     session.threads(2);
-    EXPECT_TRUE(session.threadsExplicit());
-    EXPECT_EQ(session.requestedThreads(), 2);
     EXPECT_EQ(session.threadCount(), 2);
 
     session.overrideSampleSteps(17);
     EXPECT_EQ(session.sampleSteps(96), 17);
     EXPECT_EQ(session.lastSampleSteps(), 17);
 
-    session.setOption("reps", "5");
-    EXPECT_EQ(session.intOption("reps", 3), 5);
-    EXPECT_EQ(session.intOption("steps", 7), 7);
-    EXPECT_EQ(session.strOption("out", "default.json"), "default.json");
+    session.setOption("batch", "5");
+    EXPECT_EQ(session.intOption("batch", 3), 5);
+    EXPECT_EQ(session.intOption("seq", 7), 7);
+    EXPECT_EQ(session.strOption("batches", "8,16"), "8,16");
 
     session.withVariant("a", smallConfig());
     EXPECT_TRUE(session.hasVariant("a"));
@@ -233,7 +231,7 @@ TEST(Registry, EnumeratesEveryExperimentExactlyOnce)
     // The paper's headline experiments are present.
     for (const char *id :
          {"fig11", "fig13", "table1", "table3", "intro",
-          "ext_inference", "perf_regression", "ablation_encoding"})
+          "ext_inference", "fig17", "ablation_encoding"})
         EXPECT_NE(reg.find(id), nullptr) << id;
     EXPECT_EQ(reg.find("nope"), nullptr);
 }
@@ -296,14 +294,14 @@ TEST(Driver, StrictFlagParsing)
 
     CliOptions ok;
     EXPECT_TRUE(parse({"--threads=4", "--sample-steps=32",
-                       "--json=out.json", "--steps=10", "--reps=2",
-                       "--out=x.json"},
+                       "--json=out.json", "--batch=10", "--seq=2",
+                       "--batches=4,8"},
                       false, &ok));
     EXPECT_EQ(ok.threads, 4);
     EXPECT_EQ(ok.sampleSteps, 32);
     EXPECT_EQ(ok.json, "out.json");
     ASSERT_EQ(ok.extras.size(), 3u);
-    EXPECT_EQ(ok.extras[0].first, "steps");
+    EXPECT_EQ(ok.extras[0].first, "batch");
     EXPECT_EQ(ok.extras[0].second, "10");
 
     CliOptions bad;
@@ -314,8 +312,11 @@ TEST(Driver, StrictFlagParsing)
     EXPECT_FALSE(parse({"--sample-steps=0"}, false, &bad));
     EXPECT_FALSE(parse({"--bogus"}, false, &bad));
     EXPECT_FALSE(parse({"--bogus"}, true, &bad));
+    EXPECT_FALSE(parse({"--batch=0"}, false, &bad));
+    // No experiment takes --reps: it is an unknown flag like any other.
+    EXPECT_FALSE(parse({"--reps=1"}, true, &bad));
     EXPECT_FALSE(parse({"stray"}, false, &bad));
-    EXPECT_FALSE(parse({"--all"}, false, &bad)); // shims reject --all
+    EXPECT_FALSE(parse({"--all"}, false, &bad)); // only `run` takes --all
 
     CliOptions run_opts;
     EXPECT_TRUE(parse({"run-id", "--all"}, true, &run_opts));
@@ -385,11 +386,8 @@ TEST(Session, SharedEngineProvidesPoolButKeepsThreadsKnob)
     Session session;
     session.shareEngine(&engine);
     session.threads(5);
-    // The shared engine wins for the pool; the explicit knob stays
-    // visible for experiments that drive their own engines.
+    // The shared engine wins for the pool.
     EXPECT_EQ(2, session.threadCount());
-    EXPECT_TRUE(session.threadsExplicit());
-    EXPECT_EQ(5, session.requestedThreads());
 }
 
 } // namespace

@@ -11,6 +11,7 @@
  * RetryPolicy's deterministic backoff schedule.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -23,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include "api/registry.h"
+#include "common/clock.h"
 #include "common/fnv.h"
 #include "serve/fault_injection.h"
 #include "serve/job_spec.h"
@@ -30,7 +32,6 @@
 #include "serve/result_cache.h"
 #include "serve/retry.h"
 #include "serve/scheduler.h"
-#include "serve/throughput.h"
 
 namespace fpraker {
 namespace {
@@ -353,23 +354,117 @@ TEST_F(ServeFaults, OverfullQueueRejectsNewestWithRetryHint)
     EXPECT_EQ(retry.state, JobState::Done) << retry.error;
 }
 
+/** Outcome of one open-loop overload burst (shedBurst). */
+struct ShedReport
+{
+    uint64_t accepted = 0;      //!< Burst submits that entered the queue.
+    uint64_t shed = 0;          //!< Burst submits rejected "overloaded".
+    uint64_t retryAttempts = 0; //!< Resubmissions until acceptance.
+    double submitP99Ms = 0;     //!< Burst submit() call latency.
+    bool hintsOk = true;        //!< Every rejection carried retry_after.
+    bool drained = true;        //!< Queue and workers idle at the end.
+    bool completed = true;      //!< Every spec eventually ran.
+    uint64_t digest = 0;        //!< FNV over final fingerprints.
+};
+
+/**
+ * Submit @p burst distinct cold fig02 specs open-loop against a
+ * scheduler whose queue holds @p queueDepth, with one worker, then
+ * resubmit every shed spec under the client RetryPolicy until it is
+ * accepted. Overload comes from genuinely slow cold jobs, not fault
+ * injection.
+ */
+ShedReport
+shedBurst(int burst, uint64_t queueDepth)
+{
+    SchedulerConfig cfg;
+    cfg.engineThreads = 1;
+    cfg.workers = 1;
+    cfg.queueDepth = queueDepth;
+    JobScheduler sched(cfg);
+
+    // Distinct budgets: no coalescing, no cache hits — every accepted
+    // submit consumes a real queue slot.
+    std::vector<JobSpec> specs;
+    for (int i = 0; i < burst; ++i)
+        specs.push_back(smallSpec("fig02", 6 + i));
+
+    ShedReport r;
+    std::vector<std::string> finalFp(specs.size());
+    std::vector<uint64_t> ids(specs.size());
+    std::vector<double> submitMs;
+    for (size_t i = 0; i < specs.size(); ++i) {
+        const double s0 = monotonicSeconds();
+        ids[i] = sched.submit(specs[i]);
+        submitMs.push_back((monotonicSeconds() - s0) * 1e3);
+    }
+
+    // Shed submits are already Failed and return immediately;
+    // accepted ones block until the worker drains them.
+    std::vector<size_t> pending;
+    for (size_t i = 0; i < specs.size(); ++i) {
+        JobOutcome out = sched.wait(ids[i]);
+        if (out.state == JobState::Done) {
+            ++r.accepted;
+            finalFp[i] = out.fingerprint;
+        } else if (out.errorCode == serve::kErrOverloaded) {
+            ++r.shed;
+            if (out.retryAfterMs <= 0)
+                r.hintsOk = false;
+            pending.push_back(i);
+        } else {
+            r.completed = false; // Unexpected failure kind.
+        }
+    }
+
+    // Resubmit sequentially, honoring each rejection's hint, so the
+    // queue has room and every spec completes.
+    RetryPolicy policy;
+    for (size_t i : pending) {
+        bool done = false;
+        for (int attempt = 1; attempt <= 50 && !done; ++attempt) {
+            JobOutcome out = sched.run(specs[i]);
+            ++r.retryAttempts;
+            if (out.state == JobState::Done) {
+                finalFp[i] = out.fingerprint;
+                done = true;
+            } else if (out.errorCode == serve::kErrOverloaded) {
+                serve::faultSleepMs(
+                    policy.delayMs(attempt, out.retryAfterMs));
+            } else {
+                break; // Unexpected failure kind.
+            }
+        }
+        if (!done)
+            r.completed = false;
+    }
+
+    std::sort(submitMs.begin(), submitMs.end());
+    r.submitP99Ms = submitMs[static_cast<size_t>(
+        0.99 * static_cast<double>(submitMs.size() - 1) + 0.5)];
+    serve::SchedulerStats stats = sched.stats();
+    r.drained = stats.queued == 0 && stats.running == 0;
+    if (r.accepted + r.shed != static_cast<uint64_t>(burst))
+        r.completed = false;
+    Fnv64 digest;
+    for (const std::string &fp : finalFp)
+        digest.add(fp);
+    r.digest = digest.value();
+    return r;
+}
+
 TEST_F(ServeFaults, OpenLoopBurstAtFourTimesDepthShedsAndDrains)
 {
-    // The satellite overload contract, end to end: burst 4x the
-    // queue depth open-loop; admission sheds the overflow with
-    // hints, memory stays bounded (accounted submits only), and
-    // every shed spec completes under the client retry policy.
-    serve::ShedOptions opts;
-    opts.burst = 16;
-    opts.queueDepth = 4;
-    opts.workers = 1;
-    opts.engineThreads = 1;
-    opts.sampleStepsBase = 6;
-    serve::ShedReport r = serve::measureShedBehavior(opts);
+    // The overload contract, end to end: burst 4x the queue depth
+    // open-loop; admission sheds the overflow with hints, memory
+    // stays bounded (accounted submits only), and every shed spec
+    // completes under the client retry policy.
+    const int burst = 16;
+    ShedReport r = shedBurst(burst, /*queueDepth=*/4);
 
     EXPECT_GT(r.shed, 0u);
     EXPECT_GT(r.accepted, 0u);
-    EXPECT_EQ(r.accepted + r.shed, static_cast<uint64_t>(opts.burst));
+    EXPECT_EQ(r.accepted + r.shed, static_cast<uint64_t>(burst));
     EXPECT_TRUE(r.hintsOk);  // Every rejection carried retry_after.
     EXPECT_TRUE(r.drained);  // Queue and workers idle at the end.
     EXPECT_TRUE(r.completed); // Every spec eventually ran.

@@ -2,9 +2,11 @@
  * @file
  * Tests for the parallel simulation subsystem: the precomputed term
  * LUT, the SimEngine determinism guarantee, the optimized column's
- * bit-parity with the seed reference algorithm, and masked-tail sets.
+ * bit-parity with the seed reference algorithm, the golden checksums
+ * that pin the simulator's arithmetic, and masked-tail sets.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
@@ -19,7 +21,10 @@
 #include "pe/fpraker_pe.h"
 #include "sim/reference_column.h"
 #include "sim/sim_engine.h"
+#include "sim/sweep_runner.h"
 #include "trace/model_zoo.h"
+#include "trace/rng_stream.h"
+#include "trace/tensor_gen.h"
 
 namespace fpraker {
 namespace {
@@ -258,6 +263,176 @@ TEST(TileParity, MatchesReferenceTileOverBursts)
                 << "PE (" << r << "," << c << ")";
     expectStatsEqual(tile.aggregateStats(), ref.aggregateStats(),
                      "tile stats");
+}
+
+// --------------------------------------------------- golden checksums
+//
+// Three checksums pinned since the first optimized kernel. Each is a
+// raw (separator-free) FNV-1a stream over simulated values, so any
+// drift means the simulator's arithmetic changed: a deliberate change
+// updates the constants here and bumps the serve cache epoch. They
+// must hold on every SIMD tier, memo setting, and thread count.
+
+constexpr uint64_t kGoldenSeed = 0xf9a4e5;
+constexpr size_t kGoldenBurst = 32; //!< Steps per output block.
+
+void
+addRawStats(Fnv64 &h, const PeStats &s)
+{
+    for (uint64_t v :
+         {s.laneUseful, s.laneNoTerm, s.laneShiftRange, s.laneExponent,
+          s.laneInterPe, s.setCycles, s.sets, s.macs, s.termsProcessed,
+          s.termsZeroSkipped, s.termsObSkipped})
+        h.addRaw(v);
+}
+
+/** ResNet18-Q operand slabs for the paper's tile, @p steps deep. */
+struct GoldenWorkload
+{
+    TileConfig tile = AcceleratorConfig::paperDefault().tile;
+    size_t steps = 0;
+    size_t aLen = 0; //!< Serial-side values per step (cols x lanes).
+    size_t bLen = 0; //!< Parallel-side values per step (rows x lanes).
+    std::vector<BFloat16> a;
+    std::vector<BFloat16> b;
+};
+
+GoldenWorkload
+goldenWorkload(size_t steps, uint64_t seed)
+{
+    GoldenWorkload w;
+    w.steps = steps;
+    w.aLen = static_cast<size_t>(w.tile.cols) * w.tile.pe.lanes;
+    w.bLen = static_cast<size_t>(w.tile.rows) * w.tile.pe.lanes;
+    const ModelInfo &model = findModel("ResNet18-Q");
+    TensorGenerator a_gen(
+        model.profile.of(TensorKind::Activation).at(0.5), seed);
+    TensorGenerator b_gen(model.profile.of(TensorKind::Weight).at(0.5),
+                          seed ^ 0x5eed);
+    w.a.resize(steps * w.aLen);
+    w.b.resize(steps * w.bLen);
+    a_gen.fill(w.a.data(), w.a.size());
+    b_gen.fill(w.b.data(), w.b.size());
+    return w;
+}
+
+/**
+ * Walk @p w through @p tile in bursts, resetting the accumulators
+ * after each; @p run_burst(first_step, n) returns the burst's cycles.
+ * Digests every output, then the total cycles and aggregate stats.
+ */
+template <typename TileT, typename RunBurst>
+uint64_t
+tileDigest(const GoldenWorkload &w, TileT &tile, RunBurst run_burst)
+{
+    Fnv64 h;
+    uint64_t cycles = 0;
+    for (size_t s = 0; s < w.steps; s += kGoldenBurst) {
+        cycles += run_burst(s, std::min(kGoldenBurst, w.steps - s));
+        for (int r = 0; r < w.tile.rows; ++r)
+            for (int c = 0; c < w.tile.cols; ++c)
+                h.addRaw(tile.output(r, c));
+        tile.resetAccumulators();
+    }
+    h.addRaw(cycles);
+    addRawStats(h, tile.aggregateStats());
+    return h.value();
+}
+
+uint64_t
+referenceTileDigest(const GoldenWorkload &w)
+{
+    ReferenceTile tile(w.tile.pe, w.tile.rows, w.tile.cols,
+                       w.tile.bufferDepth);
+    return tileDigest(w, tile, [&](size_t s, size_t n) {
+        return tile.run(w.a.data() + s * w.aLen, w.b.data() + s * w.bLen,
+                        n)
+            .cycles;
+    });
+}
+
+uint64_t
+optimizedTileDigest(const GoldenWorkload &w, int threads)
+{
+    SimEngine engine(threads);
+    Tile tile(w.tile);
+    std::vector<TileStepView> views(kGoldenBurst);
+    return tileDigest(w, tile, [&](size_t s, size_t n) {
+        for (size_t i = 0; i < n; ++i)
+            views[i] = TileStepView{w.a.data() + (s + i) * w.aLen,
+                                    w.b.data() + (s + i) * w.bLen};
+        return tile.run(views.data(), n, &engine).cycles;
+    });
+}
+
+uint64_t
+modelDigest(const ModelRunReport &r)
+{
+    Fnv64 h;
+    h.addRaw(r.fprCycles);
+    h.addRaw(r.baseCycles);
+    h.addRaw(r.fprEnergy.totalPj());
+    h.addRaw(r.baseEnergy.totalPj());
+    for (const LayerOpReport &op : r.ops) {
+        h.addRaw(op.fprCycles);
+        h.addRaw(op.baseCycles);
+        h.addRaw(op.avgCyclesPerStep);
+        h.addRaw(op.trafficBytesCompressed);
+        addRawStats(h, op.sampleStats);
+    }
+    return h.value();
+}
+
+TEST(GoldenChecksum, TileKernelSeedSerialAndParallel)
+{
+    // 96 steps of the paper's 8x8 tile: the seed-parity walk and the
+    // optimized engine at 1 and 4 threads.
+    const GoldenWorkload w = goldenWorkload(96, kGoldenSeed);
+    EXPECT_EQ(Fnv64::hex(referenceTileDigest(w)), "230d1bab2fa340ba");
+    for (int threads : {1, 4})
+        EXPECT_EQ(Fnv64::hex(optimizedTileDigest(w, threads)),
+                  "230d1bab2fa340ba")
+            << threads << " threads";
+}
+
+TEST(GoldenChecksum, SweepOfTileJobs)
+{
+    // Six 48-step tile jobs on per-job RNG substreams, sharded
+    // through one SweepRunner.
+    std::vector<GoldenWorkload> jobs;
+    for (uint64_t j = 0; j < 6; ++j)
+        jobs.push_back(goldenWorkload(48, substreamSeed(kGoldenSeed, j)));
+    for (int threads : {1, 2, 8}) {
+        SweepRunner runner(threads);
+        std::vector<uint64_t> digests(jobs.size());
+        runner.parallelFor(jobs.size(), [&](size_t j) {
+            digests[j] = optimizedTileDigest(jobs[j], 1);
+        });
+        Fnv64 h;
+        for (uint64_t d : digests)
+            h.addRaw(d);
+        EXPECT_EQ(h.hex(), "e092b9bb1dd83ac0") << threads << " threads";
+    }
+}
+
+TEST(GoldenChecksum, ModelSweep)
+{
+    // Full accelerator runs (the Fig. 11 unit of work) for three
+    // models, unmemoized so every run simulates.
+    AcceleratorConfig cfg = AcceleratorConfig::paperDefault();
+    cfg.sampleSteps = 96;
+    cfg.memoize = false;
+    for (int threads : {1, 4}) {
+        SweepRunner runner(threads);
+        const Accelerator &accel = runner.addAccelerator(cfg);
+        std::vector<SweepJob> jobs;
+        for (const char *name : {"ResNet18-Q", "SNLI", "SqueezeNet 1.1"})
+            jobs.push_back(SweepJob{&accel, &findModel(name), 0.5});
+        Fnv64 h;
+        for (const ModelRunReport &r : runner.runModels(jobs))
+            h.addRaw(modelDigest(r));
+        EXPECT_EQ(h.hex(), "30a7aef3d8679d93") << threads << " threads";
+    }
 }
 
 // ------------------------------------------------------- masked tails

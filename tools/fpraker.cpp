@@ -7,8 +7,7 @@
  *   fpraker run fig11 --threads=8 --json=fig11.json
  *   fpraker run --all --json-dir=results
  *
- * The per-figure binaries in bench/ are thin shims over the same
- * registry; see docs/API.md for the Session/Registry/Result tour.
+ * See docs/API.md for the Session/Registry/Result tour.
  */
 
 #include "api/driver.h"
