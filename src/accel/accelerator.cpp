@@ -194,7 +194,7 @@ Accelerator::runLayerOp(const ModelInfo &model, const LayerShape &layer,
     prc.engine = engine_;
     prc.pool = &tilePool_;
     prc.supply = supply;
-    prc.memoize = cfg_.memoize;
+    prc.memo = cfg_.memoize ? SimMemo::global() : nullptr;
     PhaseRunResult sample =
         runPhaseSample(model, layer, op, progress, prc);
     r.serialSide = sample.serialSide;

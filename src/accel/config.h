@@ -74,18 +74,18 @@ struct AcceleratorConfig
     uint64_t seed = 0xf9a4e5;
 
     /**
-     * Content-addressed simulation memoization (sim/sim_memo.h):
-     * phase samples reuse cached burst/phase results through
-     * SimMemo::global() when their keyed content matches. Results are
+     * Burst memoization (sim/sim_memo.h): runLayerOp hands its phase
+     * samples SimMemo::global(), so a generator-backed burst already
+     * simulated under the same plan is served from it. Results are
      * bit-identical either way (FPRAKER_MEMO=off proves it); false
-     * forces the unmemoized path, e.g. for timing comparisons.
+     * simulates every burst, e.g. for timing comparisons.
      */
     bool memoize = true;
 
     /**
      * Simulation worker threads: the independent (layer, op) jobs of a
-     * model run — and the tile columns inside each phase sample —
-     * shard across a SimEngine of this size. Results are bit-identical
+     * model run — and the bursts inside each phase sample — shard
+     * across a SimEngine of this size. Results are bit-identical
      * for any value. 0 defers to FPRAKER_THREADS (default serial).
      */
     int threads = 0;

@@ -1,7 +1,8 @@
 #include "accel/phase_runner.h"
 
 #include <algorithm>
-#include <cstring>
+#include <array>
+#include <bit>
 #include <functional>
 #include <optional>
 #include <string>
@@ -19,27 +20,27 @@ namespace fpraker {
 namespace {
 
 FPRAKER_METRIC_COUNTER(g_phaseRuns, "phase.runs",
-                       "phase samples simulated or memo-served");
+                       "phase samples run");
 FPRAKER_METRIC_COUNTER(g_phaseBursts, "phase.bursts",
-                       "bursts executed (memo hits included)");
+                       "bursts planned (memo hits included)");
 FPRAKER_METRIC_COUNTER(g_phaseSteps, "phase.steps",
-                       "sample steps attributed to executed phases");
+                       "sample steps of simulated bursts");
 FPRAKER_METRIC_COUNTER(g_phaseCycles, "phase.sim_cycles",
-                       "simulated tile cycles accumulated by phases");
+                       "tile cycles of simulated bursts");
 FPRAKER_METRIC_HISTOGRAM(g_burstSeconds, "phase.burst_seconds",
-                         "wall seconds one burst took (memo hits "
-                         "included — they are the cheap mode)",
+                         "wall seconds one simulated burst took",
                          obs::Buckets::latency());
 
 // ------------------------------------------------------- memo keying
 //
-// Every memo key starts with a digest over the full simulated-machine
+// A generator-backed burst is a pure function of the simulated-machine
 // context (every TileConfig/PeConfig/AccumulatorConfig field plus the
-// effective accumulation depth) and a grain tag, so entries from
-// different machines or grains can never verify against each other.
-
-constexpr uint64_t kBurstGrainTag = 0xb5b5b5b5'00000001ull;
-constexpr uint64_t kPhaseGrainTag = 0xb5b5b5b5'00000002ull;
+// effective accumulation depth), the phase plan minus its sample budget
+// (seed, geometry, sides, profiles), and the burst's index and length:
+// its operands come from substreamSeed(baseSeed, 2 * bi [+ 1]), its
+// accumulators reset before it, and phase runs read only its cycles
+// and statistics. That is the whole memo key, so a 48-step and a
+// 96-step phase of one layer share their leading bursts.
 
 uint64_t
 tileContextDigest(const TileConfig &t, int steps_per_output)
@@ -61,34 +62,36 @@ tileContextDigest(const TileConfig &t, int steps_per_output)
     return h.value();
 }
 
-void
-appendU64(std::vector<unsigned char> &buf, uint64_t v)
+/** Memo key of one burst; the last two words are its index and length. */
+using BurstKey = std::array<uint64_t, 22>;
+
+BurstKey
+planKey(const TileConfig &t, const PhasePlan &plan)
 {
-    for (int i = 0; i < 8; ++i)
-        buf.push_back(static_cast<unsigned char>(v >> (i * 8)));
+    BurstKey key{};
+    size_t i = 0;
+    auto put = [&](uint64_t v) { key[i++] = v; };
+    put(tileContextDigest(t, plan.stepsPerOutput));
+    put(plan.baseSeed);
+    put(plan.aLen);
+    put(plan.bLen);
+    put(static_cast<uint64_t>(plan.serialSide));
+    put(static_cast<uint64_t>(plan.parallelSide));
+    for (const ValueProfile *p :
+         {&plan.serialProfile, &plan.parallelProfile}) {
+        put(std::bit_cast<uint64_t>(p->sparsity));
+        put(std::bit_cast<uint64_t>(p->zeroClusterLen));
+        put(std::bit_cast<uint64_t>(p->expMu));
+        put(std::bit_cast<uint64_t>(p->expSigma));
+        put(std::bit_cast<uint64_t>(p->expCorr));
+        put(static_cast<uint64_t>(p->mantissaBits));
+        put(std::bit_cast<uint64_t>(p->bitDensity));
+    }
+    panic_if(i + 2 != key.size(), "burst key layout out of date");
+    return key;
 }
 
-void
-appendDouble(std::vector<unsigned char> &buf, double v)
-{
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    appendU64(buf, bits);
-}
-
-void
-appendProfile(std::vector<unsigned char> &buf, const ValueProfile &p)
-{
-    appendDouble(buf, p.sparsity);
-    appendDouble(buf, p.zeroClusterLen);
-    appendDouble(buf, p.expMu);
-    appendDouble(buf, p.expSigma);
-    appendDouble(buf, p.expCorr);
-    appendU64(buf, static_cast<uint64_t>(p.mantissaBits));
-    appendDouble(buf, p.bitDensity);
-}
-
-/** Cached burst payload — everything a phase run reads of a burst. */
+/** One burst's result, which is also its memo value. */
 struct BurstMemoValue
 {
     uint64_t cycles = 0;
@@ -100,21 +103,6 @@ static_assert(std::is_trivially_copyable_v<BurstMemoValue> &&
                   sizeof(BurstMemoValue) ==
                       (1 + 11 + 3 + 3) * sizeof(uint64_t),
               "BurstMemoValue must be a packed POD (memo byte copies)");
-
-/** Cached whole-phase payload (generator-backed phases only). */
-struct PhaseMemoValue
-{
-    double avgCyclesPerStep = 0.0;
-    uint64_t steps = 0;
-    uint64_t serialSide = 0;
-    PeStats peStats;
-    TensorStats serialStats;
-    TensorStats parallelStats;
-};
-static_assert(std::is_trivially_copyable_v<PhaseMemoValue> &&
-                  sizeof(PhaseMemoValue) ==
-                      (3 + 11 + 3 + 3) * sizeof(uint64_t),
-              "PhaseMemoValue must be a packed POD (memo byte copies)");
 
 } // namespace
 
@@ -179,89 +167,24 @@ runPhaseSample(const ModelInfo &model, const LayerShape &layer,
     const size_t b_len = plan.bLen;
 
     g_phaseRuns.add();
+    g_phaseBursts.add(plan.bursts);
     obs::TraceSpan phaseSpan(
         "phase", obs::TraceCollector::instance().enabled()
                      ? layer.name + ":" + opLabel(op)
                      : std::string());
 
-    SimMemo *memo =
-        cfg.memoize ? (cfg.memo ? cfg.memo : SimMemo::global()) : nullptr;
-    const uint64_t ctx_digest =
-        memo ? tileContextDigest(cfg.tile, plan.stepsPerOutput) : 0;
-
-    // Phase grain: a generator-backed phase is a pure function of the
-    // machine context and the plan (profiles, seed, geometry) — its
-    // operand streams are synthesized from exactly these inputs — so
-    // the whole result memoizes without even generating the operands.
-    // Trace-backed phases (cfg.supply) are covered by the burst grain
-    // below instead: their content lives in the trace bytes.
-    std::vector<unsigned char> phase_key;
-    uint64_t phase_hash = 0;
-    if (memo && !cfg.supply) {
-        appendU64(phase_key, ctx_digest);
-        appendU64(phase_key, kPhaseGrainTag);
-        appendU64(phase_key, plan.baseSeed);
-        appendU64(phase_key, static_cast<uint64_t>(plan.sampleSteps));
-        appendU64(phase_key, static_cast<uint64_t>(plan.bursts));
-        appendU64(phase_key, static_cast<uint64_t>(a_len));
-        appendU64(phase_key, static_cast<uint64_t>(b_len));
-        appendU64(phase_key, static_cast<uint64_t>(plan.serialSide));
-        appendU64(phase_key, static_cast<uint64_t>(plan.parallelSide));
-        appendProfile(phase_key, plan.serialProfile);
-        appendProfile(phase_key, plan.parallelProfile);
-        Fnv64 h;
-        h.addBytes(phase_key.data(), phase_key.size());
-        phase_hash = h.value();
-
-        PhaseMemoValue v;
-        if (memo->lookup(phase_hash, phase_key.data(), phase_key.size(),
-                         &v, sizeof(v))) {
-            PhaseRunResult result;
-            result.avgCyclesPerStep = v.avgCyclesPerStep;
-            result.steps = v.steps;
-            result.serialSide = static_cast<TensorKind>(v.serialSide);
-            result.peStats = v.peStats;
-            result.serialStats = v.serialStats;
-            result.parallelStats = v.parallelStats;
-            result.memoHits = 1;
-            return result;
-        }
-    }
-
     // Operand streams arrive through the SlabSupply seam: the default
     // generator-backed supply synthesizes each burst's windows from
-    // the profile substreams (exactly the historical per-burst
-    // generators), while a trace-backed supply replays recorded
-    // streams. Either way the fill is a pure function of the burst
-    // index, so sharding stays bit-identical.
+    // the profile substreams, while a trace-backed supply replays
+    // recorded streams. Either way the fill is a pure function of the
+    // burst index, so sharding stays bit-identical. Only generator
+    // bursts memoize: a trace burst's content lives in the trace bytes,
+    // not in the plan.
     GeneratorSlabSupply generated(plan.serialProfile,
                                   plan.parallelProfile, plan.baseSeed);
     const SlabSupply &supply = cfg.supply ? *cfg.supply : generated;
-
-    // A burst covers one output block (the accumulators reset between
-    // blocks), which makes bursts fully independent simulation units:
-    // each fills its own operand windows through the supply and runs a
-    // private tile. Bursts therefore shard across the engine and
-    // reduce in burst order, bit-identical to the serial walk at any
-    // thread count.
-    const size_t n_bursts = plan.bursts;
-
-    struct BurstResult
-    {
-        uint64_t cycles = 0;
-        PeStats peStats;
-        TensorStats serialStats;
-        TensorStats parallelStats;
-        bool memoHit = false;
-    };
-    std::vector<BurstResult> bursts(n_bursts);
-
-    const bool shard_bursts =
-        cfg.engine && cfg.engine->threads() > 1 && n_bursts > 1;
-    // When the bursts themselves shard, the tile runs serially inside
-    // each one — handing it the engine too would only over-post helper
-    // tasks that find the column batch already drained.
-    SimEngine *tile_engine = shard_bursts ? nullptr : cfg.engine;
+    SimMemo *memo = cfg.supply ? nullptr : cfg.memo;
+    const BurstKey plan_key = memo ? planKey(cfg.tile, plan) : BurstKey{};
 
     // Every field matters, not just geometry: a pool built for a
     // different encoding/threshold/accumulator would silently hand
@@ -269,8 +192,34 @@ runPhaseSample(const ModelInfo &model, const LayerShape &layer,
     panic_if(cfg.pool && !(cfg.pool->config() == cfg.tile),
              "tile pool config does not match the phase config");
 
+    // A burst covers one output block (the accumulators reset between
+    // blocks), which makes bursts fully independent simulation units:
+    // each fills its own operand windows through the supply and runs a
+    // private tile. Bursts therefore shard across the engine and
+    // reduce in burst order, bit-identical to the serial walk at any
+    // thread count.
+    std::vector<BurstMemoValue> bursts(plan.bursts);
     auto run_burst = [&](size_t bi) {
         const size_t burst = plan.burstSteps(bi);
+        BurstMemoValue &out = bursts[bi];
+
+        // A hit copies the bytes an identical simulation produced, so
+        // results stay bit-identical; only WHICH bursts hit can vary
+        // with thread interleaving, which is why hit counts are
+        // telemetry, never fingerprint.
+        BurstKey key = plan_key;
+        uint64_t hash = 0;
+        if (memo) {
+            key[key.size() - 2] = bi;
+            key[key.size() - 1] = burst;
+            Fnv64 h;
+            h.addBytes(key.data(), sizeof(key));
+            hash = h.value();
+            if (memo->lookup(hash, key.data(), sizeof(key), &out,
+                             sizeof(out)))
+                return;
+        }
+
         const int64_t burst_t0 = now_ns();
         obs::TraceSpan burstSpan(
             "burst", obs::TraceCollector::instance().enabled()
@@ -297,56 +246,6 @@ runPhaseSample(const ModelInfo &model, const LayerShape &layer,
         supply.fillSerial(bi, scratch.a.data(), burst * a_len);
         supply.fillParallel(bi, scratch.b.data(), burst * b_len);
 
-        BurstResult &out = bursts[bi];
-
-        // Burst grain: a burst is a pure function of the machine
-        // context and its operand window bytes (accumulators reset
-        // between bursts and phase runs never read the tile's float
-        // outputs), so identical content — im2col-overlapping conv
-        // windows, re-sampled phases — skips the tile entirely. The
-        // fill above still runs: the key IS the operand bytes. A hit
-        // copies bytes a prior identical computation produced, so
-        // results stay bit-identical; only WHICH bursts hit can vary
-        // with thread interleaving, which is why hit counts are
-        // provenance, never fingerprint.
-        thread_local std::vector<unsigned char> key_buf;
-        uint64_t burst_hash = 0;
-        if (memo) {
-            key_buf.clear();
-            appendU64(key_buf, ctx_digest);
-            appendU64(key_buf, kBurstGrainTag);
-            appendU64(key_buf, static_cast<uint64_t>(burst));
-            appendU64(key_buf, static_cast<uint64_t>(a_len));
-            appendU64(key_buf, static_cast<uint64_t>(b_len));
-            const size_t header = key_buf.size();
-            key_buf.resize(header +
-                           (burst * a_len + burst * b_len) *
-                               sizeof(BFloat16));
-            std::memcpy(key_buf.data() + header, scratch.a.data(),
-                        burst * a_len * sizeof(BFloat16));
-            std::memcpy(key_buf.data() + header +
-                            burst * a_len * sizeof(BFloat16),
-                        scratch.b.data(),
-                        burst * b_len * sizeof(BFloat16));
-            Fnv64 h;
-            h.addBytes(key_buf.data(), key_buf.size());
-            burst_hash = h.value();
-
-            BurstMemoValue v;
-            if (memo->lookup(burst_hash, key_buf.data(),
-                             key_buf.size(), &v, sizeof(v))) {
-                out.cycles = v.cycles;
-                out.peStats = v.peStats;
-                out.serialStats = v.serialStats;
-                out.parallelStats = v.parallelStats;
-                out.memoHit = true;
-                g_phaseBursts.add();
-                g_burstSeconds.observe(
-                    static_cast<double>(now_ns() - burst_t0) * 1e-9);
-                return;
-            }
-        }
-
         for (size_t s = 0; s < burst; ++s) {
             BFloat16 *a = scratch.a.data() + s * a_len;
             BFloat16 *b = scratch.b.data() + s * b_len;
@@ -357,66 +256,36 @@ runPhaseSample(const ModelInfo &model, const LayerShape &layer,
             scratch.views[s] = TileStepView{a, b};
         }
 
-        TileRunResult run = scratch.tile.run(scratch.views.data(),
-                                             burst, tile_engine);
-        out.cycles = run.cycles;
+        out.cycles = scratch.tile.run(scratch.views.data(), burst).cycles;
         out.peStats = scratch.tile.aggregateStats();
 
-        if (memo) {
-            BurstMemoValue v;
-            v.cycles = out.cycles;
-            v.peStats = out.peStats;
-            v.serialStats = out.serialStats;
-            v.parallelStats = out.parallelStats;
-            memo->insert(burst_hash, key_buf.data(), key_buf.size(),
-                         &v, sizeof(v));
-        }
-        g_phaseBursts.add();
+        if (memo)
+            memo->insert(hash, key.data(), sizeof(key), &out,
+                         sizeof(out));
+        g_phaseSteps.add(burst);
+        g_phaseCycles.add(out.cycles);
         g_burstSeconds.observe(
             static_cast<double>(now_ns() - burst_t0) * 1e-9);
     };
 
-    if (shard_bursts)
-        cfg.engine->parallelFor(n_bursts, run_burst);
+    if (cfg.engine)
+        cfg.engine->parallelFor(plan.bursts, run_burst);
     else
-        for (size_t bi = 0; bi < n_bursts; ++bi)
+        for (size_t bi = 0; bi < plan.bursts; ++bi)
             run_burst(bi);
 
     PhaseRunResult result;
     result.serialSide = plan.serialSide;
     uint64_t total_cycles = 0;
-    for (const BurstResult &b : bursts) {
+    for (const BurstMemoValue &b : bursts) {
         total_cycles += b.cycles;
         result.peStats.merge(b.peStats);
         result.serialStats.merge(b.serialStats);
         result.parallelStats.merge(b.parallelStats);
-        if (b.memoHit)
-            result.memoHits += 1;
-        else if (memo)
-            result.memoMisses += 1;
     }
     result.steps = static_cast<uint64_t>(cfg.sampleSteps);
     result.avgCyclesPerStep = static_cast<double>(total_cycles) /
                               static_cast<double>(cfg.sampleSteps);
-    g_phaseSteps.add(result.steps);
-    g_phaseCycles.add(total_cycles);
-
-    if (!phase_key.empty()) {
-        // The phase-grain lookup above missed; cache the whole result
-        // so a later identical (config, plan, seed, profiles) phase —
-        // another sweep job, another rep — skips even operand
-        // generation.
-        result.memoMisses += 1;
-        PhaseMemoValue v;
-        v.avgCyclesPerStep = result.avgCyclesPerStep;
-        v.steps = result.steps;
-        v.serialSide = static_cast<uint64_t>(result.serialSide);
-        v.peStats = result.peStats;
-        v.serialStats = result.serialStats;
-        v.parallelStats = result.parallelStats;
-        memo->insert(phase_hash, phase_key.data(), phase_key.size(),
-                     &v, sizeof(v));
-    }
     return result;
 }
 

@@ -14,14 +14,15 @@
  * sparsity depending on the layer and the pass" — by picking the
  * operand with the lower expected term density.
  *
- * Sampling is sharded at the output-block (burst) grain: the
- * accumulators reset between blocks, so each burst is an independent
- * unit that seeds its own RNG substreams (substreamSeed(base, burst) —
- * a function of the burst index, never of the executing worker),
- * generates its own operand slabs, and runs a private tile. When the
- * config carries a SimEngine the bursts shard across it (and the tile
- * shards its columns for the serial caller), bit-identical to the
- * serial walk at any thread count.
+ * The burst is the one unit a phase shards and memoizes: a burst covers
+ * one output block (the accumulators reset between blocks), seeds its
+ * own RNG substreams (substreamSeed(base, burst) — a function of the
+ * burst index, never of the executing worker), generates its own
+ * operand slabs, and runs a private tile. When the config carries a
+ * SimEngine the bursts shard across it, bit-identical to the serial
+ * walk at any thread count; when it carries a SimMemo, each
+ * generator-backed burst is looked up by its plan before it leases
+ * scratch or fills operands.
  */
 
 #ifndef FPRAKER_ACCEL_PHASE_RUNNER_H
@@ -46,7 +47,7 @@ struct PhaseRunConfig
     int stepsPerOutput = 32;  //!< K fragments before accumulator reset.
     uint64_t seed = 1;
     bool autoSerialSide = true; //!< Pick the sparser operand as serial.
-    SimEngine *engine = nullptr; //!< Optional column-sharding executor.
+    SimEngine *engine = nullptr; //!< Optional burst-sharding executor.
     /**
      * Optional scratch pool (its config must equal @p tile): bursts
      * borrow pooled tile/slab scratch instead of constructing fresh —
@@ -63,19 +64,15 @@ struct PhaseRunConfig
      */
     const SlabSupply *supply = nullptr;
     /**
-     * Content-addressed memoization (sim/sim_memo.h). Null uses the
-     * process-wide SimMemo::global() (which FPRAKER_MEMO sizes or
-     * disables); tests install private instances. Two grains apply:
-     * generator-backed phases cache their whole result keyed on
-     * (config digest, plan, profiles, seed), and every phase caches
-     * per-burst (cycles, stats) keyed on (config digest, operand
-     * window bytes). Both are exact by construction — cached values
-     * are byte copies of the identical computation — so memo-on and
-     * memo-off runs are bit-identical.
+     * Optional burst memo (sim/sim_memo.h); null simulates every
+     * burst. A generator-backed burst is keyed by the tile context,
+     * the plan minus its sample budget, and its index and length, so
+     * phases that differ only in budget share their leading bursts.
+     * Trace-backed phases (@ref supply) always simulate. A hit is a
+     * byte copy of the identical computation, so memo-on and memo-off
+     * runs are bit-identical.
      */
     SimMemo *memo = nullptr;
-    /** False forces the unmemoized path regardless of @ref memo. */
-    bool memoize = true;
 };
 
 /**
@@ -123,10 +120,6 @@ struct PhaseRunResult
     TensorStats serialStats;    //!< Measured stats of the serial stream.
     TensorStats parallelStats;
     uint64_t steps = 0;
-    // Memoization accounting (provenance only — never fingerprinted):
-    // lookups that hit/missed at either grain during this run.
-    uint64_t memoHits = 0;
-    uint64_t memoMisses = 0;
 };
 
 /** Run one sampled (layer, op) phase on a fresh tile. */

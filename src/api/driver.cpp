@@ -34,7 +34,8 @@ printUsage(FILE *to, const char *prog)
         "  submit <id>          submit an experiment to the daemon\n"
         "                       and await its document (--socket=\n"
         "                       --json= --priority= --deadline-ms=\n"
-        "                       --retries= --no-wait + run knobs);\n"
+        "                       --retries= --no-wait --sample-steps=\n"
+        "                       and the workload knobs);\n"
         "                       overload rejections back off and\n"
         "                       retry per the daemon's hint\n"
         "  status <job>         poll a job submitted with --no-wait\n"

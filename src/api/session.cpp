@@ -79,16 +79,33 @@ Session::threadCount()
 }
 
 int
+envSampleSteps()
+{
+    const char *env = std::getenv("FPRAKER_SAMPLE_STEPS");
+    if (!env || !*env)
+        return 0;
+    long v = 0;
+    for (const char *p = env; *p && v <= 1000000000; ++p) {
+        fatal_if(*p < '0' || *p > '9',
+                 "FPRAKER_SAMPLE_STEPS=%s: expected a positive decimal "
+                 "integer",
+                 env);
+        v = v * 10 + (*p - '0');
+    }
+    fatal_if(v < 1 || v > 1000000000,
+             "FPRAKER_SAMPLE_STEPS=%s: expected an integer in [1, 1e9]",
+             env);
+    return static_cast<int>(v);
+}
+
+int
 Session::sampleSteps(int fallback)
 {
     int v = fallback;
-    if (requestedSampleSteps_ > 0) {
+    if (requestedSampleSteps_ > 0)
         v = requestedSampleSteps_;
-    } else if (const char *env = std::getenv("FPRAKER_SAMPLE_STEPS")) {
-        int e = std::atoi(env);
-        if (e > 0)
-            v = e;
-    }
+    else if (int e = envSampleSteps())
+        v = e;
     lastSampleSteps_ = v;
     return v;
 }

@@ -157,6 +157,14 @@ class Session
     std::vector<std::string> variantDescs_;
 };
 
+/**
+ * The FPRAKER_SAMPLE_STEPS override: 0 when the variable is unset or
+ * empty, else its value, which must be a positive decimal integer no
+ * larger than 1e9 — anything else ("1e3", "abc", "0") is a fatal()
+ * naming the variable. Read afresh on every call.
+ */
+int envSampleSteps();
+
 } // namespace api
 } // namespace fpraker
 

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 
 #include "common/logging.h"
 
@@ -44,6 +45,10 @@ packBf16Scalar(const int16_t *biased_exp, const uint8_t *man,
 }
 
 #ifdef FPRAKER_SLAB_X86
+
+// The SIMD pack bodies store whole registers over BFloat16 slots.
+static_assert(std::is_trivially_copyable_v<BFloat16>,
+              "packBf16 stores BFloat16 bit patterns with memcpy");
 
 namespace {
 
@@ -261,7 +266,7 @@ packBf16Sse2(const int16_t *biased_exp, const uint8_t *man,
                                7),
                 _mm_and_si128(m16, _mm_set1_epi16(0x7f))),
             _mm_slli_epi16(s16, 15));
-        std::memcpy(out + i, &bits, 16);
+        std::memcpy(static_cast<void *>(out + i), &bits, 16);
     }
     if (i < n)
         packBf16Scalar(biased_exp + i, man + i, neg + i, n - i,
@@ -286,7 +291,7 @@ packBf16Avx2(const int16_t *biased_exp, const uint8_t *man,
                     _mm256_and_si256(e, _mm256_set1_epi16(0xff)), 7),
                 _mm256_and_si256(m16, _mm256_set1_epi16(0x7f))),
             _mm256_slli_epi16(s16, 15));
-        std::memcpy(out + i, &bits, 32);
+        std::memcpy(static_cast<void *>(out + i), &bits, 32);
     }
     if (i < n)
         packBf16Sse2(biased_exp + i, man + i, neg + i, n - i, out + i);
@@ -310,7 +315,7 @@ packBf16Avx512(const int16_t *biased_exp, const uint8_t *man,
                     _mm512_and_si512(e, _mm512_set1_epi16(0xff)), 7),
                 _mm512_and_si512(m16, _mm512_set1_epi16(0x7f))),
             _mm512_slli_epi16(s16, 15));
-        std::memcpy(out + i, &bits, 64);
+        std::memcpy(static_cast<void *>(out + i), &bits, 64);
     }
     if (i < n)
         packBf16Avx2(biased_exp + i, man + i, neg + i, n - i, out + i);

@@ -1,8 +1,8 @@
 #include "serve/job_spec.h"
 
 #include <algorithm>
-#include <cstdlib>
 
+#include "api/session.h"
 #include "common/fnv.h"
 
 namespace fpraker {
@@ -36,25 +36,17 @@ addField(Fnv64 &h, const std::string &s)
 int
 JobSpec::resolvedSampleSteps() const
 {
-    if (sampleSteps > 0)
-        return sampleSteps;
     // Mirror Session::sampleSteps' env fallback: what the job will
     // actually simulate with. Folding the RESOLVED value into the
     // key makes disk spills airtight across daemons whose
-    // environments differ (PR 5 follow-up).
-    if (const char *env = std::getenv("FPRAKER_SAMPLE_STEPS")) {
-        int e = std::atoi(env);
-        if (e > 0)
-            return e;
-    }
-    return 0;
+    // environments differ.
+    return sampleSteps > 0 ? sampleSteps : api::envSampleSteps();
 }
 
 std::string
 JobSpec::canonical() const
 {
     std::string out = "experiment=" + experiment;
-    out += "|threads=" + std::to_string(threads);
     out += "|sample_steps=" + std::to_string(resolvedSampleSteps());
     for (const auto &[key, value] : sortedOptions(*this))
         out += "|opt:" + key + "=" + value;
@@ -71,7 +63,6 @@ JobSpec::cacheKey() const
     addField(h, kServeCacheEpoch);
     addField(h, "fpraker-result-v1");
     addField(h, experiment);
-    h.add(static_cast<uint64_t>(threads));
     h.add(static_cast<uint64_t>(resolvedSampleSteps()));
     const auto sorted = sortedOptions(*this);
     h.add(static_cast<uint64_t>(sorted.size()));
@@ -87,8 +78,6 @@ JobSpec::toJson() const
 {
     api::JsonValue spec = api::JsonValue::object();
     spec.set("experiment", experiment);
-    if (threads > 0)
-        spec.set("threads", threads);
     if (sampleSteps > 0)
         spec.set("sample_steps", sampleSteps);
     if (!options.empty()) {
@@ -139,10 +128,6 @@ JobSpec::fromJson(const api::JsonValue &v, JobSpec *out,
                 return false;
             }
             spec.experiment = value.str();
-        } else if (key == "threads") {
-            if (!readPositiveInt(value, "threads", &spec.threads,
-                                 error))
-                return false;
         } else if (key == "sample_steps") {
             if (!readPositiveInt(value, "sample_steps",
                                  &spec.sampleSteps, error))

@@ -3,11 +3,12 @@
  * JobSpec: the serializable unit of work of the serving layer.
  *
  * One JobSpec names a registered experiment plus the Session knobs
- * the CLI would have passed to `fpraker run <id>` — worker-thread
- * request, sample-step budget, and the workload options
- * (--batch/--seq/--batches). It round-trips through JSON (the `spec`
- * object of the wire protocol, docs/SERVING.md) and defines the
- * content address of its result:
+ * the CLI would have passed to `fpraker run <id>` — sample-step
+ * budget and the workload options (--batch/--seq/--batches). Jobs run
+ * on the daemon's shared engine, so a spec carries no thread count.
+ * It round-trips through JSON (the `spec` object of the wire
+ * protocol, docs/SERVING.md) and defines the content address of its
+ * result:
  *
  *     cacheKey = FNV-1a(epoch ‖ result schema ‖ experiment ‖ knobs)
  *
@@ -41,17 +42,15 @@ namespace serve {
  * documents must not be served anymore (the disk spill under
  * --cache-dir outlives daemon restarts and binary upgrades).
  * "fpraker-serve-2": spill files gained a checksum trailer and the
- * cache key folds the resolved FPRAKER_SAMPLE_STEPS env in (PR 6).
+ * cache key folds the resolved FPRAKER_SAMPLE_STEPS env in.
+ * "fpraker-serve-3": the key no longer hashes a thread count.
  */
-constexpr const char *kServeCacheEpoch = "fpraker-serve-2";
+constexpr const char *kServeCacheEpoch = "fpraker-serve-3";
 
 /** One experiment job: registry id + Session knobs. */
 struct JobSpec
 {
     std::string experiment; //!< Registry id, e.g. "fig11".
-    //! Requested worker threads. Jobs always run on the daemon's
-    //! shared engine, so this only keys the cache (0 = unset).
-    int threads = 0;
     int sampleSteps = 0;    //!< 0 = env/experiment fallback.
     //! Workload options (--batch/--seq/--batches), CLI order.
     std::vector<std::pair<std::string, std::string>> options;

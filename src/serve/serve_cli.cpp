@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "api/driver.h"
+#include "api/session.h"
 #include "obs/trace.h"
 #include "serve/client.h"
 #include "serve/daemon.h"
@@ -212,6 +213,9 @@ serveMain(int argc, char **argv, int first)
     // Test harnesses arm fault schedules through the environment
     // when they cannot reach the flag (panics on a malformed value).
     FaultInjector::instance().configureFromEnv();
+    // Every job keys and runs on FPRAKER_SAMPLE_STEPS: a malformed
+    // value fails here, before the socket is bound.
+    api::envSampleSteps();
 
     Daemon daemon(cfg);
     std::string error;
@@ -254,13 +258,13 @@ submitMain(int argc, char **argv, int first)
 {
     const char *prog = argc > 0 ? argv[0] : "fpraker";
     const char *what =
-        "submit <id> [--socket=PATH] [--threads=N] "
+        "submit <id> [--socket=PATH] "
         "[--sample-steps=N] [--batch=N] [--seq=N] [--batches=LIST] "
         "[--priority=N] [--deadline-ms=N] [--retries=N] "
         "[--json=FILE] [--no-wait]";
 
     // Serve-specific flags are peeled off here; the shared run knobs
-    // (--threads/--sample-steps/--batch/--seq/--batches/--json and the
+    // (--sample-steps/--batch/--seq/--batches/--json and the
     // experiment id) go through the one strict CLI parser so submit
     // and `fpraker run` can never drift apart.
     std::string socket;
@@ -302,10 +306,13 @@ submitMain(int argc, char **argv, int first)
         return flagError(prog, parseError);
     if (opts.all || !opts.jsonDir.empty() || opts.ids.size() != 1)
         return usage(prog, what);
+    if (opts.threads > 0)
+        return flagError(prog, "--threads is not a job knob: every job "
+                               "runs on the daemon's shared engine, "
+                               "sized by `fpraker serve --threads=N`");
 
     JobSpec spec;
     spec.experiment = opts.ids[0];
-    spec.threads = opts.threads;
     spec.sampleSteps = opts.sampleSteps;
     spec.options = opts.extras;
     spec.priority = priority;

@@ -3,16 +3,16 @@
  * Deterministic parallel execution of independent simulation units.
  *
  * The simulator's work decomposes into units that share no mutable
- * state: the (layer, op) jobs of a whole-model run and the per-column
- * set batches of a tile run. SimEngine shards such index spaces across
+ * state: the (layer, op) jobs of a whole-model run and the bursts of a
+ * phase sample. SimEngine shards such index spaces across
  * a worker pool; each unit writes only to its own result slot and the
  * caller reduces the slots in index order, so the outcome is
  * bit-identical for any thread count (threads=1 short-circuits to a
  * plain serial loop).
  *
  * parallelFor is re-entrant: a unit may itself call parallelFor (a
- * model run fanning out layer-ops whose phase samples fan out tile
- * columns). The calling thread always participates in its own batch,
+ * model run fanning out layer-ops whose phase samples fan out
+ * bursts). The calling thread always participates in its own batch,
  * so nesting degrades to inline execution instead of deadlocking when
  * all workers are busy.
  */

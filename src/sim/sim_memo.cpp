@@ -25,9 +25,9 @@ FPRAKER_METRIC_GAUGE(g_entries, "memo.entries",
 /**
  * Stripe count for a budget: enough stripes to keep lock contention
  * off the simulation's critical path, but never so many that a
- * stripe's budget share drops below one realistic burst entry
- * (~8-64 KiB) — a tiny test budget runs single-striped so eviction
- * still admits entries instead of rejecting everything.
+ * stripe's budget share drops below 256 KiB — a tiny test budget runs
+ * single-striped so eviction still admits entries instead of
+ * rejecting everything.
  */
 size_t
 stripesFor(size_t budget)

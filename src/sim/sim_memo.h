@@ -1,16 +1,17 @@
 /**
  * @file
- * Content-addressed simulation memoization (burst and phase grains).
+ * Content-addressed simulation memoization of phase-sample bursts.
  *
- * Bursts are pure functions of (tile configuration, operand window
- * bytes) — the accumulators reset between output blocks, and phase
- * runs consume only a burst's cycles and statistics, never the tile's
- * float outputs — so repeated operand content (im2col-overlapping conv
- * windows, re-sampled (layer, op, progress) phases, ablation grids
- * re-simulating identical phases) repeats the exact same simulation.
- * SimMemo turns that repetition into lookups: a thread-safe,
- * striped-lock, byte-budgeted LRU keyed by FNV-1a over the full key
- * bytes (config digest ‖ operand bytes).
+ * A generator-backed burst is a pure function of its plan — the tile
+ * configuration, the phase's seed, geometry, sides and value profiles,
+ * and the burst's index and length (accel/phase_runner.cpp): the
+ * accumulators reset between output blocks, and phase runs consume
+ * only a burst's cycles and statistics, never the tile's float
+ * outputs. Re-sampled (layer, op, progress) phases, ablation grids
+ * re-simulating identical phases, and larger sample budgets of the
+ * same layer therefore repeat the exact same bursts. SimMemo turns
+ * that repetition into lookups: a thread-safe, striped-lock,
+ * byte-budgeted LRU keyed by FNV-1a over the full key bytes.
  *
  * Exact by construction: every entry stores its complete key bytes and
  * a lookup memcmp-verifies them, so a hash collision is a miss, never
@@ -18,11 +19,11 @@
  * (tests/test_memo.cpp fuzzes the parity at 1/2/8 threads and under
  * eviction).
  *
- * The process-wide instance (global()) is shared by every phase run
+ * The process-wide instance (global()) is shared by every accelerator
  * and SweepRunner job; the FPRAKER_MEMO environment knob sizes it
  * (byte budget) or disables it ("off"/"0" — loud-fail on anything
- * else, like FPRAKER_SIMD). Hit/miss counts land in result provenance
- * only, never in fingerprints.
+ * else, like FPRAKER_SIMD). Hit/miss counts are telemetry (the memo.*
+ * metrics and stats()), never part of a fingerprint.
  */
 
 #ifndef FPRAKER_SIM_SIM_MEMO_H
@@ -81,7 +82,7 @@ class SimMemo
 
     /**
      * The process-wide memo, sized by FPRAKER_MEMO (unset = 64 MiB;
-     * "off"/"0" = nullptr, forcing the unmemoized path everywhere;
+     * "off"/"0" = nullptr, so every burst simulates;
      * a byte count sizes the budget; anything else panics loudly).
      */
     static SimMemo *global();

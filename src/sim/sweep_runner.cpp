@@ -162,11 +162,4 @@ SweepRunner::parallelFor(size_t n, const std::function<void(size_t)> &fn)
     engine_->parallelFor(n, fn);
 }
 
-SimMemo::Stats
-SweepRunner::memoStats()
-{
-    SimMemo *memo = SimMemo::global();
-    return memo ? memo->stats() : SimMemo::Stats{};
-}
-
 } // namespace fpraker

@@ -25,15 +25,14 @@
  * seeds RNG substreams by unit index (trace/rng_stream.h). Reports are
  * therefore bit-identical at any thread count.
  *
- * Memoization (the phase grain): every accelerator a runner builds
- * shares the process-wide SimMemo::global() through its phase samples,
- * so sweep jobs that re-simulate an identical (config, plan, seed,
- * profiles) phase — ablation grids that vary one knob, repeated
- * progress points, `fpraker run --all` experiments over the same zoo —
- * hit warm and skip the tile entirely. Cached values are byte copies
- * of the identical computation, so reports stay bit-identical whether
- * the memo is cold, warm, or off (FPRAKER_MEMO=off). memoStats()
- * exposes the global counters for provenance.
+ * Memoization: every accelerator a runner builds hands its phase
+ * samples the process-wide SimMemo::global(), so sweep jobs that
+ * re-simulate a burst of an identical (config, plan) phase — ablation
+ * grids that vary one knob, repeated progress points, `fpraker run
+ * --all` experiments over the same zoo, a larger sample budget of the
+ * same layer — hit warm and skip the tile. Cached values are byte
+ * copies of the identical computation, so reports stay bit-identical
+ * whether the memo is cold, warm, or off (FPRAKER_MEMO=off).
  */
 
 #ifndef FPRAKER_SIM_SWEEP_RUNNER_H
@@ -44,7 +43,6 @@
 
 #include "accel/accelerator.h"
 #include "sim/sim_engine.h"
-#include "sim/sim_memo.h"
 
 namespace fpraker {
 
@@ -118,13 +116,6 @@ class SweepRunner
      * reduces the slots in index order after the barrier.
      */
     void parallelFor(size_t n, const std::function<void(size_t)> &fn);
-
-    /**
-     * Counters of the process-wide SimMemo the runner's phase samples
-     * share (all-zero when FPRAKER_MEMO=off). Provenance only: counts
-     * depend on thread interleaving, values never do.
-     */
-    static SimMemo::Stats memoStats();
 
   private:
     std::unique_ptr<SimEngine> ownedEngine_; //!< Null when borrowing.

@@ -12,6 +12,9 @@ Tile::Tile(const TileConfig &cfg)
 {
     panic_if(cfg_.rows < 1 || cfg_.cols < 1, "degenerate tile %dx%d",
              cfg_.rows, cfg_.cols);
+    panic_if(cfg_.cols > 64,
+             "tile of %d columns exceeds the 64-column busy-mask limit",
+             cfg_.cols);
     panic_if(cfg_.bufferDepth < 1, "buffer depth must be at least 1");
     columns_.reserve(static_cast<size_t>(cfg_.cols));
     for (int c = 0; c < cfg_.cols; ++c)
@@ -20,7 +23,7 @@ Tile::Tile(const TileConfig &cfg)
 }
 
 TileRunResult
-Tile::run(const std::vector<TileStep> &steps, SimEngine *engine)
+Tile::run(const std::vector<TileStep> &steps)
 {
     const int lanes = cfg_.pe.lanes;
     std::vector<TileStepView> views(steps.size());
@@ -35,11 +38,11 @@ Tile::run(const std::vector<TileStep> &steps, SimEngine *engine)
                  steps[s].b.size(), cfg_.rows * lanes);
         views[s] = TileStepView{steps[s].a.data(), steps[s].b.data()};
     }
-    return run(views.data(), views.size(), engine);
+    return run(views.data(), views.size());
 }
 
 TileRunResult
-Tile::run(const TileStepView *steps, size_t n_steps, SimEngine *engine)
+Tile::run(const TileStepView *steps, size_t n_steps)
 {
     const int lanes = cfg_.pe.lanes;
     const int depth = cfg_.bufferDepth;
@@ -52,83 +55,39 @@ Tile::run(const TileStepView *steps, size_t n_steps, SimEngine *engine)
     if (n_steps == 0)
         return result;
 
-    // Phase A: simulate every column's whole set batch independently.
-    // A column's per-set cycle counts, accumulator contents, and
-    // datapath statistics depend only on its own operand sequence, so
-    // the columns shard across the engine with no synchronization and
-    // the recorded cycles feed the timing recurrence below. The
-    // broadcast B rows are identical for every column, so each step's
-    // rows decode once (instead of once per column) and the columns
-    // consume the decoded form — bit-identical either way.
+    // Phase A: simulate every column's set batch. A column's per-set
+    // cycle counts, accumulator contents, and datapath statistics
+    // depend only on its own operand sequence, so the recorded cycles
+    // feed the timing recurrence below. The sweep is step-major: one
+    // step's broadcast B rows decode once (instead of once per column)
+    // and feed every column while still hot, and the per-column settle
+    // fixpoints advance together under one busy mask that drops each
+    // column the cycle it settles. Columns never share mutable state,
+    // so any interleaving of their stepCycle calls is bit-identical to
+    // a column-major walk.
     cycleScratch_.resize(cols * n_steps);
-    const size_t rows = static_cast<size_t>(cfg_.rows);
-    if (engine && engine->threads() > 1) {
-        // Sharded: pre-decode the whole batch (itself sharded over
-        // the steps), then the columns shard over the engine.
-        decodedB_.resize(n_steps * rows);
-        engine->parallelFor(n_steps, [&](size_t s) {
-            FPRakerColumn::decodeBRows(steps[s].b, lanes, cfg_.rows,
-                                       lanes,
-                                       decodedB_.data() + s * rows);
-        });
-        engine->parallelFor(cols, [&](size_t c) {
-            FPRakerColumn &col = *columns_[c];
-            int *cycles = cycleScratch_.data() + c * n_steps;
-            for (size_t s = 0; s < n_steps; ++s) {
-                col.beginSetDecoded(steps[s].a + c * lanes,
-                                    decodedB_.data() + s * rows);
-                cycles[s] = col.finishSet();
-            }
-        });
-    } else if (cols <= 64) {
-        // Serial fused sweep: step-major, so one step's decoded rows
-        // feed every column while still hot, and the per-column settle
-        // fixpoints advance together under one busy mask that drops
-        // each column the cycle it settles. Columns never share
-        // mutable state, so any interleaving of their stepCycle calls
-        // is bit-identical to the column-major walk.
-        decodedB_.resize(rows);
-        for (size_t s = 0; s < n_steps; ++s) {
-            FPRakerColumn::decodeBRows(steps[s].b, lanes, cfg_.rows,
-                                       lanes, decodedB_.data());
-            uint64_t busy = 0;
-            for (size_t c = 0; c < cols; ++c) {
-                columns_[c]->beginSetDecoded(steps[s].a + c * lanes,
-                                             decodedB_.data());
-                if (columns_[c]->busy())
-                    busy |= uint64_t(1) << c;
-            }
-            while (busy) {
-                for (uint64_t m = busy; m; m &= m - 1) {
-                    const size_t c =
-                        static_cast<size_t>(std::countr_zero(m));
-                    FPRakerColumn &col = *columns_[c];
-                    col.stepCycle();
-                    if (!col.busy())
-                        busy &= ~(uint64_t(1) << c);
-                }
-            }
-            for (size_t c = 0; c < cols; ++c)
-                cycleScratch_[c * n_steps + s] =
-                    columns_[c]->finishSet();
-        }
-    } else {
-        // Tiles wider than the 64-column sweep mask keep the
-        // column-major walk (still sharing the decoded B rows).
-        decodedB_.resize(n_steps * rows);
-        for (size_t s = 0; s < n_steps; ++s)
-            FPRakerColumn::decodeBRows(steps[s].b, lanes, cfg_.rows,
-                                       lanes,
-                                       decodedB_.data() + s * rows);
+    decodedB_.resize(static_cast<size_t>(cfg_.rows));
+    for (size_t s = 0; s < n_steps; ++s) {
+        FPRakerColumn::decodeBRows(steps[s].b, lanes, cfg_.rows, lanes,
+                                   decodedB_.data());
+        uint64_t busy = 0;
         for (size_t c = 0; c < cols; ++c) {
-            FPRakerColumn &col = *columns_[c];
-            int *cycles = cycleScratch_.data() + c * n_steps;
-            for (size_t s = 0; s < n_steps; ++s) {
-                col.beginSetDecoded(steps[s].a + c * lanes,
-                                    decodedB_.data() + s * rows);
-                cycles[s] = col.finishSet();
+            columns_[c]->beginSetDecoded(steps[s].a + c * lanes,
+                                         decodedB_.data());
+            if (columns_[c]->busy())
+                busy |= uint64_t(1) << c;
+        }
+        while (busy) {
+            for (uint64_t m = busy; m; m &= m - 1) {
+                const size_t c = static_cast<size_t>(std::countr_zero(m));
+                FPRakerColumn &col = *columns_[c];
+                col.stepCycle();
+                if (!col.busy())
+                    busy &= ~(uint64_t(1) << c);
             }
         }
+        for (size_t c = 0; c < cols; ++c)
+            cycleScratch_[c * n_steps + s] = columns_[c]->finishSet();
     }
 
     // Phase B: replay the bounded-run-ahead recurrence over the cycle
@@ -217,7 +176,7 @@ BaselineTile::BaselineTile(const TileConfig &cfg)
 }
 
 TileRunResult
-BaselineTile::run(const std::vector<TileStep> &steps, SimEngine *engine)
+BaselineTile::run(const std::vector<TileStep> &steps)
 {
     const int lanes = cfg_.pe.lanes;
     const size_t rows = static_cast<size_t>(cfg_.rows);
@@ -242,42 +201,6 @@ BaselineTile::run(const std::vector<TileStep> &steps, SimEngine *engine)
     // operand decode (finite check, sign/exponent/significand split)
     // runs once per vector per step instead of once per PE — the grid
     // then consumes the rows x cols cross product of decoded vectors.
-    //
-    // With a multi-thread engine the whole batch pre-decodes up front
-    // (itself sharded over the steps) and then the PE rows shard: a
-    // PE's accumulator/stats are only touched by its own row's worker,
-    // in step order, so the result is bit-identical to the serial
-    // walk. Serially, decode stays interleaved per step (better cache
-    // reuse than a whole-batch decode pass).
-    // Sharding only pays once the batch amortizes the fork/join
-    // barrier and the whole-batch decode buffers; below kShardMinMacs
-    // the serial walk is faster (measured 0.83x on 0.5 M MACs), so
-    // small batches keep the interleaved per-step decode.
-    const bool shard_rows =
-        engine && engine->threads() > 1 && rows > 1 &&
-        result.macs >= kShardMinMacs;
-    if (shard_rows) {
-        std::vector<DecodedOperands> da(steps.size() * cols);
-        std::vector<DecodedOperands> db(steps.size() * rows);
-        engine->parallelFor(steps.size(), [&](size_t s) {
-            const TileStep &step = steps[s];
-            for (size_t c = 0; c < cols; ++c)
-                BaselinePe::decode(step.a.data() + c * lanes, lanes,
-                                   da[s * cols + c]);
-            for (size_t r = 0; r < rows; ++r)
-                BaselinePe::decode(step.b.data() + r * lanes, lanes,
-                                   db[s * rows + r]);
-        });
-        engine->parallelFor(rows, [&](size_t r) {
-            BaselinePe *row_pes = pes_.data() + r * cols;
-            for (size_t s = 0; s < steps.size(); ++s)
-                for (size_t c = 0; c < cols; ++c)
-                    row_pes[c].processDecoded(da[s * cols + c],
-                                              db[s * rows + r]);
-        });
-        return result;
-    }
-
     std::vector<DecodedOperands> da(cols);
     std::vector<DecodedOperands> db(rows);
     for (const TileStep &step : steps) {

@@ -22,14 +22,15 @@
  *   start[c][s] = max(finish[c][s-1], avail[s])
  *   finish[c][s]= start[c][s] + cycles[c][s]
  *
- * Execution is split so the heavy part parallelizes: a column's cycle
- * counts and accumulator contents depend only on its own operand/set
- * sequence, never on the other columns' timing, so phase A simulates
- * each column's whole set batch independently (shardable across a
- * SimEngine), and phase B replays the recurrence over the recorded
- * per-set cycle counts and charges each column its broadcast-wait
- * stalls. Both phases are deterministic, so any thread count produces
- * bit-identical results to the serial seed algorithm.
+ * Execution is split in two: a column's cycle counts and accumulator
+ * contents depend only on its own operand/set sequence, never on the
+ * other columns' timing, so phase A sweeps every column's sets
+ * step-major under one 64-bit busy mask (which bounds a tile at 64
+ * columns, as FPRakerColumn's transposed masks bound a column at 64
+ * PEs), and phase B replays the recurrence over the recorded per-set
+ * cycle counts and charges each column its broadcast-wait stalls. A
+ * tile runs on its caller's thread; the phase runner shards whole
+ * bursts (one tile each) instead.
  */
 
 #ifndef FPRAKER_TILE_TILE_H
@@ -41,7 +42,6 @@
 
 #include "pe/baseline_pe.h"
 #include "pe/fpraker_pe.h"
-#include "sim/sim_engine.h"
 
 namespace fpraker {
 
@@ -97,17 +97,11 @@ class Tile
      * Process a step sequence; accumulators persist across steps so a
      * sequence forms one K-dimension traversal for the whole output
      * block. Timing state (column skew) resets per call.
-     *
-     * @param engine optional executor; when it carries more than one
-     *        thread the per-column set batches are sharded across it
-     *        (bit-identical to the serial walk).
      */
-    TileRunResult run(const std::vector<TileStep> &steps,
-                      SimEngine *engine = nullptr);
+    TileRunResult run(const std::vector<TileStep> &steps);
 
     /** View-based variant: @p steps[i] must have tile arity. */
-    TileRunResult run(const TileStepView *steps, size_t n,
-                      SimEngine *engine = nullptr);
+    TileRunResult run(const TileStepView *steps, size_t n);
 
     /** Accumulated output of PE (r, c). */
     float output(int r, int c) const;
@@ -149,7 +143,7 @@ class Tile
     std::vector<std::unique_ptr<FPRakerColumn>> columns_;
     //! Shared decoded B rows: the broadcast rows are identical for
     //! every column, so phase A decodes each step's rows once and all
-    //! columns consume the decoded form ([s * rows + r] when batched).
+    //! columns consume the decoded form.
     std::vector<FPRakerColumn::DecodedBRow> decodedB_;
     std::vector<int> cycleScratch_; //!< Phase-A cycles, [c * steps + s].
     // Phase-B recurrence scratch, members so repeated run() calls
@@ -168,27 +162,8 @@ class BaselineTile
   public:
     explicit BaselineTile(const TileConfig &cfg);
 
-    /**
-     * Process a step sequence. When @p engine carries more than one
-     * thread AND the batch holds at least kShardMinMacs of work, the
-     * PE rows shard across it: the batch's operand vectors are
-     * pre-decoded once (steps x (rows + cols) decodes, each sharded
-     * too), then each row's PEs walk the whole batch independently —
-     * bit-identical to the serial walk because a PE is only ever
-     * touched by its own row's worker, in step order. Smaller batches
-     * fall back to the serial walk (same bits, no fork/join or
-     * whole-batch decode-buffer cost).
-     */
-    TileRunResult run(const std::vector<TileStep> &steps,
-                      SimEngine *engine = nullptr);
-
-    /**
-     * Minimum batch MACs before sharding pays. Below this the
-     * fork/join barrier plus the whole-batch decode buffers cost more
-     * than the walk itself — sharding measured 0.83x of serial on a
-     * 0.5 M-MAC batch — so smaller runs stay on the serial path.
-     */
-    static constexpr uint64_t kShardMinMacs = 2ull << 20;
+    /** Process a step sequence (one cycle per step). */
+    TileRunResult run(const std::vector<TileStep> &steps);
 
     float output(int r, int c) const;
     void resetAccumulators();

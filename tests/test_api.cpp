@@ -7,8 +7,10 @@
  * registered experiment).
  */
 
+#include <cstdlib>
 #include <cstring>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -323,6 +325,41 @@ TEST(Driver, StrictFlagParsing)
     EXPECT_TRUE(run_opts.all);
     ASSERT_EQ(run_opts.ids.size(), 1u);
     EXPECT_EQ(run_opts.ids[0], "run-id");
+}
+
+TEST(Driver, SampleStepsEnvIsReadAfreshAndStrictly)
+{
+    const char *saved = std::getenv("FPRAKER_SAMPLE_STEPS");
+    const std::string savedValue = saved ? saved : "";
+
+    ::unsetenv("FPRAKER_SAMPLE_STEPS");
+    EXPECT_EQ(api::envSampleSteps(), 0);
+    ::setenv("FPRAKER_SAMPLE_STEPS", "", 1);
+    EXPECT_EQ(api::envSampleSteps(), 0);
+    ::setenv("FPRAKER_SAMPLE_STEPS", "24", 1);
+    EXPECT_EQ(api::envSampleSteps(), 24);
+    Session session;
+    EXPECT_EQ(session.sampleSteps(96), 24);
+    ::setenv("FPRAKER_SAMPLE_STEPS", "1000000000", 1);
+    EXPECT_EQ(api::envSampleSteps(), 1000000000);
+
+#if GTEST_HAS_DEATH_TEST
+    // Anything but a positive decimal integer exits naming the
+    // variable, never silently runs at another budget.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    for (const char *bad : {"1e3", "abc", "0", "-8", " 8", "8x",
+                            "1000000001", "99999999999999999999"}) {
+        ::setenv("FPRAKER_SAMPLE_STEPS", bad, 1);
+        EXPECT_EXIT(api::envSampleSteps(), ::testing::ExitedWithCode(1),
+                    "FPRAKER_SAMPLE_STEPS")
+            << bad;
+    }
+#endif
+
+    if (saved)
+        ::setenv("FPRAKER_SAMPLE_STEPS", savedValue.c_str(), 1);
+    else
+        ::unsetenv("FPRAKER_SAMPLE_STEPS");
 }
 
 TEST(SweepRunner, ShardedWarmupMatchesSerialWarmup)

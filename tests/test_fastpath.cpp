@@ -2,9 +2,8 @@
  * @file
  * PR 4 fast-data-path coverage: the SIMD slab kernels against their
  * scalar reference bodies, the batched TensorGenerator fill against
- * the value-at-a-time walk, pooled tile scratch against fresh
- * construction (at several thread counts), and BaselineTile row
- * sharding against the serial walk. Everything here is a
+ * the value-at-a-time walk, and pooled tile scratch against fresh
+ * construction (at several thread counts). Everything here is a
  * bit-identity contract — no tolerances.
  */
 
@@ -181,11 +180,7 @@ TEST(TilePool, PooledPhaseRunsBitIdenticalAcrossThreadCounts)
     base.tile = TileConfig{};
     base.sampleSteps = 96;
     base.stepsPerOutput = 16;
-    base.seed = 42;
-    // This test exercises the tile pool; with memoization on, the
-    // reference run below would warm the phase memo and the pooled
-    // reruns would be served from it without ever leasing a tile.
-    base.memoize = false;
+    base.seed = 42; // No memo: every burst leases a pooled tile.
 
     // Reference: no pool, serial.
     PhaseRunResult ref = runPhaseSample(model, layer,
@@ -264,43 +259,6 @@ TEST(TilePool, ReusedTileMatchesFresh)
     for (int r = 0; r < cfg.rows; ++r)
         for (int c = 0; c < cfg.cols; ++c)
             EXPECT_EQ(fresh.output(r, c), lease->tile.output(r, c));
-}
-
-TEST(BaselineTile, RowShardingMatchesSerial)
-{
-    TileConfig cfg;
-    cfg.rows = 8;
-    cfg.cols = 8;
-    const int lanes = cfg.pe.lanes;
-    ValueProfile p =
-        findModel("VGG16").profile.of(TensorKind::Activation).at(0.5);
-    TensorGenerator gen(p, 314);
-    std::vector<TileStep> steps(20);
-    for (auto &s : steps) {
-        s.a = gen.generate(static_cast<size_t>(cfg.cols) * lanes);
-        s.b = gen.generate(static_cast<size_t>(cfg.rows) * lanes);
-    }
-
-    BaselineTile serial(cfg);
-    TileRunResult want = serial.run(steps);
-
-    for (int threads : {2, 8}) {
-        SimEngine engine(threads);
-        BaselineTile sharded(cfg);
-        TileRunResult got = sharded.run(steps, &engine);
-        EXPECT_EQ(want.cycles, got.cycles);
-        EXPECT_EQ(want.steps, got.steps);
-        EXPECT_EQ(want.macs, got.macs);
-        BaselinePeStats ws = serial.aggregateStats();
-        BaselinePeStats gs = sharded.aggregateStats();
-        EXPECT_EQ(ws.cycles, gs.cycles);
-        EXPECT_EQ(ws.sets, gs.sets);
-        EXPECT_EQ(ws.macs, gs.macs);
-        EXPECT_EQ(ws.ineffectualMacs, gs.ineffectualMacs);
-        for (int r = 0; r < cfg.rows; ++r)
-            for (int c = 0; c < cfg.cols; ++c)
-                EXPECT_EQ(serial.output(r, c), sharded.output(r, c));
-    }
 }
 
 } // namespace

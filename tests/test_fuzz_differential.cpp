@@ -17,7 +17,6 @@
 #include "pe/baseline_pe.h"
 #include "pe/fpraker_pe.h"
 #include "sim/reference_column.h"
-#include "sim/sim_engine.h"
 #include "tile/tile.h"
 
 namespace fpraker {
@@ -217,10 +216,10 @@ TEST(DifferentialFuzz, SinglePendingLaneColumnsMatchReference)
  * Settle-skew tiles: column c's A vector carries c+1 live lanes with
  * an exponent spread that grows with c, so in any step each column's
  * settle fixpoint converges on a different iteration. The fused
- * serial sweep retires columns from its busy mask one by one (and the
- * sharded walk never sees the mask at all) — at 1, 2, and 8 threads
- * the cycles, outputs, and statistics must be bit-identical to the
- * seed reference tile.
+ * step-major sweep retires columns from its busy mask one by one; the
+ * cycles, outputs, and statistics must be bit-identical to the seed
+ * reference tile. (A tile runs on its caller's thread, so the thread
+ * count of the surrounding engine cannot reach it.)
  */
 TEST(DifferentialFuzz, SettleSkewTilesMatchReferenceAtAnyThreadCount)
 {
@@ -253,24 +252,20 @@ TEST(DifferentialFuzz, SettleSkewTilesMatchReferenceAtAnyThreadCount)
     ReferenceTile ref(cfg.pe, cfg.rows, cfg.cols, cfg.bufferDepth);
     ReferenceTileResult res = ref.run(a.data(), b.data(), steps);
 
-    for (int threads : {1, 2, 8}) {
-        SimEngine engine(threads);
-        Tile tile(cfg);
-        std::vector<TileStepView> views(steps);
-        for (size_t s = 0; s < steps; ++s)
-            views[s] = TileStepView{a.data() + s * a_len,
-                                    b.data() + s * b_len};
-        TileRunResult opt = tile.run(views.data(), steps, &engine);
+    Tile tile(cfg);
+    std::vector<TileStepView> views(steps);
+    for (size_t s = 0; s < steps; ++s)
+        views[s] = TileStepView{a.data() + s * a_len,
+                                b.data() + s * b_len};
+    TileRunResult opt = tile.run(views.data(), steps);
 
-        ASSERT_EQ(opt.cycles, res.cycles) << "threads=" << threads;
-        for (int r = 0; r < cfg.rows; ++r)
-            for (int c = 0; c < cfg.cols; ++c)
-                ASSERT_EQ(tile.output(r, c), ref.output(r, c))
-                    << "threads=" << threads << " PE (" << r << ","
-                    << c << ")";
-        expectStatsEqual(tile.aggregateStats(), ref.aggregateStats(),
-                         "settle-skew tile stats");
-    }
+    ASSERT_EQ(opt.cycles, res.cycles);
+    for (int r = 0; r < cfg.rows; ++r)
+        for (int c = 0; c < cfg.cols; ++c)
+            ASSERT_EQ(tile.output(r, c), ref.output(r, c))
+                << "PE (" << r << "," << c << ")";
+    expectStatsEqual(tile.aggregateStats(), ref.aggregateStats(),
+                     "settle-skew tile stats");
 }
 
 /**

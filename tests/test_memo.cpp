@@ -1,13 +1,15 @@
 /**
  * @file
- * Tests for the PR 9 memoization grains: the whole-bf16 ValueLut
- * differential against TermEncoder over the full 16-bit domain,
- * SimMemo's exact-by-construction cache behaviors (key verification,
- * budget admission, LRU eviction), and phase-runner bit-identity with
- * the memo off, cold, warm, and evicting — at 1, 2, and 8 threads.
+ * Tests for memoization: the whole-bf16 ValueLut differential against
+ * TermEncoder over the full 16-bit domain, SimMemo's
+ * exact-by-construction cache behaviors (key verification, budget
+ * admission, LRU eviction), and the phase runner's burst memo —
+ * bit-identical with the memo off, cold, warm, shared across sample
+ * budgets, and evicting, at 1, 2, and 8 threads.
  */
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -56,8 +58,9 @@ TEST(ValueLut, FullDomainMatchesTermEncoder)
             for (int i = 0; i < want.size(); ++i)
                 ASSERT_TRUE((*e.stream)[i] == want[i])
                     << "bits " << bits << " term " << i;
-            if (want.size() > 0)
+            if (want.size() > 0) {
                 ASSERT_EQ(e.shift0, want[0].shift) << "bits " << bits;
+            }
         }
     }
 }
@@ -206,18 +209,28 @@ basePhaseConfig()
     return cfg;
 }
 
-TEST(PhaseMemo, ColdAndWarmMatchMemoOffAcrossThreadCounts)
+PhaseRunResult
+runForward(const PhaseRunConfig &cfg)
 {
     const ModelInfo &model = findModel("ResNet18-Q");
-    const LayerShape &layer = model.layers.front();
+    return runPhaseSample(model, model.layers.front(),
+                          TrainingOp::Forward, 0.5, cfg);
+}
 
-    // Reference: the unmemoized serial path.
-    PhaseRunConfig off = basePhaseConfig();
-    off.memoize = false;
-    const PhaseRunResult ref = runPhaseSample(
-        model, layer, TrainingOp::Forward, 0.5, off);
-    EXPECT_EQ(ref.memoHits, 0u);
-    EXPECT_EQ(ref.memoMisses, 0u);
+PhasePlan
+planOf(const PhaseRunConfig &cfg)
+{
+    const ModelInfo &model = findModel("ResNet18-Q");
+    return planPhaseSample(model, model.layers.front(),
+                           TrainingOp::Forward, 0.5, cfg);
+}
+
+TEST(PhaseMemo, ColdAndWarmMatchMemoOffAcrossThreadCounts)
+{
+    // Reference: no memo, serial.
+    const PhaseRunResult ref = runForward(basePhaseConfig());
+    const uint64_t bursts = planOf(basePhaseConfig()).bursts;
+    ASSERT_EQ(bursts, 6u);
 
     for (int threads : {1, 2, 8}) {
         SimEngine engine(threads);
@@ -225,115 +238,92 @@ TEST(PhaseMemo, ColdAndWarmMatchMemoOffAcrossThreadCounts)
         PhaseRunConfig cfg = basePhaseConfig();
         cfg.engine = &engine;
         cfg.memo = &memo;
+        const std::string t = " t=" + std::to_string(threads);
 
-        PhaseRunResult cold = runPhaseSample(
-            model, layer, TrainingOp::Forward, 0.5, cfg);
-        expectPhaseEqual(cold, ref,
-                         ("cold t=" + std::to_string(threads)).c_str());
-        EXPECT_EQ(cold.memoHits, 0u) << threads;
-        EXPECT_GT(cold.memoMisses, 0u) << threads;
+        // Cold: every burst misses, simulates, and is inserted.
+        expectPhaseEqual(runForward(cfg), ref, ("cold" + t).c_str());
+        SimMemo::Stats st = memo.stats();
+        EXPECT_EQ(st.hits, 0u) << t;
+        EXPECT_EQ(st.misses, bursts) << t;
+        EXPECT_EQ(st.insertions, bursts) << t;
 
-        // Generator-backed phases memoize whole: the warm rerun hits
-        // at the phase grain and skips even operand generation.
-        PhaseRunResult warm = runPhaseSample(
-            model, layer, TrainingOp::Forward, 0.5, cfg);
-        expectPhaseEqual(warm, ref,
-                         ("warm t=" + std::to_string(threads)).c_str());
-        EXPECT_EQ(warm.memoHits, 1u) << threads;
-        EXPECT_EQ(warm.memoMisses, 0u) << threads;
+        // Warm: every burst is served from the memo.
+        expectPhaseEqual(runForward(cfg), ref, ("warm" + t).c_str());
+        st = memo.stats();
+        EXPECT_EQ(st.hits, bursts) << t;
+        EXPECT_EQ(st.misses, bursts) << t;
+        EXPECT_EQ(st.insertions, bursts) << t;
     }
 }
 
-TEST(PhaseMemo, BurstGrainHitsEveryBurstOnTraceBackedWarmRun)
+TEST(PhaseMemo, LargerBudgetReusesLeadingBursts)
 {
-    const ModelInfo &model = findModel("ResNet18-Q");
-    const LayerShape &layer = model.layers.front();
+    // The key leaves the sample budget out, so a 96-step phase finds
+    // the three 16-step bursts a 48-step phase of the same layer
+    // already simulated.
+    PhaseRunConfig short_cfg = basePhaseConfig();
+    short_cfg.sampleSteps = 48;
+    const PhaseRunResult short_ref = runForward(short_cfg);
+    const PhaseRunResult long_ref = runForward(basePhaseConfig());
 
-    PhaseRunConfig off = basePhaseConfig();
-    off.memoize = false;
-    const PhaseRunResult ref = runPhaseSample(
-        model, layer, TrainingOp::Forward, 0.5, off);
+    SimMemo memo(8u << 20);
+    short_cfg.memo = &memo;
+    PhaseRunConfig long_cfg = basePhaseConfig();
+    long_cfg.memo = &memo;
+    expectPhaseEqual(runForward(short_cfg), short_ref, "48 steps");
+    EXPECT_EQ(memo.stats().hits, 0u);
+    expectPhaseEqual(runForward(long_cfg), long_ref, "96 steps");
+    SimMemo::Stats st = memo.stats();
+    EXPECT_EQ(st.hits, 3u);
+    EXPECT_EQ(st.misses, 6u);
+    EXPECT_EQ(st.insertions, 6u);
+}
 
-    // An external supply disables the phase grain (its content lives
-    // in the supplied bytes), so only bursts memoize. Feed the same
-    // generator streams through the supply seam to keep ref parity.
-    const PhasePlan plan = planPhaseSample(
-        model, layer, TrainingOp::Forward, 0.5, basePhaseConfig());
+TEST(PhaseMemo, TraceBackedPhasesAlwaysSimulate)
+{
+    const PhaseRunResult ref = runForward(basePhaseConfig());
+
+    // Feed the generator's own streams through the supply seam, so the
+    // results must match the generator-backed reference exactly.
+    const PhasePlan plan = planOf(basePhaseConfig());
     GeneratorSlabSupply supply(plan.serialProfile, plan.parallelProfile,
                                plan.baseSeed);
 
-    for (int threads : {1, 2, 8}) {
-        SimEngine engine(threads);
-        SimMemo memo(8u << 20);
-        PhaseRunConfig cfg = basePhaseConfig();
-        cfg.engine = &engine;
-        cfg.memo = &memo;
-        cfg.supply = &supply;
-
-        PhaseRunResult cold = runPhaseSample(
-            model, layer, TrainingOp::Forward, 0.5, cfg);
-        expectPhaseEqual(cold, ref,
-                         ("cold t=" + std::to_string(threads)).c_str());
-        EXPECT_EQ(cold.memoHits, 0u) << threads;
-        EXPECT_EQ(cold.memoMisses, plan.bursts) << threads;
-
-        PhaseRunResult warm = runPhaseSample(
-            model, layer, TrainingOp::Forward, 0.5, cfg);
-        expectPhaseEqual(warm, ref,
-                         ("warm t=" + std::to_string(threads)).c_str());
-        EXPECT_EQ(warm.memoHits, plan.bursts) << threads;
-        EXPECT_EQ(warm.memoMisses, 0u) << threads;
-    }
+    SimEngine engine(2);
+    SimMemo memo(8u << 20);
+    PhaseRunConfig cfg = basePhaseConfig();
+    cfg.engine = &engine;
+    cfg.memo = &memo;
+    cfg.supply = &supply;
+    for (int pass = 0; pass < 2; ++pass)
+        expectPhaseEqual(runForward(cfg), ref,
+                         ("pass " + std::to_string(pass)).c_str());
+    SimMemo::Stats st = memo.stats();
+    EXPECT_EQ(st.hits + st.misses + st.insertions + st.entries, 0u);
 }
 
 TEST(PhaseMemo, EvictionUnderTinyBudgetStaysBitIdentical)
 {
-    const ModelInfo &model = findModel("ResNet18-Q");
-    const LayerShape &layer = model.layers.front();
+    const PhaseRunResult ref = runForward(basePhaseConfig());
 
-    PhaseRunConfig off = basePhaseConfig();
-    off.memoize = false;
-    const PhaseRunResult ref = runPhaseSample(
-        model, layer, TrainingOp::Forward, 0.5, off);
-
-    const PhasePlan plan = planPhaseSample(
-        model, layer, TrainingOp::Forward, 0.5, basePhaseConfig());
-    GeneratorSlabSupply supply(plan.serialProfile, plan.parallelProfile,
-                               plan.baseSeed);
-
-    // A budget holding roughly one burst entry: every insert evicts
-    // the previous burst, only the last one can ever hit, and the
-    // results must still be bit-identical to the unmemoized run.
-    SimMemo memo(8u << 10);
-    PhaseRunConfig cfg = basePhaseConfig();
-    cfg.memo = &memo;
-    cfg.supply = &supply;
-    for (int pass = 0; pass < 3; ++pass) {
-        PhaseRunResult got = runPhaseSample(
-            model, layer, TrainingOp::Forward, 0.5, cfg);
-        expectPhaseEqual(got, ref,
-                         ("pass " + std::to_string(pass)).c_str());
+    // A budget holding two burst entries: six bursts per pass keep
+    // evicting each other, and every pass must still be bit-identical
+    // to the unmemoized run.
+    for (int threads : {1, 8}) {
+        SimEngine engine(threads);
+        SimMemo memo(1u << 10);
+        PhaseRunConfig cfg = basePhaseConfig();
+        cfg.engine = &engine;
+        cfg.memo = &memo;
+        for (int pass = 0; pass < 3; ++pass)
+            expectPhaseEqual(runForward(cfg), ref,
+                             ("t=" + std::to_string(threads) + " pass " +
+                              std::to_string(pass))
+                                 .c_str());
+        SimMemo::Stats st = memo.stats();
+        EXPECT_GT(st.evictions, 0u) << threads;
+        EXPECT_LE(memo.bytesHeld(), memo.budget()) << threads;
     }
-    SimMemo::Stats st = memo.stats();
-    EXPECT_GT(st.evictions, 0u);
-    EXPECT_LE(memo.bytesHeld(), memo.budget());
-}
-
-TEST(PhaseMemo, MemoizeFalseBypassesEvenAnInstalledMemo)
-{
-    const ModelInfo &model = findModel("ResNet18-Q");
-    const LayerShape &layer = model.layers.front();
-
-    SimMemo memo(8u << 20);
-    PhaseRunConfig cfg = basePhaseConfig();
-    cfg.memo = &memo;
-    cfg.memoize = false;
-    PhaseRunResult r = runPhaseSample(model, layer,
-                                      TrainingOp::Forward, 0.5, cfg);
-    EXPECT_EQ(r.memoHits, 0u);
-    EXPECT_EQ(r.memoMisses, 0u);
-    SimMemo::Stats st = memo.stats();
-    EXPECT_EQ(st.hits + st.misses + st.insertions, 0u);
 }
 
 } // namespace

@@ -201,6 +201,13 @@ TEST(Contracts, TileRejectsMalformedSteps)
     EXPECT_DEATH(tile.run(steps), "expected");
 }
 
+TEST(Contracts, TileRejectsMoreThan64Columns)
+{
+    TileConfig cfg;
+    cfg.cols = 65; // one past the phase-A busy mask
+    EXPECT_DEATH(Tile tile(cfg), "64-column");
+}
+
 TEST(Contracts, EncoderRejectsDenormalSignificand)
 {
     TermEncoder enc;

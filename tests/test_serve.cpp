@@ -26,6 +26,7 @@
 #include "serve/job_spec.h"
 #include "serve/result_cache.h"
 #include "serve/scheduler.h"
+#include "serve/serve_cli.h"
 
 namespace fpraker {
 namespace {
@@ -59,7 +60,6 @@ directDocument(const JobSpec &spec)
         api::ExperimentRegistry::instance().find(spec.experiment);
     EXPECT_NE(info, nullptr) << spec.experiment;
     api::CliOptions opts;
-    opts.threads = spec.threads;
     opts.sampleSteps = spec.sampleSteps;
     opts.extras = spec.options;
     return api::ReportWriter::renderJson(
@@ -133,7 +133,6 @@ TEST(JobSpec, CanonicalKeyIgnoresOptionOrderButNotValues)
 TEST(JobSpec, JsonRoundTripAndStrictParse)
 {
     JobSpec spec = smallSpec("fig11", 24);
-    spec.threads = 4;
     spec.priority = 2;
     spec.options = {{"steps", "10"}, {"out", "x.json"}};
 
@@ -142,6 +141,9 @@ TEST(JobSpec, JsonRoundTripAndStrictParse)
     ASSERT_TRUE(JobSpec::fromJson(spec.toJson(), &back, &error))
         << error;
     EXPECT_EQ(back.canonical(), spec.canonical());
+    EXPECT_EQ(spec.canonical(),
+              "experiment=fig11|sample_steps=24|opt:out=x.json"
+              "|opt:steps=10");
     EXPECT_EQ(back.priority, spec.priority);
     EXPECT_EQ(back.cacheKey(), spec.cacheKey());
 
@@ -152,8 +154,22 @@ TEST(JobSpec, JsonRoundTripAndStrictParse)
     EXPECT_FALSE(JobSpec::fromJson(bad, &back, &error));
     JsonValue bad2 = JsonValue::object();
     bad2.set("experiment", "fig11");
-    bad2.set("threads", 0);
+    bad2.set("sample_steps", 0);
     EXPECT_FALSE(JobSpec::fromJson(bad2, &back, &error));
+    // Jobs run on the daemon's engine: a thread count is no spec key.
+    JsonValue bad3 = JsonValue::object();
+    bad3.set("experiment", "fig11");
+    bad3.set("threads", 4);
+    EXPECT_FALSE(JobSpec::fromJson(bad3, &back, &error));
+    EXPECT_EQ(error, "unknown spec key 'threads'");
+}
+
+TEST(JobSpec, SubmitRejectsThreadsFlag)
+{
+    // Rejected before any connection: jobs share the daemon's engine.
+    const char *argv[] = {"fpraker", "submit", "fig13", "--threads=2",
+                          "--socket=/nonexistent/fpraker.sock"};
+    EXPECT_EQ(serve::submitMain(5, const_cast<char **>(argv), 2), 2);
 }
 
 TEST(ResultCache, HitIsByteIdenticalAndMarkedCached)
