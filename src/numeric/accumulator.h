@@ -113,10 +113,12 @@ class ExtendedAccumulator
     /**
      * Install |value| = mag * 2^lsb_exp (with @p sticky noting discarded
      * lower bits) as the new register contents: normalize so the leading
-     * bit sits at fracBits, round to nearest even.
+     * bit sits at fracBits, round to nearest even. @p U is uint64_t or
+     * unsigned __int128; both compute the same register for a value
+     * either can hold.
      */
-    void normalizeAndRound(unsigned __int128 mag, int lsb_exp, bool sticky,
-                           bool neg);
+    template <typename U>
+    void normalizeAndRound(U mag, int lsb_exp, bool sticky, bool neg);
 
     AccumulatorConfig cfg_;
     bool neg_;
@@ -190,9 +192,10 @@ msb128(unsigned __int128 v)
 
 } // namespace detail
 
+template <typename U>
 inline void
-ExtendedAccumulator::normalizeAndRound(unsigned __int128 mag, int lsb_exp,
-                                       bool sticky, bool neg)
+ExtendedAccumulator::normalizeAndRound(U mag, int lsb_exp, bool sticky,
+                                       bool neg)
 {
     if (mag == 0) {
         // An exact cancellation (or a pure-sticky remnant, which RNE
@@ -203,15 +206,18 @@ ExtendedAccumulator::normalizeAndRound(unsigned __int128 mag, int lsb_exp,
         exp_ = keep_exp;
         return;
     }
-    int p = detail::msb128(mag);
+    int p;
+    if constexpr (sizeof(U) > sizeof(uint64_t))
+        p = detail::msb128(mag);
+    else
+        p = msbPos(mag);
     int shift = p - cfg_.fracBits;
     if (shift > 0) {
         uint64_t kept = static_cast<uint64_t>(mag >> shift);
         bool round = (mag >> (shift - 1)) & 1;
         bool st = sticky;
         if (shift > 1)
-            st = st || (mag & ((static_cast<unsigned __int128>(1)
-                                << (shift - 1)) - 1)) != 0;
+            st = st || (mag & ((U{1} << (shift - 1)) - 1)) != 0;
         if (round && (st || (kept & 1))) {
             kept += 1;
             if (kept >> (cfg_.fracBits + 1)) {
@@ -271,7 +277,8 @@ ExtendedAccumulator::addValue(bool neg, int lsb_exp, uint64_t mag)
 {
     if (mag == 0)
         return;
-    int ye = lsb_exp + msbPos(mag);
+    const int my = msbPos(mag);
+    int ye = lsb_exp + my;
     if (sig_ == 0) {
         normalizeAndRound(mag, lsb_exp, false, neg);
         // Respect a raised exponent register: adding a tiny value to a
@@ -290,15 +297,32 @@ ExtendedAccumulator::addValue(bool neg, int lsb_exp, uint64_t mag)
         return;
     }
 
-    // Exact signed add over a shared LSB scale. Both operands fit well
-    // within 128 bits: widths <= 64 and alignment <= fracBits + 4 + 64.
+    // Exact signed add over a shared LSB scale.
     int xl = exp_ - cfg_.fracBits;
     int yl = lsb_exp;
     int common = xl < yl ? xl : yl;
-    __int128 x = static_cast<__int128>(sig_) << (xl - common);
+    const int xs = xl - common;
+    const int ys = yl - common;
+    if (cfg_.fracBits + xs <= 61 && my + ys <= 61) {
+        // Both aligned operands sit below 2^62, so their signed sum
+        // fits an int64 exactly: every PE term tree and baseline
+        // product at the paper's register widths takes this path.
+        const int64_t x = static_cast<int64_t>(sig_ << xs);
+        const int64_t y = static_cast<int64_t>(mag << ys);
+        const int64_t s = (neg_ ? -x : x) + (neg ? -y : y);
+        const bool rneg = s < 0;
+        normalizeAndRound(static_cast<uint64_t>(rneg ? -s : s), common,
+                          false, rneg);
+        return;
+    }
+
+    // Wide operands (unrestricted Bit-Pragmatic trees, or fracBits up
+    // to 40) fit well within 128 bits: widths <= 64 and alignment <=
+    // fracBits + 4 + 64.
+    __int128 x = static_cast<__int128>(sig_) << xs;
     if (neg_)
         x = -x;
-    __int128 y = static_cast<__int128>(mag) << (yl - common);
+    __int128 y = static_cast<__int128>(mag) << ys;
     if (neg)
         y = -y;
     __int128 s = x + y;

@@ -1,0 +1,86 @@
+/**
+ * @file
+ * The value-only FPRaker MAC: what one PE accumulates, without its
+ * timing model.
+ *
+ * Training emulation (Fig. 17) reads a PE's accumulated value and
+ * nothing else. FPRakerValueMac replays one PE's term-serial
+ * arithmetic set by set and reproduces FPRakerColumn's accumulator for
+ * a column of one, bit for bit. It drops what only timing and the
+ * column's lockstep need: cycle and lane-cycle accounting, statistics,
+ * per-PE fired / out-of-bounds masks, retire bits, and the cycle
+ * trace. It keeps every step that can change the value:
+ *
+ *  - the term streams of cfg.encoding (TermLut) and the product
+ *    exponents Ae + Be;
+ *  - the MAX block: the accumulator aligns up to the largest non-zero
+ *    product exponent (ExtendedAccumulator::alignTo);
+ *  - out-of-bounds skipping: a lane whose first term already falls
+ *    past the threshold is dropped before any cycle, and after every
+ *    cycle the fired lanes' next terms — and, when the accumulator
+ *    exponent moved, every live lane's pending term — are checked
+ *    against the new exponent;
+ *  - the shift window: each cycle the lanes within maxDelta of the
+ *    nearest pending term fire, their contributions summed exactly
+ *    (the adder tree) and added once; trees wider than 48 bits
+ *    (maxDelta > 48, e.g. bitPragmaticFpConfig()) add contribution by
+ *    contribution in lane order, as the column does;
+ *  - chunked accumulation: one tickMacs(cfg.lanes) per set.
+ *
+ * A term's alignment shift is k = e_acc - (Ae + Be) + t and its LSB
+ * weight is (Ae + Be) - t - 7, so k = e_acc - 7 - lsb: the MAC tracks
+ * each lane's pending-term LSB, and both the window (largest LSB minus
+ * maxDelta) and the out-of-bounds bound follow from it.
+ *
+ * Full 8-lane sets with maxDelta <= 7 (the paper's PE) run an SSE2
+ * body that keeps every lane's remaining terms in 16-bit vectors; any
+ * other shape, or FPRAKER_SIMD=scalar, runs the scalar body. Both are
+ * integer-exact, and tests/test_fuzz_differential.cpp holds both
+ * bit-equal to FPRakerPe::processSet across encodings, windows,
+ * thresholds, accumulator widths, chunk sizes and lane counts.
+ */
+
+#ifndef FPRAKER_PE_VALUE_MAC_H
+#define FPRAKER_PE_VALUE_MAC_H
+
+#include "numeric/term_lut.h"
+#include "pe/pe_common.h"
+
+namespace fpraker {
+
+/** One FPRaker PE reduced to its accumulated value. */
+class FPRakerValueMac
+{
+  public:
+    static constexpr int kMaxLanes = 16;
+
+    explicit FPRakerValueMac(const PeConfig &cfg);
+
+    /**
+     * Accumulate one set of cfg.lanes operand pairs (lane l is
+     * a[l] * b[l]). Panics on a non-finite operand, like the PE.
+     */
+    void processSet(const BFloat16 *a, const BFloat16 *b);
+
+    /** FP32 running sum plus the current chunk. */
+    float total() const { return acc_.total(); }
+
+  private:
+    /** Every significand's terms as 16-bit queue entries (SSE2 body). */
+    struct TermQueues;
+
+    void processSetScalar(const BFloat16 *a, const BFloat16 *b);
+    void processSet8(const BFloat16 *a, const BFloat16 *b);
+
+    const TermLut *lut_;
+    const TermQueues *queues_; //!< Set when the SSE2 body applies.
+    int lanes_;
+    int maxDelta_;
+    bool skipOb_;
+    int obThreshold_;
+    ChunkedAccumulator acc_;
+};
+
+} // namespace fpraker
+
+#endif // FPRAKER_PE_VALUE_MAC_H

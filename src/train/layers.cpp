@@ -28,19 +28,13 @@ DenseLayer::forward(const MacEngine &eng, const Matrix &x) const
     return y;
 }
 
-Matrix
-DenseLayer::backward(const MacEngine &eng, const Matrix &x,
-                     const Matrix &dy)
+void
+DenseLayer::accumulateGradients(const MacEngine &eng, const Matrix &x,
+                                const Matrix &dy)
 {
-    panic_if(dy.cols() != out_ || dy.rows() != x.rows(),
+    panic_if(x.cols() != in_ || dy.cols() != out_ ||
+                 dy.rows() != x.rows(),
              "dense backward shape mismatch");
-
-    // dL/dx = dy . W^T  (Eq. 2: G x W)
-    Matrix dx(x.rows(), in_);
-    for (size_t r = 0; r < x.rows(); ++r)
-        for (size_t c = 0; c < in_; ++c)
-            dx.at(r, c) =
-                eng.dot(dy.row(r), w_.row(c), out_);
 
     // dL/dW = x^T . dy  (Eq. 3: A x G) — accumulate over the batch.
     Matrix xt = x.transposed();   // [in x batch]
@@ -56,6 +50,18 @@ DenseLayer::backward(const MacEngine &eng, const Matrix &x,
             s += dy.at(r, o);
         db_.at(0, o) += s;
     }
+}
+
+Matrix
+DenseLayer::inputGradient(const MacEngine &eng, const Matrix &dy) const
+{
+    panic_if(dy.cols() != out_, "dense backward shape mismatch");
+
+    // dL/dx = dy . W^T  (Eq. 2: G x W)
+    Matrix dx(dy.rows(), in_);
+    for (size_t r = 0; r < dy.rows(); ++r)
+        for (size_t c = 0; c < in_; ++c)
+            dx.at(r, c) = eng.dot(dy.row(r), w_.row(c), out_);
     return dx;
 }
 

@@ -7,6 +7,10 @@
  * that the forward pass (Eq. 1), the input-gradient pass (Eq. 2) and
  * the weight-gradient pass (Eq. 3) all run through the emulated MAC
  * arithmetic, exactly like the paper's PlaidML mad() override.
+ *
+ * DenseLayer's backward pass is two calls, so a caller can skip the
+ * input gradient nobody reads: the first layer's dL/dx would only flow
+ * into the data.
  */
 
 #ifndef FPRAKER_TRAIN_LAYERS_H
@@ -27,11 +31,15 @@ class DenseLayer
     Matrix forward(const MacEngine &eng, const Matrix &x) const;
 
     /**
-     * Backward: given dL/dy, computes dL/dx (Eq. 2) and accumulates
-     * weight/bias gradients (Eq. 3), all through the engine.
+     * Weight-gradient pass: given the forward input @p x and dL/dy,
+     * accumulates the weight gradients (Eq. 3, through the engine) and
+     * the bias gradients until the next step().
      */
-    Matrix backward(const MacEngine &eng, const Matrix &x,
-                    const Matrix &dy);
+    void accumulateGradients(const MacEngine &eng, const Matrix &x,
+                             const Matrix &dy);
+
+    /** Input-gradient pass: dL/dx = dy W^T (Eq. 2, through the engine). */
+    Matrix inputGradient(const MacEngine &eng, const Matrix &dy) const;
 
     /** SGD step, then clears gradients. */
     void step(float lr);

@@ -1,9 +1,9 @@
 #include "train/mac_modes.h"
 
 #include <cmath>
-#include <vector>
 
 #include "common/logging.h"
+#include "pe/value_mac.h"
 
 namespace fpraker {
 
@@ -24,8 +24,6 @@ macModeLabel(MacMode mode)
 MacEngine::MacEngine(MacMode mode, PeConfig pe_cfg)
     : mode_(mode), peCfg_(pe_cfg)
 {
-    if (mode_ == MacMode::FPRakerEmulated)
-        pe_ = std::make_unique<FPRakerPe>(peCfg_);
 }
 
 float
@@ -53,26 +51,27 @@ MacEngine::dotStrided(const float *a, const float *b, size_t n,
         return acc.total();
       }
       case MacMode::FPRakerEmulated: {
-        FPRakerPe &pe = *pe_;
-        pe.reset();
+        FPRakerValueMac mac(peCfg_);
         const int lanes = peCfg_.lanes;
-        MacPair pairs[ExponentBlockResult::kMaxLanes] = {};
+        BFloat16 sa[FPRakerValueMac::kMaxLanes];
+        BFloat16 sb[FPRakerValueMac::kMaxLanes];
         int fill = 0;
         for (size_t i = 0; i < n; ++i) {
-            pairs[fill++] =
-                MacPair{BFloat16::fromFloat(a[i]),
-                        BFloat16::fromFloat(b[i * b_stride])};
-            if (fill == lanes) {
-                pe.processSet(pairs, lanes);
+            sa[fill] = BFloat16::fromFloat(a[i]);
+            sb[fill] = BFloat16::fromFloat(b[i * b_stride]);
+            if (++fill == lanes) {
+                mac.processSet(sa, sb);
                 fill = 0;
             }
         }
         if (fill > 0) {
+            // A ragged tail runs as a whole set padded with zero pairs,
+            // so every set ticks the chunk counter by cfg.lanes.
             for (int l = fill; l < lanes; ++l)
-                pairs[l] = MacPair{};
-            pe.processSet(pairs, lanes);
+                sa[l] = sb[l] = BFloat16();
+            mac.processSet(sa, sb);
         }
-        return pe.resultFloat();
+        return mac.total();
       }
     }
     panic("bad mac mode");

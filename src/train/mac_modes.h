@@ -10,21 +10,25 @@
  *  - Bf16Chunked:     bfloat16 operands into the extended-precision
  *                     chunk-based accumulator (the baseline PE's math),
  *  - FPRakerEmulated: bfloat16 operands through the term-serial FPRaker
- *                     PE functional model, including out-of-bounds term
- *                     skipping.
+ *                     PE's arithmetic, including out-of-bounds term
+ *                     skipping: FPRakerValueMac (pe/value_mac.h), which
+ *                     accumulates exactly what FPRakerPe would, without
+ *                     its cycle model.
  *
  * Fig. 17's claim is that all three converge together: FPRaker skips
  * only work that cannot affect the accumulator.
+ *
+ * A MacEngine holds only its configuration: every dot builds its
+ * accumulator on the stack, so one const engine may serve any number
+ * of threads at once.
  */
 
 #ifndef FPRAKER_TRAIN_MAC_MODES_H
 #define FPRAKER_TRAIN_MAC_MODES_H
 
 #include <cstddef>
-#include <memory>
-#include <string>
 
-#include "pe/fpraker_pe.h"
+#include "pe/pe_common.h"
 
 namespace fpraker {
 
@@ -56,8 +60,6 @@ class MacEngine
   private:
     MacMode mode_;
     PeConfig peCfg_;
-    /** Reused PE instance (reset per dot) to avoid re-allocation. */
-    std::unique_ptr<FPRakerPe> pe_;
 };
 
 } // namespace fpraker

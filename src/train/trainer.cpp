@@ -1,9 +1,10 @@
 #include "train/trainer.h"
 
-#include <memory>
+#include <string>
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "obs/trace.h"
 
 namespace fpraker {
 
@@ -40,6 +41,12 @@ MlpTrainer::run(MacMode mode, PeConfig pe_cfg)
         order[i] = i;
 
     for (int epoch = 0; epoch < cfg_.epochs; ++epoch) {
+        obs::TraceSpan span(
+            "train", obs::TraceCollector::instance().enabled()
+                         ? "epoch" + std::to_string(epoch + 1) + ":" +
+                               macModeLabel(mode)
+                         : std::string());
+
         // Fisher-Yates shuffle, deterministic across modes.
         for (size_t i = n_train - 1; i > 0; --i) {
             size_t j = shuffle_rng.uniformInt(i + 1);
@@ -76,12 +83,16 @@ MlpTrainer::run(MacMode mode, PeConfig pe_cfg)
                                                            dlogits);
             ++batches;
 
-            // Backward through the stack.
+            // Backward through the stack. The first layer's input
+            // gradient would only flow into the data, so it is never
+            // computed.
             Matrix grad = dlogits;
             for (size_t li = dense.size(); li-- > 0;) {
                 if (li + 1 < dense.size())
                     grad = relu.backward(preacts[li], grad);
-                grad = dense[li].backward(eng, inputs[li], grad);
+                dense[li].accumulateGradients(eng, inputs[li], grad);
+                if (li > 0)
+                    grad = dense[li].inputGradient(eng, grad);
             }
             for (auto &layer : dense)
                 layer.step(cfg_.learningRate);

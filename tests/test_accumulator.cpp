@@ -4,10 +4,13 @@
  */
 
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/bitutil.h"
 #include "common/rng.h"
 #include "numeric/accumulator.h"
 #include "numeric/reference.h"
@@ -236,6 +239,238 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, AccumulatorRandomSweep,
     ::testing::Combine(::testing::Values(1, 8, 64, 256, 1024),
                        ::testing::Values(1, 2, 3)));
+
+/**
+ * The register arithmetic as it was before addValue gained its 64-bit
+ * path: every add aligns and sums in __int128. The tests below hold
+ * the production register bit-equal to it, which the FP64-tolerance
+ * tests above cannot: they would miss a one-ulp rounding slip.
+ */
+struct WideRegister
+{
+    int fracBits;
+    bool neg = false;
+    int exp = ExtendedAccumulator::kMinExp;
+    uint64_t sig = 0;
+
+    explicit WideRegister(int frac_bits) : fracBits(frac_bits) {}
+
+    void
+    reset()
+    {
+        neg = false;
+        exp = ExtendedAccumulator::kMinExp;
+        sig = 0;
+    }
+
+    static int
+    msb128(unsigned __int128 v)
+    {
+        const uint64_t hi = static_cast<uint64_t>(v >> 64);
+        return hi ? 64 + msbPos(hi) : msbPos(static_cast<uint64_t>(v));
+    }
+
+    void
+    normalizeAndRound(unsigned __int128 mag, int lsb_exp, bool sticky,
+                      bool rneg)
+    {
+        if (mag == 0) {
+            const int keep_exp = exp;
+            reset();
+            exp = keep_exp;
+            return;
+        }
+        const int p = msb128(mag);
+        int shift = p - fracBits;
+        if (shift > 0) {
+            uint64_t kept = static_cast<uint64_t>(mag >> shift);
+            const bool round = (mag >> (shift - 1)) & 1;
+            bool st = sticky;
+            if (shift > 1)
+                st = st || (mag & ((static_cast<unsigned __int128>(1)
+                                    << (shift - 1)) - 1)) != 0;
+            if (round && (st || (kept & 1))) {
+                kept += 1;
+                if (kept >> (fracBits + 1)) {
+                    kept >>= 1;
+                    ++shift;
+                }
+            }
+            sig = kept;
+        } else {
+            sig = static_cast<uint64_t>(mag) << (-shift);
+        }
+        exp = lsb_exp + shift + fracBits;
+        neg = rneg;
+    }
+
+    void
+    alignTo(int e)
+    {
+        if (e <= exp)
+            return;
+        if (sig == 0) {
+            exp = e;
+            return;
+        }
+        const int drop = e - exp;
+        if (drop > fracBits + 1) {
+            reset();
+            exp = e;
+            return;
+        }
+        uint64_t kept = sig >> drop;
+        const bool round = (sig >> (drop - 1)) & 1;
+        const bool sticky = (sig & maskBits(drop - 1)) != 0;
+        if (round && (sticky || (kept & 1)))
+            kept += 1;
+        if (kept == 0) {
+            reset();
+            exp = e;
+            return;
+        }
+        const int p = msbPos(kept);
+        exp = e - (fracBits - p);
+        sig = kept << (fracBits - p);
+    }
+
+    void
+    addValue(bool yneg, int lsb_exp, uint64_t mag)
+    {
+        if (mag == 0)
+            return;
+        const int ye = lsb_exp + msbPos(mag);
+        if (sig == 0) {
+            normalizeAndRound(mag, lsb_exp, false, yneg);
+            return;
+        }
+        if (ye < exp - (fracBits + 4))
+            return;
+        if (exp < ye - (fracBits + 4)) {
+            normalizeAndRound(mag, lsb_exp, true, yneg);
+            return;
+        }
+        const int xl = exp - fracBits;
+        const int yl = lsb_exp;
+        const int common = xl < yl ? xl : yl;
+        __int128 x = static_cast<__int128>(sig) << (xl - common);
+        if (neg)
+            x = -x;
+        __int128 y = static_cast<__int128>(mag) << (yl - common);
+        if (yneg)
+            y = -y;
+        __int128 s = x + y;
+        const bool rneg = s < 0;
+        if (rneg)
+            s = -s;
+        normalizeAndRound(static_cast<unsigned __int128>(s), common, false,
+                          rneg);
+    }
+
+    double
+    value() const
+    {
+        if (sig == 0)
+            return 0.0;
+        const double v = std::ldexp(static_cast<double>(sig), exp - fracBits);
+        return neg ? -v : v;
+    }
+};
+
+/**
+ * One fuzzed addend for @p ref's current state: a magnitude of 1 to 64
+ * bits, placed relative to the register's exponent so the sum lands
+ * anywhere from far below the register to far above it — including
+ * both fracBits + 4 guard edges — or an exact cancellation of the
+ * register, or a round-to-nearest-even tie.
+ */
+void
+fuzzedAddend(Rng &rng, const WideRegister &ref, bool &neg, int &lsb_exp,
+             uint64_t &mag)
+{
+    const int fb = ref.fracBits;
+    neg = rng.bernoulli(0.5);
+    const int top = static_cast<int>(rng.uniformInt(0, 63));
+    mag = (rng.next() | (uint64_t{1} << 63)) >> (63 - top);
+    const int here = ref.sig ? ref.exp : 0;
+    const int pick = static_cast<int>(rng.uniformInt(0, 9));
+    if (ref.sig && pick == 0) {
+        // Exact cancellation, on any scale that still fits.
+        const int up = static_cast<int>(rng.uniformInt(0, 62 - fb));
+        neg = !ref.neg;
+        mag = ref.sig << up;
+        lsb_exp = ref.exp - fb - up;
+        return;
+    }
+    if (ref.sig && pick == 1) {
+        // An odd number of half-ulps of the register: a tie when the
+        // sum keeps its exponent, so RNE decides.
+        const int below = static_cast<int>(rng.uniformInt(1, 3));
+        mag = (rng.next() >> static_cast<int>(rng.uniformInt(40, 63))) |
+              uint64_t{1};
+        mag <<= below - 1;
+        lsb_exp = ref.exp - fb - below;
+        return;
+    }
+    int gap; // leading-bit exponent of the addend minus the register's
+    if (pick <= 5) {
+        // At the guard edges: one side of each is folded away.
+        const int edges[] = {-(fb + 5), -(fb + 4), -(fb + 3),
+                             fb + 3,    fb + 4,    fb + 5};
+        gap = edges[rng.uniformInt(6)];
+    } else {
+        gap = static_cast<int>(rng.uniformInt(-(fb + 8), fb + 8));
+    }
+    lsb_exp = here + gap - msbPos(mag);
+}
+
+TEST(ExtendedAccumulator, AddValueMatchesWideReferenceBitForBit)
+{
+    Rng rng(64128);
+    for (int fb = 1; fb <= 40; ++fb) {
+        AccumulatorConfig cfg;
+        cfg.fracBits = fb;
+        for (int seq = 0; seq < 40; ++seq) {
+            ExtendedAccumulator acc(cfg);
+            WideRegister ref(fb);
+            if (seq % 2) {
+                // A raised exponent register: zero, aligned high.
+                const int e = static_cast<int>(rng.uniformInt(-60, 60));
+                acc.alignTo(e);
+                ref.alignTo(e);
+            }
+            for (int step = 0; step < 120; ++step) {
+                if (rng.bernoulli(0.05)) {
+                    const int e = (ref.sig ? ref.exp : 0) +
+                                  static_cast<int>(rng.uniformInt(0, 3));
+                    acc.alignTo(e);
+                    ref.alignTo(e);
+                } else {
+                    bool neg;
+                    int lsb_exp;
+                    uint64_t mag;
+                    fuzzedAddend(rng, ref, neg, lsb_exp, mag);
+                    acc.addValue(neg, lsb_exp, mag);
+                    ref.addValue(neg, lsb_exp, mag);
+                }
+                ASSERT_EQ(acc.isNegative(), ref.neg)
+                    << "fracBits " << fb << " seq " << seq << " step "
+                    << step;
+                ASSERT_EQ(acc.exponent(), ref.exp)
+                    << "fracBits " << fb << " seq " << seq << " step "
+                    << step;
+                ASSERT_EQ(acc.readDouble(), ref.value())
+                    << "fracBits " << fb << " seq " << seq << " step "
+                    << step;
+                if (std::abs(ref.exp) > 400) {
+                    // Keep the register inside a double's range.
+                    acc.reset();
+                    ref.reset();
+                }
+            }
+        }
+    }
+}
 
 TEST(ChunkedAccumulator, FlushesEveryChunk)
 {

@@ -4,20 +4,28 @@
  * baseline across the configuration space: random operand streams
  * under random (window, threshold, encoding, accumulator) settings
  * must stay within the analytically-bounded divergence of the two
- * datapaths, and all timing/accounting invariants must hold.
+ * datapaths, and all timing/accounting invariants must hold. The
+ * value-only MAC behind training emulation must match the cycle-level
+ * PE bit for bit.
  */
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "numeric/reference.h"
+#include "pe/alt_pes.h"
 #include "pe/baseline_pe.h"
 #include "pe/fpraker_pe.h"
 #include "sim/reference_column.h"
 #include "tile/tile.h"
+#include "train/mac_modes.h"
 
 namespace fpraker {
 namespace {
@@ -332,6 +340,234 @@ TEST(DifferentialFuzz, BatchedDotMatchesPerSetReference)
         ASSERT_EQ(full_set_cycles, ref_cycles) << "rows=" << rows;
     }
 }
+
+/** Operand shapes for the value-MAC differential below. */
+enum class ValueCase
+{
+    Random,         //!< Random signs, exponents, mantissas, zeros.
+    ExponentSkew,   //!< Products at both ends of the exponent range.
+    AllOutOfBounds, //!< One large set, then sets far below its window.
+    ZeroLanes,      //!< Zero A and zero B lanes (either sign).
+    Cancelling,     //!< Second half cancels the first: exponent falls.
+    ReluGaussian,   //!< fig17-like: ReLU activations x Gaussian weights.
+    WideTree,       //!< Products ~48 bits apart: the exact tree's edge.
+};
+
+/** A finite, normal bf16 with the given sign, unbiased exponent, mantissa. */
+BFloat16
+bf16Of(bool neg, int exp, int mantissa)
+{
+    return BFloat16::fromFields(neg, exp + BFloat16::kBias, mantissa);
+}
+
+BFloat16
+randomNormal(Rng &rng, int exp_lo, int exp_hi)
+{
+    return bf16Of(rng.bernoulli(0.5),
+                  static_cast<int>(rng.uniformInt(exp_lo, exp_hi)),
+                  static_cast<int>(rng.uniformInt(128)));
+}
+
+/** One dot's operands as bf16 bit patterns (no denormals, all finite). */
+void
+valueCaseOperands(ValueCase vc, size_t n, Rng &rng,
+                  std::vector<BFloat16> &a, std::vector<BFloat16> &b)
+{
+    a.assign(n, BFloat16());
+    b.assign(n, BFloat16());
+    for (size_t i = 0; i < n; ++i) {
+        switch (vc) {
+          case ValueCase::Random:
+            if (!rng.bernoulli(0.15))
+                a[i] = randomNormal(rng, -20, 20);
+            if (!rng.bernoulli(0.15))
+                b[i] = randomNormal(rng, -20, 20);
+            break;
+          case ValueCase::ExponentSkew: {
+            // Each product sits near either end of what FP32 can read
+            // back: the MAX block aligns the accumulator to the top.
+            const bool hi = rng.bernoulli(0.3);
+            a[i] = randomNormal(rng, hi ? 56 : -60, hi ? 58 : -58);
+            b[i] = randomNormal(rng, hi ? 56 : -60, hi ? 58 : -58);
+            break;
+          }
+          case ValueCase::AllOutOfBounds: {
+            // The first set raises the accumulator; every later term
+            // falls past the threshold on its first term.
+            const bool lead = i < 8;
+            a[i] = randomNormal(rng, lead ? 20 : -30, lead ? 24 : -20);
+            b[i] = randomNormal(rng, lead ? 20 : -30, lead ? 24 : -20);
+            break;
+          }
+          case ValueCase::ZeroLanes:
+            a[i] = rng.bernoulli(0.4) ? bf16Of(rng.bernoulli(0.5), -127, 0)
+                                      : randomNormal(rng, -6, 6);
+            b[i] = rng.bernoulli(0.4) ? bf16Of(rng.bernoulli(0.5), -127, 0)
+                                      : randomNormal(rng, -6, 6);
+            break;
+          case ValueCase::Cancelling:
+            if (i < (n + 1) / 2) {
+                a[i] = randomNormal(rng, -4, 4);
+                b[i] = randomNormal(rng, -4, 4);
+            } else {
+                // Mirror the first half with the product negated,
+                // sometimes nudged by one ulp so a residue survives.
+                const size_t j = i - (n + 1) / 2;
+                a[i] = a[j];
+                b[i] = -b[j];
+                if (rng.bernoulli(0.2))
+                    a[i] = BFloat16::fromBits(
+                        static_cast<uint16_t>(a[i].bits() ^ 1u));
+            }
+            break;
+          case ValueCase::WideTree:
+            // Under an unrestricted window, lanes this far apart fire
+            // together and the tree spans about 48 bits.
+            a[i] = randomNormal(rng, 0, 2);
+            b[i] = rng.bernoulli(0.5) ? randomNormal(rng, 0, 2)
+                                      : randomNormal(rng, -49, -46);
+            break;
+          case ValueCase::ReluGaussian: {
+            const double x = rng.gaussian(0.0, 1.0);
+            a[i] = bf16(static_cast<float>(x > 0.0 ? x : 0.0));
+            b[i] = bf16(static_cast<float>(rng.gaussian(0.0, 0.2)));
+            break;
+          }
+        }
+    }
+}
+
+/** The cycle-level PE over zero-padded sets of cfg.lanes pairs. */
+float
+cycleModelDot(const PeConfig &cfg, const std::vector<BFloat16> &a,
+              const std::vector<BFloat16> &b)
+{
+    FPRakerPe pe(cfg);
+    const size_t lanes = static_cast<size_t>(cfg.lanes);
+    std::vector<MacPair> pairs(lanes);
+    for (size_t i = 0; i < a.size(); i += lanes) {
+        for (size_t l = 0; l < lanes; ++l)
+            pairs[l] = i + l < a.size() ? MacPair{a[i + l], b[i + l]}
+                                        : MacPair{};
+        pe.processSet(pairs.data(), cfg.lanes);
+    }
+    return pe.resultFloat();
+}
+
+/** MacEngine's FPRaker mode over the same operands, as floats. */
+float
+valueMacDot(const PeConfig &cfg, const std::vector<BFloat16> &a,
+            const std::vector<BFloat16> &b)
+{
+    std::vector<float> fa(a.size()), fb(b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+        fa[i] = a[i].toFloat();
+        fb[i] = b[i].toFloat();
+    }
+    const MacEngine eng(MacMode::FPRakerEmulated, cfg);
+    return eng.dot(fa.data(), fb.data(), a.size());
+}
+
+/**
+ * MacEngine's FPRakerEmulated mode runs the value-only MAC; it must
+ * accumulate exactly what FPRakerPe::processSet does over the same
+ * zero-padded sets, in every configuration the PE supports: encodings,
+ * shift windows (including the unrestricted Bit-Pragmatic one),
+ * out-of-bounds thresholds and accumulator widths (Fig. 21), chunk
+ * sizes that flush mid-dot, and lane counts.
+ */
+TEST(ValueMac, MatchesCycleModelBitForBit)
+{
+    std::vector<std::pair<std::string, PeConfig>> configs;
+    configs.emplace_back("default", PeConfig{});
+    {
+        PeConfig c;
+        c.skipOutOfBounds = false;
+        configs.emplace_back("no-ob-skip", c);
+    }
+    for (int delta : {0, 3, 7, 8}) {
+        PeConfig c;
+        c.maxDelta = delta;
+        configs.emplace_back("maxDelta=" + std::to_string(delta), c);
+    }
+    configs.emplace_back("bit-pragmatic", bitPragmaticFpConfig());
+    {
+        PeConfig c;
+        c.encoding = TermEncoding::RawBits;
+        configs.emplace_back("raw-bits", c);
+    }
+    for (int w = 4; w <= 12; ++w) {
+        PeConfig c;
+        c.acc.fracBits = w;
+        c.obThreshold = w;
+        configs.emplace_back("width=" + std::to_string(w), c);
+        PeConfig t;
+        t.obThreshold = w;
+        configs.emplace_back("obThreshold=" + std::to_string(w), t);
+    }
+    for (int chunk : {8, 16}) {
+        PeConfig c;
+        c.acc.chunkSize = chunk;
+        configs.emplace_back("chunk=" + std::to_string(chunk), c);
+    }
+    for (int lanes : {2, 16}) {
+        PeConfig c;
+        c.lanes = lanes;
+        configs.emplace_back("lanes=" + std::to_string(lanes), c);
+    }
+
+    std::vector<size_t> lengths;
+    for (size_t n = 1; n <= 40; ++n)
+        lengths.push_back(n);
+    lengths.push_back(100);
+
+    const ValueCase cases[] = {
+        ValueCase::Random,     ValueCase::ExponentSkew,
+        ValueCase::AllOutOfBounds, ValueCase::ZeroLanes,
+        ValueCase::Cancelling, ValueCase::ReluGaussian,
+        ValueCase::WideTree,
+    };
+    Rng rng(20101);
+    std::vector<BFloat16> a, b;
+    for (const auto &[name, cfg] : configs)
+        for (ValueCase vc : cases)
+            for (size_t n : lengths)
+                for (int rep = 0; rep < 2; ++rep) {
+                    valueCaseOperands(vc, n, rng, a, b);
+                    const float want = cycleModelDot(cfg, a, b);
+                    const float got = valueMacDot(cfg, a, b);
+                    ASSERT_EQ(std::bit_cast<uint32_t>(got),
+                              std::bit_cast<uint32_t>(want))
+                        << name << " case " << static_cast<int>(vc)
+                        << " n=" << n << ": " << got << " vs " << want;
+                }
+}
+
+#if GTEST_HAS_DEATH_TEST
+TEST(ValueMacDeathTest, NonFiniteOperandsPanic)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    PeConfig narrow;
+    narrow.lanes = 4;
+    for (const PeConfig &cfg : {PeConfig{}, narrow}) {
+        const MacEngine eng(MacMode::FPRakerEmulated, cfg);
+        // In the first, full set and in the padded tail set.
+        for (size_t at : {3, 9})
+            for (float bad : {inf, -inf, nan}) {
+                std::vector<float> ok(11, 1.5f);
+                std::vector<float> poisoned = ok;
+                poisoned[at] = bad;
+                EXPECT_DEATH(
+                    eng.dot(poisoned.data(), ok.data(), ok.size()),
+                    "non-finite");
+                EXPECT_DEATH(
+                    eng.dot(ok.data(), poisoned.data(), ok.size()),
+                    "non-finite");
+            }
+    }
+}
+#endif // GTEST_HAS_DEATH_TEST
 
 } // namespace
 } // namespace fpraker

@@ -3,7 +3,11 @@
  * Tests for the training-emulation framework (Fig. 17/21 substrate).
  */
 
+#include <bit>
 #include <cmath>
+#include <set>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -58,6 +62,52 @@ TEST(MacEngine, StridedDotMatchesDense)
     MacEngine eng(MacMode::NativeFp32);
     // Stride 2 picks 1, 2, 3.
     EXPECT_EQ(eng.dotStrided(a.data(), b.data(), 3, 2), 14.0f);
+}
+
+TEST(MacEngine, ConstEngineIsReentrant)
+{
+    // One const engine per mode serves four threads at once; every
+    // thread must reproduce the serial results bit for bit.
+    Rng rng(11);
+    const size_t dots = 96;
+    std::vector<std::vector<float>> a(dots), b(dots);
+    for (size_t d = 0; d < dots; ++d) {
+        const size_t n = 1 + d % 40;
+        for (size_t i = 0; i < n; ++i) {
+            const double x = rng.gaussian(0.0, 1.0);
+            a[d].push_back(static_cast<float>(x > 0.0 ? x : 0.0));
+            b[d].push_back(static_cast<float>(rng.gaussian(0.0, 0.2)));
+        }
+    }
+    for (MacMode mode : {MacMode::NativeFp32, MacMode::Bf16Chunked,
+                         MacMode::FPRakerEmulated}) {
+        const MacEngine eng(mode);
+        std::vector<uint32_t> serial(dots);
+        for (size_t d = 0; d < dots; ++d)
+            serial[d] = std::bit_cast<uint32_t>(
+                eng.dot(a[d].data(), b[d].data(), a[d].size()));
+
+        const int threads = 4;
+        std::vector<std::vector<uint32_t>> got(
+            threads, std::vector<uint32_t>(dots));
+        std::vector<std::thread> pool;
+        for (int t = 0; t < threads; ++t)
+            pool.emplace_back([&, t] {
+                // Each thread walks the dots in its own order, so the
+                // threads overlap on every dot.
+                for (size_t i = 0; i < dots; ++i) {
+                    const size_t d = (i * 7 + static_cast<size_t>(t) * 31) %
+                                     dots;
+                    got[t][d] = std::bit_cast<uint32_t>(
+                        eng.dot(a[d].data(), b[d].data(), a[d].size()));
+                }
+            });
+        for (auto &th : pool)
+            th.join();
+        for (int t = 0; t < threads; ++t)
+            EXPECT_EQ(got[t], serial)
+                << macModeLabel(mode) << " thread " << t;
+    }
 }
 
 TEST(Dataset, GeneratesSeparableClasses)
