@@ -49,7 +49,8 @@ tileContextDigest(const TileConfig &t, int steps_per_output)
     h.add(static_cast<uint64_t>(t.pe.lanes));
     h.add(static_cast<uint64_t>(t.pe.maxDelta));
     h.add(static_cast<uint64_t>(t.pe.skipOutOfBounds ? 1 : 0));
-    h.add(static_cast<uint64_t>(t.pe.obThreshold));
+    // What the simulators read: -1 and fracBits are one machine.
+    h.add(static_cast<uint64_t>(t.pe.effectiveObThreshold()));
     h.add(static_cast<uint64_t>(t.pe.encoding));
     h.add(static_cast<uint64_t>(t.pe.acc.fracBits));
     h.add(static_cast<uint64_t>(t.pe.acc.intBits));

@@ -18,6 +18,7 @@
 #ifndef FPRAKER_NUMERIC_ACCUMULATOR_H
 #define FPRAKER_NUMERIC_ACCUMULATOR_H
 
+#include <bit>
 #include <cstdint>
 
 #include "common/bitutil.h"
@@ -206,33 +207,30 @@ ExtendedAccumulator::normalizeAndRound(U mag, int lsb_exp, bool sticky,
         exp_ = keep_exp;
         return;
     }
+    constexpr int kTop = 8 * static_cast<int>(sizeof(U)) - 1;
     int p;
     if constexpr (sizeof(U) > sizeof(uint64_t))
         p = detail::msb128(mag);
     else
-        p = msbPos(mag);
-    int shift = p - cfg_.fracBits;
-    if (shift > 0) {
-        uint64_t kept = static_cast<uint64_t>(mag >> shift);
-        bool round = (mag >> (shift - 1)) & 1;
-        bool st = sticky;
-        if (shift > 1)
-            st = st || (mag & ((U{1} << (shift - 1)) - 1)) != 0;
-        if (round && (st || (kept & 1))) {
-            kept += 1;
-            if (kept >> (cfg_.fracBits + 1)) {
-                kept >>= 1;
-                ++shift;
-            }
-        }
-        sig_ = kept;
-        exp_ = lsb_exp + shift + cfg_.fracBits;
-    } else {
-        // Widening shift is exact; sticky bits (if any) sit below the
-        // round position so RNE truncates them.
-        sig_ = static_cast<uint64_t>(mag) << (-shift);
-        exp_ = lsb_exp + shift + cfg_.fracBits;
-    }
+        p = kTop - std::countl_zero(mag);
+
+    // Round to nearest even as data, not branches. With the leading
+    // bit moved to the top, the register keeps the top fracBits + 1
+    // bits; the next bit is the round bit, and every bit below it (or
+    // a folded operand, @p sticky) is sticky. A value of at most
+    // fracBits + 1 bits has neither, so it lands exactly.
+    const int fb = cfg_.fracBits;
+    const U top = mag << (kTop - p);
+    uint64_t kept = static_cast<uint64_t>(top >> (kTop - fb));
+    const uint64_t round = static_cast<uint64_t>(top >> (kTop - 1 - fb)) & 1;
+    const uint64_t st = static_cast<uint64_t>(sticky) |
+                        static_cast<uint64_t>((top << (fb + 2)) != 0);
+    kept += round & (st | kept);
+    // Rounding all ones up carries out: kept is then exactly
+    // 2^(fracBits + 1) and renormalizes to 2^fracBits one exponent up.
+    const int carry = static_cast<int>(kept >> (fb + 1));
+    sig_ = kept >> carry;
+    exp_ = lsb_exp + p + carry;
     neg_ = neg;
 }
 
@@ -306,13 +304,16 @@ ExtendedAccumulator::addValue(bool neg, int lsb_exp, uint64_t mag)
     if (cfg_.fracBits + xs <= 61 && my + ys <= 61) {
         // Both aligned operands sit below 2^62, so their signed sum
         // fits an int64 exactly: every PE term tree and baseline
-        // product at the paper's register widths takes this path.
+        // product at the paper's register widths takes this path. The
+        // signs are applied and read back as masks, without branches.
         const int64_t x = static_cast<int64_t>(sig_ << xs);
         const int64_t y = static_cast<int64_t>(mag << ys);
-        const int64_t s = (neg_ ? -x : x) + (neg ? -y : y);
-        const bool rneg = s < 0;
-        normalizeAndRound(static_cast<uint64_t>(rneg ? -s : s), common,
-                          false, rneg);
+        const int64_t xm = -static_cast<int64_t>(neg_);
+        const int64_t ym = -static_cast<int64_t>(neg);
+        const int64_t s = ((x ^ xm) - xm) + ((y ^ ym) - ym);
+        const int64_t sm = s >> 63;
+        normalizeAndRound(static_cast<uint64_t>((s ^ sm) - sm), common,
+                          false, sm != 0);
         return;
     }
 

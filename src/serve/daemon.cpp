@@ -5,6 +5,7 @@
 #include <cstring>
 #include <ctime>
 #include <iterator>
+#include <system_error>
 
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -26,6 +27,10 @@ FPRAKER_METRIC_COUNTER(g_connections, "serve.connections",
 FPRAKER_METRIC_COUNTER(g_protocolErrors, "serve.protocol_errors",
                        "requests rejected before dispatch (bad JSON, "
                        "oversize, or framing failures)");
+
+/** Retry hint for a client refused because no connection thread
+ *  could be started; threads free up as other connections close. */
+constexpr int kRefusedRetryAfterMs = 100;
 
 /** The protocol's closed op set, plus "other" (last) for every op
  *  string outside it. */
@@ -196,15 +201,32 @@ Daemon::serve()
             clean = stop_.load();
             break;
         }
-        std::lock_guard<std::mutex> lock(connMutex_);
-        if (stop_.load()) {
-            // Raced with requestStop after its drain pass: refuse.
-            ::close(conn);
-            continue;
+        std::string spawnError;
+        {
+            std::lock_guard<std::mutex> lock(connMutex_);
+            if (stop_.load()) {
+                // Raced with requestStop after its drain pass: refuse.
+                ::close(conn);
+                continue;
+            }
+            activeFds_.push_back(conn);
+            try {
+                if (FaultInjector::instance().fires("daemon.spawn_fail"))
+                    throw std::system_error(
+                        std::make_error_code(
+                            std::errc::resource_unavailable_try_again),
+                        "injected daemon.spawn_fail");
+                connections_.emplace_back(
+                    [this, conn] { handleConnection(conn); });
+            } catch (const std::system_error &e) {
+                // Out of threads (or memory for one): this client is
+                // refused below, and the daemon keeps accepting.
+                activeFds_.pop_back();
+                spawnError = e.what();
+            }
         }
-        activeFds_.push_back(conn);
-        connections_.emplace_back(
-            [this, conn] { handleConnection(conn); });
+        if (!spawnError.empty())
+            refuseConnection(conn, spawnError);
     }
     std::vector<std::thread> pending;
     {
@@ -387,6 +409,20 @@ Daemon::handleRequest(const api::JsonValue &request)
 
     return errorResponse(kErrUnknownOp,
                          "unknown op '" + op->str() + "'");
+}
+
+void
+Daemon::refuseConnection(int fd, const std::string &why)
+{
+    warn("fprakerd: refusing a connection: %s", why.c_str());
+    api::JsonValue resp = errorResponse(
+        kErrOverloaded, "no connection thread available: " + why);
+    resp.set("retry_after_ms", kRefusedRetryAfterMs);
+    // One short line into a fresh socket's empty buffer cannot block;
+    // the peer may already be gone, so the refusal is best effort.
+    std::string error;
+    (void)writeMessage(fd, resp, &error);
+    ::close(fd);
 }
 
 void

@@ -77,6 +77,9 @@ class Daemon
 
   private:
     void handleConnection(int fd);
+    /** Answer a client whose connection thread could not be started
+     *  with one structured overloaded error, then close it. */
+    void refuseConnection(int fd, const std::string &why);
     api::JsonValue handleRequest(const api::JsonValue &request);
     api::JsonValue completedResponse(uint64_t id,
                                      const JobOutcome &outcome);

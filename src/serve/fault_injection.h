@@ -21,6 +21,10 @@
  *   daemon.read_delay_ms      sleep before reading a request (ms)
  *   daemon.drop_connection    close the connection instead of
  *                             writing the response (param ignored)
+ *   daemon.spawn_fail         fail to start the next connection's
+ *                             thread, as std::thread does when the
+ *                             process is out of threads; the daemon
+ *                             refuses that client (param ignored)
  *   scheduler.worker_stall_ms sleep inside job execution (ms)
  *   spill.torn_write          write only the first <param> bytes of
  *                             a spill document, directly to the

@@ -19,12 +19,11 @@ Matrix
 DenseLayer::forward(const MacEngine &eng, const Matrix &x) const
 {
     panic_if(x.cols() != in_, "dense forward shape mismatch");
-    Matrix y(x.rows(), out_);
-    for (size_t r = 0; r < x.rows(); ++r)
+    // y = x W + bias (Eq. 1: A x W): row r of x against column c of W.
+    Matrix y = eng.matmulT(x, w_.transposed());
+    for (size_t r = 0; r < y.rows(); ++r)
         for (size_t c = 0; c < out_; ++c)
-            y.at(r, c) = eng.dotStrided(x.row(r), w_.data() + c, in_,
-                                        out_) +
-                         b_.at(0, c);
+            y.at(r, c) += b_.at(0, c);
     return y;
 }
 
@@ -37,12 +36,7 @@ DenseLayer::accumulateGradients(const MacEngine &eng, const Matrix &x,
              "dense backward shape mismatch");
 
     // dL/dW = x^T . dy  (Eq. 3: A x G) — accumulate over the batch.
-    Matrix xt = x.transposed();   // [in x batch]
-    Matrix dyt = dy.transposed(); // [out x batch]
-    for (size_t i = 0; i < in_; ++i)
-        for (size_t o = 0; o < out_; ++o)
-            dw_.at(i, o) +=
-                eng.dot(xt.row(i), dyt.row(o), x.rows());
+    dw_.addScaled(eng.matmulT(x.transposed(), dy.transposed()), 1.0f);
 
     for (size_t o = 0; o < out_; ++o) {
         float s = 0.0f;
@@ -57,12 +51,8 @@ DenseLayer::inputGradient(const MacEngine &eng, const Matrix &dy) const
 {
     panic_if(dy.cols() != out_, "dense backward shape mismatch");
 
-    // dL/dx = dy . W^T  (Eq. 2: G x W)
-    Matrix dx(dy.rows(), in_);
-    for (size_t r = 0; r < dy.rows(); ++r)
-        for (size_t c = 0; c < in_; ++c)
-            dx.at(r, c) = eng.dot(dy.row(r), w_.row(c), out_);
-    return dx;
+    // dL/dx = dy . W^T  (Eq. 2: G x W): row r of dy against row c of W.
+    return eng.matmulT(dy, w_);
 }
 
 void

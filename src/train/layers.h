@@ -8,9 +8,19 @@
  * the weight-gradient pass (Eq. 3) all run through the emulated MAC
  * arithmetic, exactly like the paper's PlaidML mad() override.
  *
- * DenseLayer's backward pass is two calls, so a caller can skip the
- * input gradient nobody reads: the first layer's dL/dx would only flow
- * into the data.
+ * Each of DenseLayer's three passes is one MacEngine::matmulT call, in
+ * the way Caffe's BaseConvolutionLayer drives its forward, backward and
+ * weight GEMMs from one layer description; the engine, not the layer,
+ * decides how the dots are walked. FPRaker is asymmetric, so each pass
+ * also fixes which operand streams terms (matmulT's first):
+ *
+ *  - forward:             y     = matmulT(x, W^T) + bias,
+ *  - accumulateGradients: dW   += matmulT(x^T, dy^T),
+ *  - inputGradient:       dL/dx = matmulT(dy, W).
+ *
+ * The backward pass is two calls, so a caller can skip the input
+ * gradient nobody reads: the first layer's dL/dx would only flow into
+ * the data.
  */
 
 #ifndef FPRAKER_TRAIN_LAYERS_H

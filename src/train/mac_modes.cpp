@@ -1,11 +1,126 @@
 #include "train/mac_modes.h"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/logging.h"
+#include "numeric/slab_ops.h"
 #include "pe/value_mac.h"
 
 namespace fpraker {
+
+namespace {
+
+/** NativeFp32: one fused multiply-add per product, in order. */
+float
+fp32DotLibm(const float *a, const float *b, size_t n)
+{
+    float sum = 0.0f;
+    for (size_t i = 0; i < n; ++i)
+        sum = std::fma(a[i], b[i], sum);
+    return sum;
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+/** The same loop on the FMA instruction instead of a libm call. */
+__attribute__((target("fma"))) float
+fp32DotFma(const float *a, const float *b, size_t n)
+{
+    float sum = 0.0f;
+    for (size_t i = 0; i < n; ++i)
+        sum = std::fma(a[i], b[i], sum);
+    return sum;
+}
+#endif
+
+/**
+ * NativeFp32's dot. The FMA instruction and libm's fmaf both round
+ * once, so the choice never changes a bit; FPRAKER_SIMD=scalar pins
+ * the libm loop, so CI's forced-scalar legs hold the two to each
+ * other.
+ */
+float
+fp32Dot(const float *a, const float *b, size_t n)
+{
+#if defined(__x86_64__) || defined(__i386__)
+    static const bool hw = [] {
+        __builtin_cpu_init();
+        return slab::activeTier() != slab::SimdTier::Scalar &&
+               __builtin_cpu_supports("fma");
+    }();
+    if (hw)
+        return fp32DotFma(a, b, n);
+#endif
+    return fp32DotLibm(a, b, n);
+}
+
+/** Bf16Chunked: every product through the chunked register. */
+float
+chunkedDot(const BFloat16 *a, const BFloat16 *b, size_t n,
+           const AccumulatorConfig &cfg)
+{
+    ChunkedAccumulator acc(cfg);
+    for (size_t i = 0; i < n; ++i)
+        acc.addProduct(a[i], b[i]);
+    return acc.total();
+}
+
+/** FPRakerEmulated: sets of cfg.lanes pairs through the value MAC. */
+float
+fprakerDot(const BFloat16 *a, const BFloat16 *b, size_t n,
+           const PeConfig &cfg)
+{
+    FPRakerValueMac mac(cfg);
+    const size_t lanes = static_cast<size_t>(cfg.lanes);
+    size_t i = 0;
+    for (; i + lanes <= n; i += lanes)
+        mac.processSet(a + i, b + i);
+    if (i < n) {
+        // A ragged tail runs as a whole set padded with zero pairs,
+        // so every set ticks the chunk counter by cfg.lanes.
+        BFloat16 sa[FPRakerValueMac::kMaxLanes] = {};
+        BFloat16 sb[FPRakerValueMac::kMaxLanes] = {};
+        std::copy(a + i, a + n, sa);
+        std::copy(b + i, b + n, sb);
+        mac.processSet(sa, sb);
+    }
+    return mac.total();
+}
+
+/** One dot of bfloat16 rows under a bf16 mode. */
+float
+bf16Dot(MacMode mode, const PeConfig &cfg, const BFloat16 *a,
+        const BFloat16 *b, size_t n)
+{
+    return mode == MacMode::Bf16Chunked ? chunkedDot(a, b, n, cfg.acc)
+                                        : fprakerDot(a, b, n, cfg);
+}
+
+/** @p n floats rounded to bfloat16, the bf16 modes' operand type. */
+std::vector<BFloat16>
+toBf16(const float *v, size_t n)
+{
+    std::vector<BFloat16> out(n);
+    for (size_t i = 0; i < n; ++i)
+        out[i] = BFloat16::fromFloat(v[i]);
+    return out;
+}
+
+/** C(i, j) = dot(row i of @p a, row j of @p bt), rows of length n. */
+template <typename T, typename Dot>
+Matrix
+rowPairs(const T *a, size_t a_rows, const T *bt, size_t bt_rows, size_t n,
+         Dot dot)
+{
+    Matrix c(a_rows, bt_rows);
+    for (size_t i = 0; i < a_rows; ++i)
+        for (size_t j = 0; j < bt_rows; ++j)
+            c.at(i, j) = dot(a + i * n, bt + j * n, n);
+    return c;
+}
+
+} // namespace
 
 const char *
 macModeLabel(MacMode mode)
@@ -29,52 +144,30 @@ MacEngine::MacEngine(MacMode mode, PeConfig pe_cfg)
 float
 MacEngine::dot(const float *a, const float *b, size_t n) const
 {
-    return dotStrided(a, b, n, 1);
+    if (mode_ == MacMode::NativeFp32)
+        return fp32Dot(a, b, n);
+    const std::vector<BFloat16> ah = toBf16(a, n);
+    const std::vector<BFloat16> bh = toBf16(b, n);
+    return bf16Dot(mode_, peCfg_, ah.data(), bh.data(), n);
 }
 
-float
-MacEngine::dotStrided(const float *a, const float *b, size_t n,
-                      size_t b_stride) const
+Matrix
+MacEngine::matmulT(const Matrix &a, const Matrix &bt) const
 {
-    switch (mode_) {
-      case MacMode::NativeFp32: {
-        float sum = 0.0f;
-        for (size_t i = 0; i < n; ++i)
-            sum = std::fma(a[i], b[i * b_stride], sum);
-        return sum;
-      }
-      case MacMode::Bf16Chunked: {
-        ChunkedAccumulator acc(peCfg_.acc);
-        for (size_t i = 0; i < n; ++i)
-            acc.addProduct(BFloat16::fromFloat(a[i]),
-                           BFloat16::fromFloat(b[i * b_stride]));
-        return acc.total();
-      }
-      case MacMode::FPRakerEmulated: {
-        FPRakerValueMac mac(peCfg_);
-        const int lanes = peCfg_.lanes;
-        BFloat16 sa[FPRakerValueMac::kMaxLanes];
-        BFloat16 sb[FPRakerValueMac::kMaxLanes];
-        int fill = 0;
-        for (size_t i = 0; i < n; ++i) {
-            sa[fill] = BFloat16::fromFloat(a[i]);
-            sb[fill] = BFloat16::fromFloat(b[i * b_stride]);
-            if (++fill == lanes) {
-                mac.processSet(sa, sb);
-                fill = 0;
-            }
-        }
-        if (fill > 0) {
-            // A ragged tail runs as a whole set padded with zero pairs,
-            // so every set ticks the chunk counter by cfg.lanes.
-            for (int l = fill; l < lanes; ++l)
-                sa[l] = sb[l] = BFloat16();
-            mac.processSet(sa, sb);
-        }
-        return mac.total();
-      }
-    }
-    panic("bad mac mode");
+    panic_if(a.cols() != bt.cols(),
+             "matmulT inner dimensions differ (%zu vs %zu)", a.cols(),
+             bt.cols());
+    const size_t n = a.cols();
+    if (mode_ == MacMode::NativeFp32)
+        return rowPairs(a.data(), a.rows(), bt.data(), bt.rows(), n,
+                        fp32Dot);
+    const std::vector<BFloat16> ah = toBf16(a.data(), a.size());
+    const std::vector<BFloat16> bh = toBf16(bt.data(), bt.size());
+    return rowPairs(ah.data(), a.rows(), bh.data(), bt.rows(), n,
+                    [this](const BFloat16 *x, const BFloat16 *y,
+                           size_t k) {
+                        return bf16Dot(mode_, peCfg_, x, y, k);
+                    });
 }
 
 } // namespace fpraker

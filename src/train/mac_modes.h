@@ -4,7 +4,7 @@
  *
  * The paper emulates the FPRaker PE inside PlaidML by overriding the
  * mad() function during end-to-end training. Here the training layers
- * route every dot product through a MacEngine configured with one of:
+ * route every product through a MacEngine configured with one of:
  *
  *  - NativeFp32:      FP32 fused multiply-add (the reference curve),
  *  - Bf16Chunked:     bfloat16 operands into the extended-precision
@@ -18,6 +18,16 @@
  * Fig. 17's claim is that all three converge together: FPRaker skips
  * only work that cannot affect the accumulator.
  *
+ * The unit a layer hands over is a GEMM: matmulT(A, B^T) computes the
+ * dot of every row of A with every row of B^T, each accumulated in k
+ * order exactly as dot() accumulates it. The bf16 modes convert each
+ * operand matrix to bfloat16 once per call and walk contiguous rows;
+ * NativeFp32 walks the float rows as they are, on the FMA instruction
+ * where the host has one (it rounds exactly as libm's fmaf does).
+ * dot() and matmulT() run the same per-dot body for each mode, so the
+ * two cannot drift apart. How dots are walked is decided here, not in
+ * the layers.
+ *
  * A MacEngine holds only its configuration: every dot builds its
  * accumulator on the stack, so one const engine may serve any number
  * of threads at once.
@@ -29,6 +39,7 @@
 #include <cstddef>
 
 #include "pe/pe_common.h"
+#include "train/tensor.h"
 
 namespace fpraker {
 
@@ -51,9 +62,12 @@ class MacEngine
     /** Dot product of two length-n float vectors under the mode. */
     float dot(const float *a, const float *b, size_t n) const;
 
-    /** Strided dot (b advances by b_stride): y = sum a[i]*b[i*stride]. */
-    float dotStrided(const float *a, const float *b, size_t n,
-                     size_t b_stride) const;
+    /**
+     * C = A B^T under the mode: C(i, j) is dot(a.row(i), bt.row(j)).
+     * @p a is the serial (term) operand and @p bt the parallel one,
+     * as in dot(); their column counts must match.
+     */
+    Matrix matmulT(const Matrix &a, const Matrix &bt) const;
 
     MacMode mode() const { return mode_; }
 

@@ -382,7 +382,7 @@ struct WideRegister
  * bits, placed relative to the register's exponent so the sum lands
  * anywhere from far below the register to far above it — including
  * both fracBits + 4 guard edges — or an exact cancellation of the
- * register, or a round-to-nearest-even tie.
+ * register, a round-to-nearest-even tie, or zero.
  */
 void
 fuzzedAddend(Rng &rng, const WideRegister &ref, bool &neg, int &lsb_exp,
@@ -393,7 +393,15 @@ fuzzedAddend(Rng &rng, const WideRegister &ref, bool &neg, int &lsb_exp,
     const int top = static_cast<int>(rng.uniformInt(0, 63));
     mag = (rng.next() | (uint64_t{1} << 63)) >> (63 - top);
     const int here = ref.sig ? ref.exp : 0;
-    const int pick = static_cast<int>(rng.uniformInt(0, 9));
+    const int pick = static_cast<int>(rng.uniformInt(0, 10));
+    if (pick == 10) {
+        // A zero addend at any scale, far above the register included:
+        // the register must not move.
+        mag = 0;
+        lsb_exp = here - 2 * fb - 8 +
+                  static_cast<int>(rng.uniformInt(0, 4 * fb + 16));
+        return;
+    }
     if (ref.sig && pick == 0) {
         // Exact cancellation, on any scale that still fits.
         const int up = static_cast<int>(rng.uniformInt(0, 62 - fb));

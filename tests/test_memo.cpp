@@ -279,6 +279,33 @@ TEST(PhaseMemo, LargerBudgetReusesLeadingBursts)
     EXPECT_EQ(st.insertions, 6u);
 }
 
+TEST(PhaseMemo, EquivalentObThresholdsShareBursts)
+{
+    // obThreshold = -1 means "use fracBits", so at the default 12-bit
+    // register -1 and 12 describe one machine: the second phase is
+    // served entirely from the first one's bursts.
+    PhaseRunConfig implicit_cfg = basePhaseConfig();
+    ASSERT_EQ(implicit_cfg.tile.pe.obThreshold, -1);
+    PhaseRunConfig explicit_cfg = basePhaseConfig();
+    explicit_cfg.tile.pe.obThreshold = explicit_cfg.tile.pe.acc.fracBits;
+    const PhaseRunResult implicit_ref = runForward(implicit_cfg);
+    const PhaseRunResult explicit_ref = runForward(explicit_cfg);
+    const uint64_t bursts = planOf(basePhaseConfig()).bursts;
+
+    SimMemo memo(8u << 20);
+    implicit_cfg.memo = &memo;
+    explicit_cfg.memo = &memo;
+    expectPhaseEqual(runForward(implicit_cfg), implicit_ref,
+                     "obThreshold=-1");
+    EXPECT_EQ(memo.stats().misses, bursts);
+    expectPhaseEqual(runForward(explicit_cfg), explicit_ref,
+                     "obThreshold=12");
+    const SimMemo::Stats st = memo.stats();
+    EXPECT_EQ(st.hits, bursts);
+    EXPECT_EQ(st.misses, bursts);
+    EXPECT_EQ(st.insertions, bursts);
+}
+
 TEST(PhaseMemo, TraceBackedPhasesAlwaysSimulate)
 {
     const PhaseRunResult ref = runForward(basePhaseConfig());

@@ -7,7 +7,8 @@
  * provenance while the cached copy stays clean), admission control
  * (reject-newest with retry_after hints) including an open-loop burst
  * at 4x the queue depth, bounded completed-job retention, the
- * env-folded cache key, LineReader failure taxonomy, and the client
+ * env-folded cache key, LineReader failure taxonomy, a client refused
+ * when its connection thread cannot start, and the client
  * RetryPolicy's deterministic backoff schedule.
  */
 
@@ -19,6 +20,8 @@
 #include <thread>
 #include <vector>
 
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -26,6 +29,8 @@
 #include "api/registry.h"
 #include "common/clock.h"
 #include "common/fnv.h"
+#include "serve/client.h"
+#include "serve/daemon.h"
 #include "serve/fault_injection.h"
 #include "serve/job_spec.h"
 #include "serve/protocol.h"
@@ -617,6 +622,74 @@ TEST_F(ServeFaults, LineReaderClassifiesEofTimeoutAndOversize)
 }
 
 // ------------------------------------------------------- retry policy
+
+/** A raw client socket connected to @p path, or -1. */
+int
+dialRaw(const std::string &path)
+{
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0)
+        return -1;
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s",
+                  path.c_str());
+    if (::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
+                  sizeof(addr)) != 0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+TEST_F(ServeFaults, FailedConnectionThreadRefusesOneClientAndKeepsServing)
+{
+    serve::DaemonConfig cfg;
+    cfg.socketPath = tempDir("spawn_fail") + ".sock";
+    cfg.scheduler.workers = 1;
+    serve::Daemon daemon(cfg);
+    std::string error;
+    ASSERT_TRUE(daemon.start(&error)) << error;
+    FaultInjector::instance().arm("daemon.spawn_fail", 1, 1);
+    bool clean = false;
+    std::thread server([&] { clean = daemon.serve(); });
+
+    { // The refused client reads one structured overloaded line, then
+      // EOF: the daemon closed its fd instead of leaking it.
+        const int fd = dialRaw(cfg.socketPath);
+        ASSERT_GE(fd, 0);
+        LineReader reader(fd);
+        std::string line;
+        ASSERT_TRUE(reader.readLine(&line, &error)) << error;
+        const JsonValue resp = JsonValue::parse(line, &error);
+        ASSERT_TRUE(error.empty()) << error;
+        EXPECT_FALSE(resp.find("ok")->boolean());
+        EXPECT_EQ(resp.find("error_code")->str(), "overloaded");
+        int hint = 0;
+        EXPECT_TRUE(serve::responseRetryable(resp, &hint));
+        EXPECT_GT(hint, 0);
+        EXPECT_FALSE(reader.readLine(&line, &error));
+        EXPECT_EQ(reader.lastFail(), LineReader::Fail::Eof);
+        ::close(fd);
+    }
+    EXPECT_EQ(FaultInjector::instance().fired("daemon.spawn_fail"), 1u);
+
+    // The next client is served normally.
+    serve::ServeClient client;
+    ASSERT_TRUE(client.connectTo(cfg.socketPath, &error)) << error;
+    JsonValue ping = JsonValue::object();
+    ping.set("op", "ping");
+    JsonValue resp;
+    ASSERT_TRUE(client.request(ping, &resp, &error)) << error;
+    EXPECT_TRUE(resp.find("ok")->boolean());
+
+    JsonValue shutdown = JsonValue::object();
+    shutdown.set("op", "shutdown");
+    ASSERT_TRUE(client.request(shutdown, &resp, &error)) << error;
+    EXPECT_TRUE(resp.find("ok")->boolean());
+    server.join();
+    EXPECT_TRUE(clean);
+}
 
 TEST_F(ServeFaults, RetryPolicyIsDeterministicCappedAndFloored)
 {

@@ -5,8 +5,10 @@
 
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -55,14 +57,93 @@ TEST(MacEngine, ModesAgreeOnBenignData)
     EXPECT_NEAR(rfp, rbf, 0.02f * (std::fabs(rbf) + 8.0f));
 }
 
-TEST(MacEngine, StridedDotMatchesDense)
+/**
+ * matmulT converts each operand matrix once and walks contiguous rows;
+ * every element must still be bit-equal to dot() over the same two
+ * rows, in every mode and in both value-MAC bodies (the SSE2 body for
+ * the default 8-lane PE, the scalar body for the other shapes).
+ */
+TEST(MacEngine, MatmulTMatchesPerDotBitForBit)
 {
-    std::vector<float> a = {1.0f, 2.0f, 3.0f};
-    std::vector<float> b = {1.0f, -1.0f, 2.0f, -2.0f, 3.0f, -3.0f};
-    MacEngine eng(MacMode::NativeFp32);
-    // Stride 2 picks 1, 2, 3.
-    EXPECT_EQ(eng.dotStrided(a.data(), b.data(), 3, 2), 14.0f);
+    PeConfig lanes4;
+    lanes4.lanes = 4;
+    PeConfig lanes16;
+    lanes16.lanes = 16;
+    PeConfig delta8;
+    delta8.maxDelta = 8;
+    const std::pair<MacMode, PeConfig> engines[] = {
+        {MacMode::NativeFp32, PeConfig{}},
+        {MacMode::Bf16Chunked, PeConfig{}},
+        {MacMode::FPRakerEmulated, PeConfig{}},
+        {MacMode::FPRakerEmulated, lanes4},
+        {MacMode::FPRakerEmulated, lanes16},
+        {MacMode::FPRakerEmulated, delta8},
+    };
+
+    Rng rng(1517);
+    for (size_t n : {1, 7, 8, 9, 32, 100}) {
+        // a: a +0 row, a ReLU-like row, a row of signed zeros among
+        // values, and two rows spread over 2^-60..2^60. bt: a -0 row,
+        // small weights, and two wide rows.
+        Matrix a(5, n), bt(4, n);
+        for (size_t k = 0; k < n; ++k) {
+            const double g = rng.gaussian(0.0, 1.0);
+            a.at(1, k) = static_cast<float>(g > 0.0 ? g : 0.0);
+            a.at(2, k) = k % 3 == 0 ? (k % 2 ? -0.0f : 0.0f)
+                                    : static_cast<float>(g);
+            bt.at(0, k) = -0.0f;
+            bt.at(1, k) = static_cast<float>(rng.gaussian(0.0, 0.1));
+            for (size_t r : {3, 4})
+                a.at(r, k) = static_cast<float>(
+                    std::ldexp(rng.gaussian(0.0, 1.0),
+                               static_cast<int>(rng.uniformInt(0, 120)) -
+                                   60));
+            for (size_t r : {2, 3})
+                bt.at(r, k) = static_cast<float>(
+                    std::ldexp(rng.gaussian(0.0, 1.0),
+                               static_cast<int>(rng.uniformInt(0, 120)) -
+                                   60));
+        }
+        for (const auto &[mode, cfg] : engines) {
+            const MacEngine eng(mode, cfg);
+            const Matrix c = eng.matmulT(a, bt);
+            ASSERT_EQ(c.rows(), a.rows());
+            ASSERT_EQ(c.cols(), bt.rows());
+            for (size_t i = 0; i < a.rows(); ++i)
+                for (size_t j = 0; j < bt.rows(); ++j)
+                    ASSERT_EQ(std::bit_cast<uint32_t>(c.at(i, j)),
+                              std::bit_cast<uint32_t>(
+                                  eng.dot(a.row(i), bt.row(j), n)))
+                        << macModeLabel(mode) << " lanes=" << cfg.lanes
+                        << " maxDelta=" << cfg.maxDelta << " n=" << n
+                        << " (" << i << ", " << j << ")";
+        }
+    }
 }
+
+#if GTEST_HAS_DEATH_TEST
+TEST(MacEngineDeathTest, NonFiniteOperandsPanic)
+{
+    // Converting each matrix once must not drop the finite check: a
+    // NaN or infinity in either operand panics, inside the first full
+    // 8-lane set (k = 3) and in the padded tail set (k = 9).
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    for (MacMode mode : {MacMode::Bf16Chunked, MacMode::FPRakerEmulated}) {
+        const MacEngine eng(mode);
+        for (size_t at : {3, 9})
+            for (float bad : {inf, -inf, nan}) {
+                const Matrix ok(2, 11, 1.5f);
+                Matrix poisoned = ok;
+                poisoned.at(1, at) = bad;
+                EXPECT_DEATH(eng.matmulT(poisoned, ok), "non-finite")
+                    << macModeLabel(mode) << " k=" << at;
+                EXPECT_DEATH(eng.matmulT(ok, poisoned), "non-finite")
+                    << macModeLabel(mode) << " k=" << at;
+            }
+    }
+}
+#endif // GTEST_HAS_DEATH_TEST
 
 TEST(MacEngine, ConstEngineIsReentrant)
 {
