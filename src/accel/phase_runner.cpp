@@ -241,24 +241,35 @@ runPhaseSample(const ModelInfo &model, const LayerShape &layer,
         scratch.b.resize(burst * b_len);
         scratch.views.resize(burst);
 
-        // One window per operand covers the whole burst (the
-        // generator's fill is chunk-invariant, so this matches the
-        // historical per-step fills byte for byte).
-        supply.fillSerial(bi, scratch.a.data(), burst * a_len);
-        supply.fillParallel(bi, scratch.b.data(), burst * b_len);
-
-        for (size_t s = 0; s < burst; ++s) {
-            BFloat16 *a = scratch.a.data() + s * a_len;
-            BFloat16 *b = scratch.b.data() + s * b_len;
-            out.serialStats.merge(
-                measureTensor(a, a_len, cfg.tile.pe.encoding));
-            out.parallelStats.merge(
-                measureTensor(b, b_len, cfg.tile.pe.encoding));
-            scratch.views[s] = TileStepView{a, b};
+        // The burst's three stages each get a child span, so a trace
+        // shows where a simulated burst's time goes.
+        {
+            // One window per operand covers the whole burst (the
+            // generator's fill is chunk-invariant, so this matches the
+            // historical per-step fills byte for byte).
+            obs::TraceSpan span("stage", "fill");
+            supply.fillSerial(bi, scratch.a.data(), burst * a_len);
+            supply.fillParallel(bi, scratch.b.data(), burst * b_len);
         }
-
-        out.cycles = scratch.tile.run(scratch.views.data(), burst).cycles;
-        out.peStats = scratch.tile.aggregateStats();
+        {
+            // TensorStats are sums, so one call per operand slab
+            // counts what per-step calls would.
+            obs::TraceSpan span("stage", "classify");
+            out.serialStats = measureTensor(
+                scratch.a.data(), burst * a_len, cfg.tile.pe.encoding);
+            out.parallelStats = measureTensor(
+                scratch.b.data(), burst * b_len, cfg.tile.pe.encoding);
+        }
+        {
+            obs::TraceSpan span("stage", "tile");
+            for (size_t s = 0; s < burst; ++s)
+                scratch.views[s] =
+                    TileStepView{scratch.a.data() + s * a_len,
+                                 scratch.b.data() + s * b_len};
+            out.cycles =
+                scratch.tile.run(scratch.views.data(), burst).cycles;
+            out.peStats = scratch.tile.aggregateStats();
+        }
 
         if (memo)
             memo->insert(hash, key.data(), sizeof(key), &out,

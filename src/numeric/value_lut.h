@@ -8,7 +8,7 @@
  * term shift, stream length) from the raw bits on every set. A bf16 is
  * only 16 bits, so the full value domain is 65536 entries: ValueLut
  * materializes every field the column front-end consumes, once per
- * encoding, and beginSetDecoded / the scalar decodeBRows fallback
+ * encoding, and beginSerial / the scalar decodeBRows fallback
  * replace their per-value bit manipulation with one indexed load.
  *
  * Exact by construction: the table is built by running every bit

@@ -29,6 +29,16 @@ FPRakerColumn::FPRakerColumn(const PeConfig &cfg, int num_pes)
     for (int r = 0; r < numPes_; ++r)
         pes_.emplace_back(cfg_.acc);
     retireCycle_.resize(static_cast<size_t>(numPes_));
+#ifdef __SSE2__
+    // The PE-parallel body shifts 8-bit significands by up to maxDelta
+    // in 16-bit lanes, and holds two 8-PE halves.
+    peParallel_ = cfg_.lanes == DecodedBLanes::kLanes &&
+                  cfg_.maxDelta <= 7 && numPes_ <= DecodedBLanes::kPes &&
+                  slab::activeTier() != slab::SimdTier::Scalar;
+#endif
+    halves_ = numPes_ > 8 ? 2 : 1;
+    for (int r = 0; r < LaneState::kPes; ++r)
+        lanes_.pad[r] = r < numPes_ ? int16_t(0) : int16_t(-1);
 }
 
 void
@@ -38,6 +48,11 @@ FPRakerColumn::beginSet(const BFloat16 *a, const BFloat16 *b,
     const int lanes = active_lanes < 0 ? cfg_.lanes : active_lanes;
     panic_if(lanes < 1 || lanes > cfg_.lanes,
              "bad active lane count %d", lanes);
+    if (lanes == cfg_.lanes && peParallel()) {
+        decodeBLanes(b, b_stride, numPes_, &laneScratch_);
+        beginSetLanes(a, laneScratch_);
+        return;
+    }
     decodeScratch_.resize(static_cast<size_t>(numPes_));
     decodeBRows(b, b_stride, numPes_, lanes, decodeScratch_.data());
     beginSetDecoded(a, decodeScratch_.data(), lanes);
@@ -114,6 +129,124 @@ FPRakerColumn::decodeBRows(const BFloat16 *b, int b_stride, int rows,
     }
 }
 
+#ifdef __SSE2__
+
+namespace {
+
+__m128i
+load16(const int16_t *p)
+{
+    return _mm_load_si128(reinterpret_cast<const __m128i *>(p));
+}
+
+void
+store16(int16_t *p, __m128i v)
+{
+    _mm_store_si128(reinterpret_cast<__m128i *>(p), v);
+}
+
+/** Elements of @p a where @p m is set, else those of @p b. */
+__m128i
+select16(__m128i m, __m128i a, __m128i b)
+{
+    return _mm_or_si128(_mm_and_si128(m, a), _mm_andnot_si128(m, b));
+}
+
+/** -1 in the elements of @p x with bit @p B set, else 0. */
+template <int B>
+__m128i
+bit16(__m128i x)
+{
+    return _mm_srai_epi16(_mm_slli_epi16(x, 15 - B), 15);
+}
+
+/** Transpose an 8 x 8 block of 16-bit elements held in @p r. */
+void
+transpose8x8(__m128i r[8])
+{
+    __m128i t[8];
+    for (int i = 0; i < 4; ++i) {
+        t[2 * i] = _mm_unpacklo_epi16(r[2 * i], r[2 * i + 1]);
+        t[2 * i + 1] = _mm_unpackhi_epi16(r[2 * i], r[2 * i + 1]);
+    }
+    const __m128i u[8] = {
+        _mm_unpacklo_epi32(t[0], t[2]), _mm_unpackhi_epi32(t[0], t[2]),
+        _mm_unpacklo_epi32(t[1], t[3]), _mm_unpackhi_epi32(t[1], t[3]),
+        _mm_unpacklo_epi32(t[4], t[6]), _mm_unpackhi_epi32(t[4], t[6]),
+        _mm_unpacklo_epi32(t[5], t[7]), _mm_unpackhi_epi32(t[5], t[7]),
+    };
+    for (int i = 0; i < 4; ++i) {
+        r[2 * i] = _mm_unpacklo_epi64(u[i], u[i + 4]);
+        r[2 * i + 1] = _mm_unpackhi_epi64(u[i], u[i + 4]);
+    }
+}
+
+} // namespace
+
+#endif // __SSE2__
+
+void
+FPRakerColumn::decodeBLanes(const BFloat16 *b, int b_stride, int rows,
+                            DecodedBLanes *out)
+{
+    constexpr int kLanes = DecodedBLanes::kLanes;
+    panic_if(rows < 1 || rows > DecodedBLanes::kPes,
+             "%d rows exceed the lane-major layout", rows);
+#ifdef __SSE2__
+    // Each 8-row half transposes into one vector per lane, holding
+    // that lane's raw bits across the half's PEs; the field split then
+    // runs on whole vectors.
+    const __m128i expField = _mm_set1_epi16(0x7f80);
+    for (int h = 0; h * 8 < rows; ++h) {
+        __m128i v[8];
+        for (int i = 0; i < 8; ++i) {
+            const int r = h * 8 + i;
+            v[i] = r < rows
+                       ? _mm_loadu_si128(reinterpret_cast<const __m128i *>(
+                             b + static_cast<size_t>(r) * b_stride))
+                       : _mm_setzero_si128();
+        }
+        transpose8x8(v);
+        __m128i nonFinite = _mm_setzero_si128();
+        for (int l = 0; l < kLanes; ++l) {
+            nonFinite = _mm_or_si128(
+                nonFinite,
+                _mm_cmpeq_epi16(_mm_and_si128(v[l], expField), expField));
+            const __m128i zero = _mm_cmpeq_epi16(
+                _mm_and_si128(v[l], _mm_set1_epi16(0x7fff)),
+                _mm_setzero_si128());
+            store16(out->exp[l] + 8 * h,
+                    _mm_sub_epi16(_mm_and_si128(_mm_srli_epi16(v[l], 7),
+                                                _mm_set1_epi16(0xff)),
+                                  _mm_set1_epi16(BFloat16::kBias)));
+            store16(out->sig[l] + 8 * h,
+                    _mm_andnot_si128(
+                        zero,
+                        _mm_or_si128(
+                            _mm_and_si128(v[l], _mm_set1_epi16(0x7f)),
+                            _mm_set1_epi16(0x80))));
+            store16(out->neg[l] + 8 * h, _mm_srai_epi16(v[l], 15));
+        }
+        if (_mm_movemask_epi8(nonFinite)) {
+            for (int r = h * 8; r < std::min(rows, h * 8 + 8); ++r)
+                for (int l = 0; l < kLanes; ++l) {
+                    const BFloat16 x =
+                        b[static_cast<size_t>(r) * b_stride + l];
+                    panic_if(!x.isFinite(),
+                             "non-finite PE operand (b=%04x)", x.bits());
+                }
+        }
+    }
+#else
+    // Only the PE-parallel body reads this layout, and it needs SSE2.
+    (void)b;
+    (void)b_stride;
+    (void)out;
+    (void)kLanes;
+    panic("the lane-major B layout needs SSE2");
+#endif // __SSE2__
+}
+
 void
 FPRakerColumn::beginSetDecoded(const BFloat16 *a,
                                const DecodedBRow *brows,
@@ -124,35 +257,13 @@ FPRakerColumn::beginSetDecoded(const BFloat16 *a,
     panic_if(activeLanes_ < 1 || activeLanes_ > cfg_.lanes,
              "bad active lane count %d", activeLanes_);
 
-    // The serial operands are shared by every PE in the column: hoist
-    // their exponents, signs, and term streams out of the per-PE loop.
-    int16_t a_exp[kMaxLanes];
-    int8_t shift0[kMaxLanes];  //!< First-term shift of live lanes.
-    uint8_t nterms[kMaxLanes]; //!< Stream length per lane.
-    uint32_t a_neg = 0;
-    uint32_t a_nonzero = 0;
-    uint64_t zero_slots = 0;
-    liveMask_ = 0;
+    beginSerial(a);
+    const int16_t *a_exp = serial_.exp;
+    const uint8_t *nterms = serial_.nterms;
+    const uint32_t a_neg = serial_.neg;
+    const uint32_t a_nonzero = serial_.nonzero;
+    const uint64_t zero_slots = serial_.zeroSlots;
     for (int l = 0; l < activeLanes_; ++l) {
-        // The value memoization grain: every field this loop used to
-        // re-derive per value (term schedule, exponents, sign/zero
-        // class, first-term shift) is one decoded-table load.
-        const ValueLut::Entry &e = vlut_->entry(a[l].bits());
-        panic_if(!(e.flags & ValueLut::kFinite),
-                 "non-finite PE operand (a=%04x)", a[l].bits());
-        streams_[l].terms = e.stream;
-        streams_[l].cursor = 0;
-        nterms[l] = e.nterms;
-        if (e.nterms) {
-            liveMask_ |= 1u << l;
-            shift0[l] = e.shift0;
-        }
-        a_exp[l] = e.unbiasedExp;
-        if (e.flags & ValueLut::kNegative)
-            a_neg |= 1u << l;
-        if (!(e.flags & ValueLut::kZero))
-            a_nonzero |= 1u << l;
-        zero_slots += static_cast<uint64_t>(kTermSlots - e.nterms);
         firedPes_[l] = 0;
         obPes_[l] = 0;
     }
@@ -185,7 +296,7 @@ FPRakerColumn::beginSetDecoded(const BFloat16 *a,
             int16_t sh[8];
             for (int l = 0; l < 8; ++l) {
                 nz[l] = (a_nonzero >> l) & 1u ? int16_t(-1) : int16_t(0);
-                sh[l] = (liveMask_ >> l) & 1u ? shift0[l] : int16_t(0);
+                sh[l] = (liveMask_ >> l) & 1u ? curShift_[l] : int16_t(0);
             }
             std::memcpy(&va_nonzero16, nz, 16);
             std::memcpy(&vshift0_16, sh, 16);
@@ -285,7 +396,7 @@ FPRakerColumn::beginSetDecoded(const BFloat16 *a,
                 const int acc_exp = pe.acc.chunkRegister().exponent();
                 for (uint32_t m = liveMask_; m; m &= m - 1) {
                     const int l = std::countr_zero(m);
-                    if (acc_exp - pe.abExp[l] + shift0[l] > thr) {
+                    if (acc_exp - pe.abExp[l] + curShift_[l] > thr) {
                         ob |= 1u << l;
                         pe.stats.termsObSkipped += nterms[l];
                         obPes_[l] |= 1ull << r;
@@ -308,16 +419,6 @@ FPRakerColumn::beginSetDecoded(const BFloat16 *a,
     }
     liveMask_ &= ~all_ob;
 
-    // Seed the cursor-term cache for the surviving lanes.
-    curNegMask_ = 0;
-    for (uint32_t m = liveMask_; m; m &= m - 1) {
-        const int l = std::countr_zero(m);
-        const Term &t = (*streams_[l].terms)[0];
-        curShift_[l] = t.shift;
-        if (t.neg)
-            curNegMask_ |= 1u << l;
-    }
-
     setCycles_ = 0;
     inSet_ = true;
 
@@ -327,8 +428,357 @@ FPRakerColumn::beginSetDecoded(const BFloat16 *a,
     // masks bound a column at 64 PEs; the constructor enforces it.)
     retiredPeMask_ = 0;
     retireSkip_ = !trace_;
+    lanesSet_ = false;
     if (retireSkip_ && liveMask_)
         refreshRetired();
+}
+
+void
+FPRakerColumn::beginSerial(const BFloat16 *a)
+{
+    // The serial operands are shared by every PE in the column: hoist
+    // their exponents, signs, and term streams out of the per-PE loops.
+    serial_.neg = 0;
+    serial_.nonzero = 0;
+    serial_.zeroSlots = 0;
+    liveMask_ = 0;
+    curNegMask_ = 0;
+    for (int l = 0; l < activeLanes_; ++l) {
+        // The value memoization grain: every field this loop used to
+        // re-derive per value (term schedule, exponents, sign/zero
+        // class, first-term shift) is one decoded-table load.
+        const ValueLut::Entry &e = vlut_->entry(a[l].bits());
+        panic_if(!(e.flags & ValueLut::kFinite),
+                 "non-finite PE operand (a=%04x)", a[l].bits());
+        streams_[l].terms = e.stream;
+        streams_[l].cursor = 0;
+        serial_.nterms[l] = e.nterms;
+        if (e.nterms) {
+            liveMask_ |= 1u << l;
+            curShift_[l] = e.shift0;
+            if ((*e.stream)[0].neg)
+                curNegMask_ |= 1u << l;
+        }
+        serial_.exp[l] = e.unbiasedExp;
+        if (e.flags & ValueLut::kNegative)
+            serial_.neg |= 1u << l;
+        if (!(e.flags & ValueLut::kZero))
+            serial_.nonzero |= 1u << l;
+        serial_.zeroSlots += static_cast<uint64_t>(kTermSlots - e.nterms);
+    }
+}
+
+void
+FPRakerColumn::beginSetLanes(const BFloat16 *a, const DecodedBLanes &b)
+{
+    panic_if(inSet_, "beginSet while a set is in flight");
+    panic_if(!peParallel(), "column does not run the PE-parallel body");
+    activeLanes_ = DecodedBLanes::kLanes;
+    lanes_.b = &b;
+    beginSerial(a);
+#ifdef __SSE2__
+    if (halves_ == 1)
+        beginLanes<1>();
+    else
+        beginLanes<2>();
+#endif
+    setCycles_ = 0;
+    inSet_ = true;
+    lanesSet_ = true;
+}
+
+#ifdef __SSE2__
+
+template <int G>
+void
+FPRakerColumn::beginLanes()
+{
+    LaneState &st = lanes_;
+    const DecodedBLanes &b = *st.b;
+
+    // Exponent block: each PE's MAX over its non-zero products is a
+    // vertical max across the lane vectors. alignTo stays scalar.
+    __m128i emax[G];
+    for (int h = 0; h < G; ++h)
+        emax[h] = _mm_set1_epi16(INT16_MIN);
+    for (uint32_t m = serial_.nonzero; m; m &= m - 1) {
+        const int l = std::countr_zero(m);
+        const __m128i ae = _mm_set1_epi16(serial_.exp[l]);
+        for (int h = 0; h < G; ++h) {
+            const __m128i bzero = _mm_cmpeq_epi16(load16(b.sig[l] + 8 * h),
+                                                  _mm_setzero_si128());
+            emax[h] = _mm_max_epi16(
+                emax[h],
+                select16(bzero, _mm_set1_epi16(INT16_MIN),
+                         _mm_add_epi16(ae, load16(b.exp[l] + 8 * h))));
+        }
+    }
+    alignas(16) int16_t pe_max[8 * G];
+    for (int h = 0; h < G; ++h)
+        store16(pe_max + 8 * h, emax[h]);
+    for (int r = 0; r < numPes_; ++r) {
+        ExtendedAccumulator &reg = pes_[static_cast<size_t>(r)]
+                                       .acc.chunkRegister();
+        if (pe_max[r] != INT16_MIN)
+            reg.alignTo(pe_max[r]);
+        st.accExp[r] = static_cast<int16_t>(
+            std::max(reg.exponent(), kLanesExpFloor));
+    }
+
+    for (int h = 0; h < G; ++h) {
+        store16(st.pendN + 8 * h, _mm_setzero_si128());
+        store16(st.fireN + 8 * h, _mm_setzero_si128());
+        store16(st.obSkipN + 8 * h, _mm_setzero_si128());
+    }
+    for (uint32_t m = liveMask_; m; m &= m - 1) {
+        const int l = std::countr_zero(m);
+        for (int h = 0; h < G; ++h) {
+            store16(st.fired[l] + 8 * h, _mm_setzero_si128());
+            store16(st.ob[l] + 8 * h, load16(st.pad + 8 * h));
+        }
+    }
+
+    // Before any term fires, settling is the first-term OB pass: every
+    // PE owes each live lane's first term, so a term already past the
+    // threshold drops the lane at that PE, and a lane every PE drops
+    // goes before the first cycle. The set starts settled.
+    settleLanes<G>(liveMask_);
+}
+
+template <int G>
+void
+FPRakerColumn::stepLanes()
+{
+    constexpr int kLanes = DecodedBLanes::kLanes;
+    ++setCycles_;
+    LaneState &st = lanes_;
+    const DecodedBLanes &b = *st.b;
+    const uint32_t live = liveMask_;
+    const __m128i ones = _mm_set1_epi16(-1);
+    const __m128i none = _mm_set1_epi16(INT16_MAX);
+
+    // d = shift - (Ae + Be) of each lane's cursor term. A term's
+    // alignment shift is k = e_acc + d, and the window compares k's of
+    // one PE, so e_acc cancels out of it. The base is the least d over
+    // a PE's pending lanes (d < 300, so adding INT16_MAX to the others
+    // saturates them past any pending d).
+    __m128i d[kLanes][G];
+    __m128i pend[kLanes][G];
+    __m128i lim[G];
+    __m128i pendN[G];
+    for (int h = 0; h < G; ++h) {
+        lim[h] = none;
+        pendN[h] = load16(st.pendN + 8 * h);
+    }
+    for (uint32_t m = live; m; m &= m - 1) {
+        const int l = std::countr_zero(m);
+        const __m128i dt = _mm_set1_epi16(
+            static_cast<int16_t>(curShift_[l] - serial_.exp[l]));
+        for (int h = 0; h < G; ++h) {
+            d[l][h] = _mm_sub_epi16(dt, load16(b.exp[l] + 8 * h));
+            pend[l][h] = _mm_andnot_si128(
+                _mm_or_si128(load16(st.fired[l] + 8 * h),
+                             load16(st.ob[l] + 8 * h)),
+                ones);
+            pendN[h] = _mm_sub_epi16(pendN[h], pend[l][h]);
+            lim[h] = _mm_min_epi16(
+                lim[h], _mm_adds_epi16(d[l][h],
+                                       _mm_andnot_si128(pend[l][h], none)));
+        }
+    }
+
+    // Lanes with d <= base + maxDelta fire. Each contributes its B
+    // significand shifted left by base + maxDelta - d, signed, so a
+    // PE's sum sits on the 2^(-(base + maxDelta) - 7) scale: the value
+    // the scalar body sums on its lowest fired LSB, which addValue
+    // rounds the same way.
+    const int delta = cfg_.maxDelta;
+    const bool wide = delta > 4;
+    __m128i fireN[G];
+    __m128i sum16[G];
+    __m128i sum32[G][2];
+    for (int h = 0; h < G; ++h) {
+        lim[h] = _mm_adds_epi16(lim[h], _mm_set1_epi16(
+                                            static_cast<int16_t>(delta)));
+        fireN[h] = load16(st.fireN + 8 * h);
+        sum16[h] = _mm_setzero_si128();
+        sum32[h][0] = sum32[h][1] = _mm_setzero_si128();
+    }
+    const uint32_t sgn_mask = serial_.neg ^ curNegMask_;
+    uint32_t fired_union = 0;
+    for (uint32_t m = live; m; m &= m - 1) {
+        const int l = std::countr_zero(m);
+        const __m128i sgn =
+            _mm_set1_epi16((sgn_mask >> l) & 1u ? int16_t(-1) : int16_t(0));
+        int any = 0;
+        for (int h = 0; h < G; ++h) {
+            const __m128i fire = _mm_andnot_si128(
+                _mm_cmpgt_epi16(d[l][h], lim[h]), pend[l][h]);
+            const __m128i shift = _mm_sub_epi16(lim[h], d[l][h]);
+            __m128i c = load16(b.sig[l] + 8 * h);
+            if (delta >= 1)
+                c = _mm_add_epi16(c, _mm_and_si128(c, bit16<0>(shift)));
+            if (delta >= 2)
+                c = select16(bit16<1>(shift), _mm_slli_epi16(c, 2), c);
+            if (delta >= 4)
+                c = select16(bit16<2>(shift), _mm_slli_epi16(c, 4), c);
+            const __m128i neg =
+                _mm_xor_si128(load16(b.neg[l] + 8 * h), sgn);
+            c = _mm_and_si128(_mm_sub_epi16(_mm_xor_si128(c, neg), neg),
+                              fire);
+            if (wide) {
+                sum32[h][0] = _mm_add_epi32(
+                    sum32[h][0],
+                    _mm_srai_epi32(_mm_unpacklo_epi16(c, c), 16));
+                sum32[h][1] = _mm_add_epi32(
+                    sum32[h][1],
+                    _mm_srai_epi32(_mm_unpackhi_epi16(c, c), 16));
+            } else {
+                sum16[h] = _mm_add_epi16(sum16[h], c);
+            }
+            store16(st.fired[l] + 8 * h,
+                    _mm_or_si128(load16(st.fired[l] + 8 * h), fire));
+            fireN[h] = _mm_sub_epi16(fireN[h], fire);
+            any |= _mm_movemask_epi8(fire);
+        }
+        if (any)
+            fired_union |= 1u << l;
+    }
+
+    // One addValue per PE with a non-zero window sum.
+    alignas(16) int32_t sums[8 * G];
+    alignas(16) int16_t bases[8 * G];
+    for (int h = 0; h < G; ++h) {
+        store16(st.pendN + 8 * h, pendN[h]);
+        store16(st.fireN + 8 * h, fireN[h]);
+        store16(bases + 8 * h, lim[h]);
+        if (!wide) {
+            sum32[h][0] = _mm_srai_epi32(
+                _mm_unpacklo_epi16(sum16[h], sum16[h]), 16);
+            sum32[h][1] = _mm_srai_epi32(
+                _mm_unpackhi_epi16(sum16[h], sum16[h]), 16);
+        }
+        _mm_store_si128(reinterpret_cast<__m128i *>(sums + 8 * h),
+                        sum32[h][0]);
+        _mm_store_si128(reinterpret_cast<__m128i *>(sums + 8 * h + 4),
+                        sum32[h][1]);
+    }
+    bool moved = false;
+    for (int r = 0; r < numPes_; ++r) {
+        const int s = sums[r];
+        if (s == 0)
+            continue;
+        ExtendedAccumulator &reg = pes_[static_cast<size_t>(r)]
+                                       .acc.chunkRegister();
+        const int before = reg.exponent();
+        reg.addValue(s < 0, -bases[r] - 7,
+                     static_cast<uint64_t>(s < 0 ? -s : s));
+        if (reg.exponent() != before) {
+            moved = true;
+            st.accExp[r] = static_cast<int16_t>(
+                std::max(reg.exponent(), kLanesExpFloor));
+        }
+    }
+
+    // As in the scalar body: only fired lanes can advance, and OB
+    // verdicts change only where an accumulator exponent moved.
+    settleLanes<G>(moved ? liveMask_ : fired_union);
+}
+
+template <int G>
+void
+FPRakerColumn::settleLanes(uint32_t mask)
+{
+    LaneState &st = lanes_;
+    const DecodedBLanes &b = *st.b;
+    const bool do_ob = cfg_.skipOutOfBounds;
+    const __m128i thr = _mm_set1_epi16(static_cast<int16_t>(
+        std::min(cfg_.effectiveObThreshold(), kLanesThrCap)));
+    const __m128i ones = _mm_set1_epi16(-1);
+    for (mask &= liveMask_; mask; mask &= mask - 1) {
+        const int l = std::countr_zero(mask);
+        const uint32_t bit = 1u << l;
+        LaneStream &s = streams_[l];
+        const TermStream &ts = *s.terms;
+        for (;;) {
+            // One compare over the PEs that still owe the cursor term
+            // (neither fired it nor dropped the stream).
+            const __m128i dt = _mm_set1_epi16(
+                static_cast<int16_t>(curShift_[l] - serial_.exp[l]));
+            __m128i owe_any = _mm_setzero_si128();
+            __m128i all_ob = ones;
+            for (int h = 0; h < G; ++h) {
+                __m128i ob = load16(st.ob[l] + 8 * h);
+                __m128i owe = _mm_andnot_si128(
+                    _mm_or_si128(load16(st.fired[l] + 8 * h), ob), ones);
+                if (do_ob) {
+                    const __m128i k = _mm_add_epi16(
+                        load16(st.accExp + 8 * h),
+                        _mm_sub_epi16(dt, load16(b.exp[l] + 8 * h)));
+                    const __m128i drop =
+                        _mm_and_si128(owe, _mm_cmpgt_epi16(k, thr));
+                    if (_mm_movemask_epi8(drop)) {
+                        // Terms stream MSB-first: the rest of the
+                        // stream is out-of-bounds at these PEs too.
+                        ob = _mm_or_si128(ob, drop);
+                        store16(st.ob[l] + 8 * h, ob);
+                        store16(st.obSkipN + 8 * h,
+                                _mm_add_epi16(
+                                    load16(st.obSkipN + 8 * h),
+                                    _mm_and_si128(
+                                        drop,
+                                        _mm_set1_epi16(static_cast<int16_t>(
+                                            ts.size() - s.cursor)))));
+                        owe = _mm_andnot_si128(drop, owe);
+                    }
+                }
+                owe_any = _mm_or_si128(owe_any, owe);
+                all_ob = _mm_and_si128(all_ob, ob);
+            }
+            if (_mm_movemask_epi8(owe_any))
+                break;
+            if (_mm_movemask_epi8(all_ob) == 0xffff) {
+                // Every PE dropped the lane: the shared encoder drops
+                // the rest of the stream.
+                s.cursor = ts.size();
+                liveMask_ &= ~bit;
+                break;
+            }
+            ++s.cursor;
+            for (int h = 0; h < G; ++h)
+                store16(st.fired[l] + 8 * h, _mm_setzero_si128());
+            if (s.cursor >= ts.size()) {
+                liveMask_ &= ~bit;
+                break;
+            }
+            const Term &t = ts[s.cursor];
+            curShift_[l] = t.shift;
+            curNegMask_ = (curNegMask_ & ~bit) | (t.neg ? bit : 0u);
+        }
+    }
+}
+
+#endif // __SSE2__
+
+void
+FPRakerColumn::finishLanes()
+{
+    const LaneState &st = lanes_;
+    const uint64_t lane_cycles =
+        static_cast<uint64_t>(setCycles_) * DecodedBLanes::kLanes;
+    for (int r = 0; r < numPes_; ++r) {
+        PeStats &s = pes_[static_cast<size_t>(r)].stats;
+        const uint64_t pend = static_cast<uint16_t>(st.pendN[r]);
+        const uint64_t fired = static_cast<uint16_t>(st.fireN[r]);
+        s.laneUseful += fired;
+        s.termsProcessed += fired;
+        s.laneShiftRange += pend - fired;
+        s.laneNoTerm += lane_cycles - pend;
+        s.termsObSkipped += static_cast<uint16_t>(st.obSkipN[r]);
+        s.termsZeroSkipped += serial_.zeroSlots;
+        s.sets += 1;
+        s.macs += DecodedBLanes::kLanes;
+    }
 }
 
 void
@@ -461,6 +911,16 @@ FPRakerColumn::stepCycle()
     // current here.
     if (!liveMask_)
         return;
+
+#ifdef __SSE2__
+    if (lanesSet_) {
+        if (halves_ == 1)
+            stepLanes<1>();
+        else
+            stepLanes<2>();
+        return;
+    }
+#endif
 
     ++setCycles_;
     uint32_t firedUnion = 0;
@@ -600,6 +1060,8 @@ FPRakerColumn::finishSet()
     // case the loop body never runs.)
     while (busy())
         stepCycle();
+    if (lanesSet_)
+        finishLanes();
 
     // Settle the deferred accounting of skipped PEs: a retired PE would
     // have taken the no-term path on every remaining cycle.
@@ -633,35 +1095,13 @@ int
 FPRakerColumn::dot(const BFloat16 *a, const BFloat16 *b, int b_stride,
                    size_t len)
 {
-    const int lanes = cfg_.lanes;
-    // Sets per decode batch: the operand decode for a whole chunk runs
-    // as one tight loop before any set simulates (amortizing the
-    // decode across the row dimension), while the decoded rows stay
-    // small enough to remain cache-resident.
-    constexpr size_t kChunkSets = 32;
-    const size_t rows = static_cast<size_t>(numPes_);
-    decodeScratch_.resize(kChunkSets * rows);
-    int active[kChunkSets];
+    const size_t lanes = static_cast<size_t>(cfg_.lanes);
     int cycles = 0;
-    size_t i = 0;
-    while (i < len) {
-        const size_t chunk_begin = i;
-        size_t nsets = 0;
-        for (; nsets < kChunkSets && i < len; ++nsets) {
-            // Only the final set of the dot can be ragged.
-            const int act = static_cast<int>(std::min<size_t>(
-                static_cast<size_t>(lanes), len - i));
-            decodeBRows(b + i, b_stride, numPes_, act,
-                        decodeScratch_.data() + nsets * rows);
-            active[nsets] = act;
-            i += static_cast<size_t>(act);
-        }
-        for (size_t s = 0; s < nsets; ++s) {
-            beginSetDecoded(
-                a + chunk_begin + s * static_cast<size_t>(lanes),
-                decodeScratch_.data() + s * rows, active[s]);
-            cycles += finishSet();
-        }
+    for (size_t i = 0; i < len; i += lanes) {
+        // Only the final set of the dot can be ragged.
+        beginSet(a + i, b + i, b_stride,
+                 static_cast<int>(std::min(lanes, len - i)));
+        cycles += finishSet();
     }
     return cycles;
 }

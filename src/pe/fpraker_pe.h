@@ -33,12 +33,29 @@
  * Implementation notes (the simulator, not the hardware): the model is
  * bit-identical to the seed algorithm (ReferenceColumn in src/sim/) but
  * restructured for host speed. Lane term streams are read-only pointers
- * into the shared TermLut instead of per-set encoder runs; fired /
- * out-of-bounds flags are per-PE bitmasks; and the encoder-feedback
- * fixpoint (settle) drains each lane independently instead of
- * rescanning every (PE, lane) pair per iteration — legal because the
- * accumulator exponents are constant between processing cycles, which
- * makes lanes independent inside a settle pass.
+ * into the shared TermLut instead of per-set encoder runs, and the
+ * encoder-feedback fixpoint (settle) drains each lane independently
+ * instead of rescanning every (PE, lane) pair per iteration — legal
+ * because the accumulator exponents are constant between processing
+ * cycles, which makes lanes independent inside a settle pass.
+ *
+ * A set runs one of two bodies, chosen per set:
+ *
+ *  - The PE-parallel body: the column's PEs consume each lane's term in
+ *    lockstep, so a cycle is a loop over the (at most 8) lanes of
+ *    16-bit vector ops across the PEs: the fired / out-of-bounds masks
+ *    and the B exponents, significands and signs are held lane-major,
+ *    one vector per lane, and a product exponent adds the lane's
+ *    broadcast A exponent. It runs full 8-lane sets with maxDelta <= 7
+ *    on columns of up to 16 PEs, with no trace callback, on any SIMD
+ *    tier but scalar (FPRAKER_SIMD=scalar pins the other body).
+ *  - The scalar body: a per-PE loop over each PE's pending lanes, with
+ *    per-PE bitmasks. It runs everything else: traced sets, ragged
+ *    dot() tails, wider windows (ablation_window's unlimited point, the
+ *    Bit-Pragmatic PE) and columns of more than 16 PEs.
+ *
+ * Both are integer-exact, and tests/test_sim.cpp holds each bit-equal
+ * to ReferenceColumn.
  */
 
 #ifndef FPRAKER_PE_FPRAKER_PE_H
@@ -112,6 +129,38 @@ class FPRakerColumn
                             int lanes, DecodedBRow *out);
 
     /**
+     * The parallel operands of one full 8-lane set in the PE-parallel
+     * body's lane-major layout: field[l][r] belongs to lane l of PE r.
+     * Two 8-PE halves; rows past the column's PEs hold zero operands.
+     */
+    struct DecodedBLanes
+    {
+        static constexpr int kLanes = 8;
+        static constexpr int kPes = 16;
+        alignas(16) int16_t exp[kLanes][kPes]; //!< Unbiased exponent.
+        alignas(16) int16_t sig[kLanes][kPes]; //!< Significand; 0 = zero.
+        alignas(16) int16_t neg[kLanes][kPes]; //!< Sign as 0 / -1.
+    };
+
+    /**
+     * Decode @p rows (<= DecodedBLanes::kPes) full 8-lane parallel
+     * operand rows (row r lane l at b[r * b_stride + l]) into @p out,
+     * with the finite-operand panic.
+     */
+    static void decodeBLanes(const BFloat16 *b, int b_stride, int rows,
+                             DecodedBLanes *out);
+
+    /**
+     * True when a full set runs the PE-parallel body (see the file
+     * comment); a traced column always runs the scalar body.
+     */
+    bool
+    peParallel() const
+    {
+        return peParallel_ && !trace_;
+    }
+
+    /**
      * Start a new operand set.
      *
      * @param a        cfg.lanes serial operands, shared by every PE
@@ -131,6 +180,13 @@ class FPRakerColumn
      */
     void beginSetDecoded(const BFloat16 *a, const DecodedBRow *brows,
                          int active_lanes = -1);
+
+    /**
+     * Start a full 8-lane set on the PE-parallel body, against
+     * parallel operands from decodeBLanes. Requires peParallel();
+     * @p b must outlive the set. Bit-identical to beginSet.
+     */
+    void beginSetLanes(const BFloat16 *a, const DecodedBLanes &b);
 
     /** True while the current set still has terms to process. */
     bool busy() const;
@@ -156,10 +212,7 @@ class FPRakerColumn
     /**
      * Accumulate a full dot product for every PE of the column:
      * config().lanes pairs per set, PE r's parallel operands at
-     * b[r * b_stride + i]. The batched walk decodes the B operands a
-     * whole chunk of sets at a time (amortizing the operand decode
-     * across the row dimension) before simulating the sets; ragged
-     * tails run as masked sets. Bit-identical to per-set runSet calls.
+     * b[r * b_stride + i]; a ragged tail runs as a masked set.
      * @return total cycles.
      */
     int dot(const BFloat16 *a, const BFloat16 *b, int b_stride,
@@ -234,9 +287,28 @@ class FPRakerColumn
     /** Drain one lane to its settle fixpoint. @p thr is the OB bound. */
     void settleLane(int l, int thr);
 
+    /**
+     * A set start's serial-operand side, shared by both bodies: each
+     * lane's term stream and cursor-term cache, liveMask_, and serial_
+     * for the activeLanes_ lanes of @p a.
+     */
+    void beginSerial(const BFloat16 *a);
+
     /** Cold path: build and deliver one PE's cycle trace record. */
     void emitTrace(int r, int acc_exp, int base, uint32_t pend,
                    uint32_t fire, const int *k_of) const;
+
+    /**
+     * The PE-parallel body's steps over G 8-PE halves: the set start
+     * after beginSerial, one processing cycle, and the settle of the
+     * lanes in @p mask. Defined where SSE2 is available.
+     */
+    template <int G> void beginLanes();
+    template <int G> void stepLanes();
+    template <int G> void settleLanes(uint32_t mask);
+
+    /** Per-set counters of the PE-parallel body into each PeStats. */
+    void finishLanes();
 
     /**
      * Re-derive the per-PE "all lanes retired" summary bits after
@@ -271,6 +343,55 @@ class FPRakerColumn
     uint64_t firedPes_[kMaxLanes] = {};
     uint64_t obPes_[kMaxLanes] = {};
     uint64_t peAll_ = 0; //!< Bit per PE.
+
+    /** The current set's serial operands, per lane (beginSerial). */
+    struct SerialLanes
+    {
+        int16_t exp[kMaxLanes] = {};    //!< Unbiased exponent.
+        uint8_t nterms[kMaxLanes] = {}; //!< Stream length.
+        uint32_t neg = 0;               //!< Sign.
+        uint32_t nonzero = 0;           //!< Non-zero value.
+        uint64_t zeroSlots = 0;         //!< Empty term slots, all lanes.
+    };
+    SerialLanes serial_;
+
+    /**
+     * The PE-parallel body's per-set state, lane-major like
+     * DecodedBLanes: element [l][r] is lane l of PE r. Masks are 0 / -1.
+     * Padding PEs past numPes() start every lane out-of-bounds, so they
+     * never fire, never owe a term, and never block a consensus drop.
+     *
+     * Every field is exact in int16:
+     *  - product exponents Ae + Be lie in [-254, 254] and term shifts
+     *    in [-1, 7], so d = shift - (Ae + Be) and the alignment shift
+     *    k = accExp + d stay within a few hundred;
+     *  - accExp is clamped at kLanesExpFloor, so the empty register's
+     *    kMinExp sentinel gives a k far below any threshold (which is
+     *    clamped to kLanesThrCap) and still never looks out-of-bounds;
+     *  - a set runs at most rows x 64 cycles (each cycle fires a term
+     *    of some PE, and a PE has at most 8 lanes x 8 terms), so a
+     *    PE's pending lane-cycles are at most 16 x 64 x 8 = 8192, and
+     *    its fired and OB-skipped terms at most 64;
+     *  - a contribution is at most 255 << 7 = 32640. Eight of them sum
+     *    in int16 while maxDelta <= 4 (8 x 255 << 4 = 32640), and in
+     *    int32 above that.
+     */
+    struct LaneState
+    {
+        static constexpr int kLanes = DecodedBLanes::kLanes;
+        static constexpr int kPes = DecodedBLanes::kPes;
+        alignas(16) int16_t fired[kLanes][kPes]; //!< Fired cursor term.
+        alignas(16) int16_t ob[kLanes][kPes];    //!< Stream dropped.
+        alignas(16) int16_t accExp[kPes];  //!< Clamped e_acc per PE.
+        alignas(16) int16_t pendN[kPes];   //!< Pending lane-cycles.
+        alignas(16) int16_t fireN[kPes];   //!< Fired lane-cycles.
+        alignas(16) int16_t obSkipN[kPes]; //!< Terms skipped OB.
+        alignas(16) int16_t pad[kPes];     //!< -1 past numPes().
+        const DecodedBLanes *b = nullptr;  //!< This set's B operands.
+    };
+    static constexpr int kLanesExpFloor = -8192;
+    static constexpr int kLanesThrCap = 16000;
+
     std::vector<PeState> pes_;
     std::vector<int> retireCycle_;   //!< Cycle a PE fully retired at.
     std::function<void(const PeCycleTrace &)> trace_;
@@ -281,6 +402,11 @@ class FPRakerColumn
     int activeLanes_ = 0;   //!< Lanes carrying real operands this set.
     int setCycles_ = 0;
     bool inSet_ = false;
+    bool peParallel_ = false; //!< Full sets may run the PE-parallel body.
+    bool lanesSet_ = false;   //!< The current set runs that body.
+    int halves_ = 1;          //!< 8-PE halves of the PE-parallel body.
+    LaneState lanes_;
+    DecodedBLanes laneScratch_; //!< beginSet's PE-parallel decode.
 };
 
 /**

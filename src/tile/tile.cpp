@@ -59,21 +59,30 @@ Tile::run(const TileStepView *steps, size_t n_steps)
     // cycle counts, accumulator contents, and datapath statistics
     // depend only on its own operand sequence, so the recorded cycles
     // feed the timing recurrence below. The sweep is step-major: one
-    // step's broadcast B rows decode once (instead of once per column)
-    // and feed every column while still hot, and the per-column settle
-    // fixpoints advance together under one busy mask that drops each
-    // column the cycle it settles. Columns never share mutable state,
-    // so any interleaving of their stepCycle calls is bit-identical to
-    // a column-major walk.
+    // step's broadcast B rows decode once (instead of once per column),
+    // in the layout of the body the columns run, and feed every column
+    // while still hot, and the per-column settle fixpoints advance
+    // together under one busy mask that drops each column the cycle it
+    // settles. Columns never share mutable state, so any interleaving
+    // of their stepCycle calls is bit-identical to a column-major walk.
     cycleScratch_.resize(cols * n_steps);
-    decodedB_.resize(static_cast<size_t>(cfg_.rows));
+    const bool lane_major = columns_[0]->peParallel();
+    if (!lane_major)
+        decodedB_.resize(static_cast<size_t>(cfg_.rows));
     for (size_t s = 0; s < n_steps; ++s) {
-        FPRakerColumn::decodeBRows(steps[s].b, lanes, cfg_.rows, lanes,
-                                   decodedB_.data());
+        if (lane_major)
+            FPRakerColumn::decodeBLanes(steps[s].b, lanes, cfg_.rows,
+                                        &decodedLanes_);
+        else
+            FPRakerColumn::decodeBRows(steps[s].b, lanes, cfg_.rows,
+                                       lanes, decodedB_.data());
         uint64_t busy = 0;
         for (size_t c = 0; c < cols; ++c) {
-            columns_[c]->beginSetDecoded(steps[s].a + c * lanes,
-                                         decodedB_.data());
+            const BFloat16 *a = steps[s].a + c * lanes;
+            if (lane_major)
+                columns_[c]->beginSetLanes(a, decodedLanes_);
+            else
+                columns_[c]->beginSetDecoded(a, decodedB_.data());
             if (columns_[c]->busy())
                 busy |= uint64_t(1) << c;
         }

@@ -2,8 +2,8 @@
  * @file
  * Tests for the observability layer (src/obs/): histogram bucket
  * semantics, per-thread shard aggregation under concurrent writers,
- * registry create-or-find and rendering, and Chrome trace_event file
- * well-formedness.
+ * registry create-or-find and rendering, Chrome trace_event file
+ * well-formedness, and the stage spans of a simulated burst.
  *
  * The trace tests run after the disabled-collector test: the
  * process-wide TraceCollector can only be switched on, so the
@@ -15,16 +15,20 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "accel/phase_runner.h"
 #include "api/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/result_cache.h"
 #include "sim/sim_memo.h"
+#include "trace/model_zoo.h"
 
 namespace fpraker {
 namespace {
@@ -315,6 +319,57 @@ TEST(Trace, WriteProducesWellFormedTraceEvents)
     EXPECT_GE(instant, static_cast<size_t>(threads));
     // Each worker thread got its own tid in the merged stream.
     EXPECT_GE(tids.size(), static_cast<size_t>(threads));
+}
+
+/** Complete-event counts by category and name, from a fresh write. */
+std::map<std::string, std::map<std::string, size_t>>
+spanCounts()
+{
+    const std::string path = "test_obs_stage_trace.json";
+    EXPECT_TRUE(obs::TraceCollector::instance().writeTo(path));
+    std::ifstream in(path);
+    std::stringstream buf;
+    buf << in.rdbuf();
+    std::remove(path.c_str());
+    std::string parse_error;
+    api::JsonValue doc = api::JsonValue::parse(buf.str(), &parse_error);
+    EXPECT_TRUE(parse_error.empty()) << parse_error;
+    std::map<std::string, std::map<std::string, size_t>> counts;
+    const api::JsonValue *events = doc.find("traceEvents");
+    if (!events)
+        return counts;
+    for (const api::JsonValue &e : events->items())
+        if (e.find("ph")->str() == "X")
+            ++counts[e.find("cat")->str()][e.find("name")->str()];
+    return counts;
+}
+
+TEST(Trace, EverySimulatedBurstHasThreeStageSpans)
+{
+    // A traced phase with the memo off: every burst simulates and is
+    // split into its fill, classify and tile stages.
+    obs::TraceCollector::instance().enable();
+    auto before = spanCounts();
+
+    const ModelInfo &model = findModel("VGG16");
+    PhaseRunConfig cfg;
+    cfg.sampleSteps = 40;
+    cfg.stepsPerOutput = 8;
+    const PhasePlan plan = planPhaseSample(
+        model, model.layers[4], TrainingOp::Forward, 0.5, cfg);
+    ASSERT_GT(plan.bursts, 1u);
+    runPhaseSample(model, model.layers[4], TrainingOp::Forward, 0.5, cfg);
+
+    auto after = spanCounts();
+    size_t bursts = 0;
+    for (const auto &[name, n] : after["burst"])
+        bursts += n - before["burst"][name];
+    EXPECT_EQ(bursts, plan.bursts);
+    for (const char *stage : {"fill", "classify", "tile"})
+        EXPECT_EQ(after["stage"][stage] - before["stage"][stage],
+                  plan.bursts)
+            << stage;
+    EXPECT_EQ(after["stage"].size(), 3u);
 }
 
 } // namespace

@@ -10,6 +10,8 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -99,7 +101,72 @@ expectStatsEqual(const PeStats &a, const PeStats &b, const char *what)
     EXPECT_EQ(a.termsObSkipped, b.termsObSkipped) << what;
 }
 
-/** Fuzz the optimized column against the seed-parity reference. */
+/**
+ * Every PE of @p opt against @p ref: the FP32 total, the exact chunk
+ * register, and all eleven stat counters.
+ */
+void
+expectColumnMatches(const FPRakerColumn &opt, const ReferenceColumn &ref,
+                    const std::string &what)
+{
+    for (int r = 0; r < ref.numPes(); ++r) {
+        const std::string pe = what + ", pe " + std::to_string(r);
+        EXPECT_EQ(opt.accumulator(r).total(), ref.accumulator(r).total())
+            << pe;
+        EXPECT_EQ(opt.accumulator(r).chunkRegister().readDouble(),
+                  ref.accumulator(r).chunkRegister().readDouble())
+            << pe;
+        EXPECT_EQ(opt.accumulator(r).chunkRegister().exponent(),
+                  ref.accumulator(r).chunkRegister().exponent())
+            << pe;
+        expectStatsEqual(opt.stats(r), ref.stats(r), pe.c_str());
+    }
+}
+
+/**
+ * One column three ways: the seed reference, the default body (the
+ * PE-parallel one wherever it applies), and the scalar body, which a
+ * trace callback pins. The forced-scalar CI leg runs the default
+ * column on the scalar body too.
+ */
+struct ColumnTriple
+{
+    ReferenceColumn ref;
+    FPRakerColumn fast;
+    FPRakerColumn scalar;
+
+    ColumnTriple(const PeConfig &cfg, int pes)
+        : ref(cfg, pes), fast(cfg, pes), scalar(cfg, pes)
+    {
+        scalar.setTraceCallback([](const PeCycleTrace &) {});
+    }
+
+    /** One full 8-lane set; false (with a failure) on diverged cycles. */
+    bool
+    runSet(const BFloat16 *a, const BFloat16 *b, const std::string &what)
+    {
+        const int want = ref.runSet(a, b, 8);
+        const int fast_cycles = fast.runSet(a, b, 8);
+        const int scalar_cycles = scalar.runSet(a, b, 8);
+        EXPECT_EQ(fast_cycles, want) << what;
+        EXPECT_EQ(scalar_cycles, want) << what << " (scalar body)";
+        return fast_cycles == want && scalar_cycles == want;
+    }
+
+    void
+    expectMatch(const std::string &what) const
+    {
+        expectColumnMatches(fast, ref, what);
+        expectColumnMatches(scalar, ref, what + " (scalar body)");
+    }
+};
+
+/**
+ * Fuzz the optimized column against the seed-parity reference. Columns
+ * of 1-16 PEs and windows of 0-8 are stratified so every size meets
+ * several windows, either side of the PE-parallel body's limits
+ * (maxDelta <= 7; 8 PEs per vector half).
+ */
 class ColumnParity : public ::testing::TestWithParam<int>
 {
 };
@@ -108,8 +175,9 @@ TEST_P(ColumnParity, BitIdenticalToReference)
 {
     Rng rng(static_cast<uint64_t>(GetParam()) * 7717 + 3);
     for (int trial = 0; trial < 6; ++trial) {
+        const int i = GetParam() * 6 + trial;
         PeConfig cfg;
-        cfg.maxDelta = static_cast<int>(rng.uniformInt(0, 6));
+        cfg.maxDelta = i % 9;
         cfg.obThreshold = rng.bernoulli(0.5)
                               ? -1
                               : static_cast<int>(rng.uniformInt(0, 14));
@@ -117,36 +185,197 @@ TEST_P(ColumnParity, BitIdenticalToReference)
         cfg.encoding = rng.bernoulli(0.5) ? TermEncoding::Canonical
                                           : TermEncoding::RawBits;
         cfg.acc.fracBits = static_cast<int>(rng.uniformInt(6, 16));
-        const int pes = static_cast<int>(rng.uniformInt(1, 4));
+        const int pes = 1 + i % 16;
         double sparsity = rng.uniform(0.0, 0.6);
         double sigma = rng.uniform(0.5, 5.0);
 
-        FPRakerColumn opt(cfg, pes);
-        ReferenceColumn ref(cfg, pes);
+        ColumnTriple col(cfg, pes);
+        const std::string what = "trial " + std::to_string(trial) + ", " +
+                                  std::to_string(pes) + " PEs, window " +
+                                  std::to_string(cfg.maxDelta);
         for (int set = 0; set < 24; ++set) {
             auto a = randomValues(rng, 8, sparsity, sigma);
             auto b = randomValues(
                 rng, static_cast<size_t>(pes) * 8, sparsity, sigma);
-            int c_opt = opt.runSet(a.data(), b.data(), 8);
-            int c_ref = ref.runSet(a.data(), b.data(), 8);
-            ASSERT_EQ(c_opt, c_ref)
-                << "cycles diverged, trial " << trial << " set " << set;
+            ASSERT_TRUE(col.runSet(a.data(), b.data(),
+                                   what + ", set " + std::to_string(set)));
         }
-        for (int r = 0; r < pes; ++r) {
-            ASSERT_EQ(opt.accumulator(r).total(),
-                      ref.accumulator(r).total())
-                << "trial " << trial << " pe " << r;
-            ASSERT_EQ(
-                opt.accumulator(r).chunkRegister().readDouble(),
-                ref.accumulator(r).chunkRegister().readDouble())
-                << "trial " << trial << " pe " << r;
-        }
-        expectStatsEqual(opt.aggregateStats(), ref.aggregateStats(),
-                         "column stats");
+        col.expectMatch(what);
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(Fuzz, ColumnParity, ::testing::Range(0, 8));
+
+/** bfloat16 from its sign, biased exponent field, and 7 mantissa bits. */
+BFloat16
+bf16Fields(bool neg, int biased_exp, int mantissa)
+{
+    return BFloat16::fromBits(static_cast<uint16_t>(
+        (neg ? 0x8000 : 0) | (biased_exp << 7) | (mantissa & 0x7f)));
+}
+
+/**
+ * The shapes at the edges of the PE-parallel body's int16 layout, on
+ * columns either side of its 8-PE halves and under the machine
+ * variants that change its paths: the paper's PE, the widest window
+ * it runs, OB skipping off, and RawBits streams (up to 8 terms).
+ */
+TEST(ColumnParity, Int16EdgeShapesMatchReference)
+{
+    std::vector<std::pair<std::string, PeConfig>> machines;
+    machines.emplace_back("paper", PeConfig{});
+    PeConfig wide;
+    wide.maxDelta = 7;
+    machines.emplace_back("window 7", wide);
+    PeConfig no_ob;
+    no_ob.skipOutOfBounds = false;
+    machines.emplace_back("no OB skipping", no_ob);
+    PeConfig raw;
+    raw.encoding = TermEncoding::RawBits;
+    raw.maxDelta = 5;
+    raw.obThreshold = 4;
+    machines.emplace_back("RawBits", raw);
+
+    for (const auto &[name, cfg] : machines) {
+        for (int pes : {1, 7, 8, 9, 16}) {
+            const std::string col_what =
+                name + ", " + std::to_string(pes) + " PEs";
+            Rng rng(static_cast<uint64_t>(pes) * 131 + cfg.maxDelta);
+            const size_t b_len = static_cast<size_t>(pes) * 8;
+
+            {
+                // A fresh register with every product zero keeps the
+                // kMinExp sentinel through the set, while the non-zero
+                // A lanes still fire (B significand 0) term by term.
+                // Later sets give the odd PEs real products, so
+                // sentinel and live exponents share one vector.
+                ColumnTriple col(cfg, pes);
+                for (int set = 0; set < 6; ++set) {
+                    auto a = randomValues(rng, 8, 0.2, 3.0);
+                    std::vector<BFloat16> b(b_len, -BFloat16());
+                    if (set >= 3) {
+                        auto live = randomValues(rng, b_len, 0.3, 3.0);
+                        for (size_t r = 1; r < static_cast<size_t>(pes);
+                             r += 2)
+                            std::copy_n(live.begin() + r * 8, 8,
+                                        b.begin() + r * 8);
+                    }
+                    ASSERT_TRUE(col.runSet(a.data(), b.data(),
+                                           col_what + ", zero B"));
+                    for (int r = 0; r < pes; r += set >= 3 ? 2 : 1)
+                        EXPECT_EQ(
+                            col.fast.accumulator(r).chunkRegister().exponent(),
+                            ExtendedAccumulator::kMinExp)
+                            << col_what << ", pe " << r;
+                }
+                col.expectMatch(col_what + ", zero B");
+            }
+
+            {
+                // One set leaves +v in each register; the next takes v
+                // back in its first cycle (CancellingSetEmptiesThe-
+                // RegisterMidSet checks the shape) while a smaller lane
+                // stalls outside the paper's window and lands after.
+                ColumnTriple col(cfg, pes);
+                for (int pair = 0; pair < 4; ++pair) {
+                    std::vector<BFloat16> a(8, BFloat16());
+                    std::vector<BFloat16> b(b_len, BFloat16());
+                    a[0] = bf16(1.0f);
+                    for (int r = 0; r < pes; ++r) {
+                        const float v =
+                            static_cast<float>(1 + (r + pair) % 5);
+                        b[r * 8 + 0] = bf16(pair % 2 ? -v : v);
+                        b[r * 8 + 2] = bf16(v / 64.0f);
+                    }
+                    ASSERT_TRUE(col.runSet(a.data(), b.data(),
+                                           col_what + ", cancelling"));
+                    a[0] = bf16(-1.0f);
+                    a[2] = bf16(1.75f);
+                    ASSERT_TRUE(col.runSet(a.data(), b.data(),
+                                           col_what + ", cancelling"));
+                    col.expectMatch(col_what + ", cancelling");
+                    col.ref.resetAccumulators();
+                    col.fast.resetAccumulators();
+                    col.scalar.resetAccumulators();
+                }
+            }
+
+            {
+                // Product exponents near +-254: the largest and the
+                // smallest normal exponents, mixed with zeros, so OB
+                // drops and MAX alignments span the whole range.
+                ColumnTriple col(cfg, pes);
+                for (int set = 0; set < 12; ++set) {
+                    std::vector<BFloat16> a(8), b(b_len);
+                    auto extreme = [&] {
+                        const int e = rng.bernoulli(0.5)
+                                          ? 254 - static_cast<int>(
+                                                      rng.uniformInt(0, 2))
+                                          : 1 + static_cast<int>(
+                                                    rng.uniformInt(0, 2));
+                        return rng.bernoulli(0.1)
+                                   ? BFloat16()
+                                   : bf16Fields(rng.bernoulli(0.5), e,
+                                                static_cast<int>(
+                                                    rng.uniformInt(0, 127)));
+                    };
+                    for (auto &x : a)
+                        x = extreme();
+                    for (auto &x : b)
+                        x = extreme();
+                    ASSERT_TRUE(col.runSet(a.data(), b.data(),
+                                           col_what + ", extreme exponents"));
+                    if (set % 4 == 3) {
+                        col.ref.resetAccumulators();
+                        col.fast.resetAccumulators();
+                        col.scalar.resetAccumulators();
+                    }
+                }
+                col.expectMatch(col_what + ", extreme exponents");
+            }
+
+            {
+                // Dense random sets under this machine.
+                ColumnTriple col(cfg, pes);
+                for (int set = 0; set < 16; ++set) {
+                    auto a = randomValues(rng, 8, 0.1, 2.5);
+                    auto b = randomValues(rng, b_len, 0.1, 2.5);
+                    ASSERT_TRUE(
+                        col.runSet(a.data(), b.data(), col_what + ", dense"));
+                }
+                col.expectMatch(col_what + ", dense");
+            }
+        }
+    }
+}
+
+TEST(ColumnParity, CancellingSetEmptiesTheRegisterMidSet)
+{
+    // The cancelling shape above does what it claims: in the
+    // reference, a register holding +v reads zero after v is taken
+    // back in one cycle, while the set still has terms to process.
+    PeConfig cfg;
+    ReferenceColumn ref(cfg, 1);
+    std::vector<BFloat16> a(8, BFloat16()), b(8, BFloat16());
+    a[0] = bf16(1.0f);
+    b[0] = bf16(3.0f);
+    ref.runSet(a.data(), b.data(), 8);
+    ASSERT_EQ(ref.accumulator(0).chunkRegister().readDouble(), 3.0);
+    a[0] = bf16(-1.0f);
+    a[2] = bf16(1.75f);
+    b[2] = bf16(3.0f / 64.0f);
+    ref.beginSet(a.data(), b.data(), 8);
+    bool emptied = false;
+    while (ref.busy()) {
+        ref.stepCycle();
+        if (ref.busy() &&
+            ref.accumulator(0).chunkRegister().readDouble() == 0.0)
+            emptied = true;
+    }
+    ref.finishSet();
+    EXPECT_TRUE(emptied);
+    EXPECT_NE(ref.accumulator(0).chunkRegister().readDouble(), 0.0);
+}
 
 /**
  * Wide-row parity: the Fig. 19/20 geometries put up to 16 PEs on one
@@ -234,10 +463,11 @@ TEST(WideRowParity, WideTileMatchesReferenceTile)
 
 TEST(TileParity, MatchesReferenceTileOverBursts)
 {
-    // A 4x4 tile, and the widest tile the busy mask admits: its
-    // column 63 rides bit 63.
+    // A 4x4 tile, the paper's 8x8 tile, and the widest tile the busy
+    // mask admits: its column 63 rides bit 63.
     Rng rng(2024);
-    for (auto [rows, cols] : {std::pair{4, 4}, std::pair{2, 64}}) {
+    for (auto [rows, cols] :
+         {std::pair{4, 4}, std::pair{8, 8}, std::pair{2, 64}}) {
         TileConfig cfg;
         cfg.rows = rows;
         cfg.cols = cols;
