@@ -5,8 +5,8 @@
  * B1 = 2^1 x 1.1010), raw-bit term streams, a 3-position shifter
  * window, and — in the second run — a 6-bit accumulator whose
  * out-of-bounds skipping saves the final cycle. Uses the PE's trace
- * callback (setTraceCallback), which disables the simulator's
- * retirement-skip fast path so every cycle is observable.
+ * callback (setTraceCallback), which runs the column's scalar body and
+ * reports every PE's lanes on every cycle.
  *
  *   ./pe_walkthrough
  */

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <climits>
-#include <cstring>
 
 #ifdef __SSE2__
 #include <emmintrin.h>
@@ -13,9 +12,66 @@
 
 namespace fpraker {
 
+namespace {
+
+/**
+ * The adder tree of one PE-cycle, shared by both column bodies: the
+ * fired lanes' contributions, bSig x 2^lsb each, added in lane order.
+ */
+struct AdderTree
+{
+    static constexpr int kMax = ExponentBlockResult::kMaxLanes;
+    int lsb[kMax];
+    uint8_t sig[kMax];
+    uint32_t neg = 0; //!< Bit i: contribution i is negative.
+    int n = 0;
+    int lo = INT_MAX; //!< Lowest LSB.
+    int hi = INT_MIN; //!< Highest LSB.
+
+    void
+    add(uint8_t b_sig, int lsb_exp, bool negative)
+    {
+        sig[n] = b_sig;
+        lsb[n] = lsb_exp;
+        neg |= static_cast<uint32_t>(negative) << n;
+        ++n;
+        lo = std::min(lo, lsb_exp);
+        hi = std::max(hi, lsb_exp);
+    }
+
+    /**
+     * Add the contributions to @p reg. While their LSBs (zero
+     * significands included) span at most 48 bits, the tree is an
+     * exact int64 sum added once on the lowest LSB; wider trees (the
+     * Bit-Pragmatic PE's unrestricted shifters) add contribution by
+     * contribution.
+     */
+    void
+    addTo(ExtendedAccumulator &reg) const
+    {
+        if (n == 0)
+            return;
+        if (hi - lo > 48) {
+            for (int i = 0; i < n; ++i)
+                if (sig[i] != 0)
+                    reg.addValue((neg >> i) & 1u, lsb[i], sig[i]);
+            return;
+        }
+        int64_t sum = 0;
+        for (int i = 0; i < n; ++i) {
+            const int64_t c = static_cast<int64_t>(sig[i]) << (lsb[i] - lo);
+            sum += (neg >> i) & 1u ? -c : c;
+        }
+        if (sum != 0)
+            reg.addValue(sum < 0, lo,
+                         static_cast<uint64_t>(sum < 0 ? -sum : sum));
+    }
+};
+
+} // namespace
+
 FPRakerColumn::FPRakerColumn(const PeConfig &cfg, int num_pes)
-    : cfg_(cfg), numPes_(num_pes), lut_(&TermLut::of(cfg.encoding)),
-      vlut_(&ValueLut::of(cfg.encoding))
+    : cfg_(cfg), numPes_(num_pes), vlut_(&ValueLut::of(cfg.encoding))
 {
     panic_if(cfg_.lanes < 1 || cfg_.lanes > kMaxLanes,
              "unsupported lane count %d", cfg_.lanes);
@@ -28,12 +84,10 @@ FPRakerColumn::FPRakerColumn(const PeConfig &cfg, int num_pes)
     pes_.reserve(static_cast<size_t>(numPes_));
     for (int r = 0; r < numPes_; ++r)
         pes_.emplace_back(cfg_.acc);
-    retireCycle_.resize(static_cast<size_t>(numPes_));
 #ifdef __SSE2__
-    // The PE-parallel body shifts 8-bit significands by up to maxDelta
-    // in 16-bit lanes, and holds two 8-PE halves.
+    // The PE-parallel body holds 8 lanes of two 8-PE halves.
     peParallel_ = cfg_.lanes == DecodedBLanes::kLanes &&
-                  cfg_.maxDelta <= 7 && numPes_ <= DecodedBLanes::kPes &&
+                  numPes_ <= DecodedBLanes::kPes &&
                   slab::activeTier() != slab::SimdTier::Scalar;
 #endif
     halves_ = numPes_ > 8 ? 2 : 1;
@@ -45,88 +99,87 @@ void
 FPRakerColumn::beginSet(const BFloat16 *a, const BFloat16 *b,
                         int b_stride, int active_lanes)
 {
-    const int lanes = active_lanes < 0 ? cfg_.lanes : active_lanes;
-    panic_if(lanes < 1 || lanes > cfg_.lanes,
-             "bad active lane count %d", lanes);
-    if (lanes == cfg_.lanes && peParallel()) {
+    panic_if(inSet_, "beginSet while a set is in flight");
+    activeLanes_ = active_lanes < 0 ? cfg_.lanes : active_lanes;
+    panic_if(activeLanes_ < 1 || activeLanes_ > cfg_.lanes,
+             "bad active lane count %d", activeLanes_);
+    if (activeLanes_ == cfg_.lanes && peParallel()) {
         decodeBLanes(b, b_stride, numPes_, &laneScratch_);
         beginSetLanes(a, laneScratch_);
         return;
     }
-    decodeScratch_.resize(static_cast<size_t>(numPes_));
-    decodeBRows(b, b_stride, numPes_, lanes, decodeScratch_.data());
-    beginSetDecoded(a, decodeScratch_.data(), lanes);
-}
 
-void
-FPRakerColumn::decodeBRows(const BFloat16 *b, int b_stride, int rows,
-                           int lanes, DecodedBRow *out)
-{
-#ifdef __SSE2__
-    // Vector fast path for full 8-lane rows: the whole per-row field
-    // split (zero/finite classification, exponent, significand, sign)
-    // is 8 x 16-bit data — one SSE register per row. Integer-exact,
-    // so bit-identical to the scalar path below.
-    if (lanes == 8) {
-        const __m128i vzero128 = _mm_setzero_si128();
-        for (int r = 0; r < rows; ++r) {
-            DecodedBRow &dr = out[r];
-            const BFloat16 *brow =
-                b + static_cast<size_t>(r) * b_stride;
-            __m128i vb;
-            std::memcpy(&vb, brow, 16);
-
-            const __m128i vexpf =
-                _mm_and_si128(vb, _mm_set1_epi16(0x7f80));
-            if (_mm_movemask_epi8(_mm_cmpeq_epi16(
-                    vexpf, _mm_set1_epi16(0x7f80)))) {
-                for (int l = 0; l < 8; ++l)
-                    panic_if(!brow[l].isFinite(),
-                             "non-finite PE operand (b=%04x)",
-                             brow[l].bits());
-            }
-
-            const __m128i vbzero = _mm_cmpeq_epi16(
-                _mm_and_si128(vb, _mm_set1_epi16(0x7fff)), vzero128);
-            const __m128i vbe = _mm_and_si128(_mm_srli_epi16(vb, 7),
-                                              _mm_set1_epi16(0xff));
-            _mm_store_si128(
-                reinterpret_cast<__m128i *>(dr.beBiased), vbe);
-            _mm_store_si128(
-                reinterpret_cast<__m128i *>(dr.zero16), vbzero);
-            const __m128i vsig16 = _mm_andnot_si128(
-                vbzero,
-                _mm_or_si128(_mm_and_si128(vb, _mm_set1_epi16(0x7f)),
-                             _mm_set1_epi16(0x80)));
-            _mm_storel_epi64(reinterpret_cast<__m128i *>(dr.sig),
-                             _mm_packus_epi16(vsig16, vzero128));
-            dr.negMask = static_cast<uint32_t>(
-                _mm_movemask_epi8(_mm_packs_epi16(
-                    _mm_srai_epi16(vb, 15), vzero128)));
-        }
-        return;
+    beginSerial(a);
+    for (int l = 0; l < activeLanes_; ++l) {
+        firedPes_[l] = 0;
+        obPes_[l] = 0;
     }
-#endif // __SSE2__
-    // Scalar fallback: the whole per-value field split is one load
-    // from the decoded-value table (the value memoization grain; the
-    // B-side fields are encoding-independent).
-    const ValueLut &vlut = ValueLut::bDecode();
-    for (int r = 0; r < rows; ++r) {
-        DecodedBRow &dr = out[r];
+
+    // The post-set settle is folded in: before any term fires the only
+    // possible encoder feedback is a first-term out-of-bounds flag (and
+    // the consensus drop when every PE raises it), so both are resolved
+    // here and the set starts settled.
+    const int thr =
+        cfg_.skipOutOfBounds ? cfg_.effectiveObThreshold() : INT_MAX;
+    // The B-side fields are one load each from the decoded-value table.
+    const ValueLut &bvals = ValueLut::bDecode();
+    uint32_t all_ob = liveMask_;
+    for (int r = 0; r < numPes_; ++r) {
+        PeState &pe = pes_[static_cast<size_t>(r)];
         const BFloat16 *brow = b + static_cast<size_t>(r) * b_stride;
-        dr.negMask = 0;
-        for (int l = 0; l < lanes; ++l) {
-            const ValueLut::Entry &e = vlut.entry(brow[l].bits());
+        int emax = pe.acc.chunkRegister().exponent();
+        uint32_t b_neg = 0;
+        for (int l = 0; l < activeLanes_; ++l) {
+            const ValueLut::Entry &e = bvals.entry(brow[l].bits());
             panic_if(!(e.flags & ValueLut::kFinite),
                      "non-finite PE operand (b=%04x)", brow[l].bits());
-            dr.beBiased[l] = e.biasedExp;
-            dr.zero16[l] =
-                (e.flags & ValueLut::kZero) ? int16_t(-1) : int16_t(0);
-            dr.sig[l] = e.sig;
+            // Zero operands carry an all-zero exponent field; their
+            // product exponents are far below any normal value, so the
+            // MAX tree ignores them and the out-of-bounds check retires
+            // the lane immediately.
+            const int ab = serial_.exp[l] + e.unbiasedExp;
+            pe.abExp[l] = static_cast<int16_t>(ab);
+            pe.bSig[l] = e.sig;
             if (e.flags & ValueLut::kNegative)
-                dr.negMask |= 1u << l;
+                b_neg |= 1u << l;
+            if (((serial_.nonzero >> l) & 1u) &&
+                !(e.flags & ValueLut::kZero) && ab > emax)
+                emax = ab;
         }
+        pe.prodNegMask = serial_.neg ^ b_neg;
+        pe.firedMask = 0;
+        pe.acc.chunkRegister().alignTo(emax);
+
+        uint32_t ob = 0;
+        if (thr != INT_MAX) {
+            const int acc_exp = pe.acc.chunkRegister().exponent();
+            for (uint32_t m = liveMask_; m; m &= m - 1) {
+                const int l = std::countr_zero(m);
+                if (acc_exp - pe.abExp[l] + curShift_[l] > thr) {
+                    ob |= 1u << l;
+                    pe.stats.termsObSkipped += serial_.nterms[l];
+                    obPes_[l] |= 1ull << r;
+                }
+            }
+        }
+        pe.obMask = ob;
+        all_ob &= ob;
+
+        pe.stats.termsZeroSkipped += serial_.zeroSlots;
+        pe.stats.sets += 1;
+        pe.stats.macs += static_cast<uint64_t>(activeLanes_);
     }
+
+    // Consensus drop of lanes every PE flagged on their first term.
+    for (uint32_t m = all_ob; m; m &= m - 1) {
+        const int l = std::countr_zero(m);
+        streams_[l].cursor = streams_[l].terms->size();
+    }
+    liveMask_ &= ~all_ob;
+
+    setCycles_ = 0;
+    inSet_ = true;
+    lanesSet_ = false;
 }
 
 #ifdef __SSE2__
@@ -245,192 +298,6 @@ FPRakerColumn::decodeBLanes(const BFloat16 *b, int b_stride, int rows,
     (void)kLanes;
     panic("the lane-major B layout needs SSE2");
 #endif // __SSE2__
-}
-
-void
-FPRakerColumn::beginSetDecoded(const BFloat16 *a,
-                               const DecodedBRow *brows,
-                               int active_lanes)
-{
-    panic_if(inSet_, "beginSet while a set is in flight");
-    activeLanes_ = active_lanes < 0 ? cfg_.lanes : active_lanes;
-    panic_if(activeLanes_ < 1 || activeLanes_ > cfg_.lanes,
-             "bad active lane count %d", activeLanes_);
-
-    beginSerial(a);
-    const int16_t *a_exp = serial_.exp;
-    const uint8_t *nterms = serial_.nterms;
-    const uint32_t a_neg = serial_.neg;
-    const uint32_t a_nonzero = serial_.nonzero;
-    const uint64_t zero_slots = serial_.zeroSlots;
-    for (int l = 0; l < activeLanes_; ++l) {
-        firedPes_[l] = 0;
-        obPes_[l] = 0;
-    }
-
-    // The post-set settle is folded in: before any term fires the only
-    // possible encoder feedback is a first-term out-of-bounds flag (and
-    // the consensus drop when every PE raises it), so both are resolved
-    // here and the set starts settled.
-    const int thr =
-        cfg_.skipOutOfBounds ? cfg_.effectiveObThreshold() : INT_MAX;
-    uint32_t all_ob = liveMask_;
-
-#ifdef __SSE2__
-    // Vector fast path for full 8-lane sets: combining the decoded
-    // rows with the column's A stream (product exponents, MAX-tree
-    // input, first-term OB compare) is 8 x 16-bit data — one SSE
-    // register. Integer-exact, so bit-identical to the scalar path
-    // below.
-    if (activeLanes_ == 8) {
-        const __m128i vzero128 = _mm_setzero_si128();
-        __m128i va_exp_m127;
-        __m128i va_nonzero16 = vzero128;
-        __m128i vshift0_16 = vzero128;
-        {
-            int16_t tmp[8];
-            for (int l = 0; l < 8; ++l)
-                tmp[l] = static_cast<int16_t>(a_exp[l] - 127);
-            std::memcpy(&va_exp_m127, tmp, 16);
-            int16_t nz[8];
-            int16_t sh[8];
-            for (int l = 0; l < 8; ++l) {
-                nz[l] = (a_nonzero >> l) & 1u ? int16_t(-1) : int16_t(0);
-                sh[l] = (liveMask_ >> l) & 1u ? curShift_[l] : int16_t(0);
-            }
-            std::memcpy(&va_nonzero16, nz, 16);
-            std::memcpy(&vshift0_16, sh, 16);
-        }
-        const __m128i vthr16 = _mm_set1_epi16(
-            static_cast<int16_t>(thr > 16000 ? 16000 : thr));
-        const bool do_ob = thr != INT_MAX;
-
-        for (int r = 0; r < numPes_; ++r) {
-            PeState &pe = pes_[r];
-            const DecodedBRow &dr = brows[r];
-            __m128i vbe, vbzero;
-            std::memcpy(&vbe, dr.beBiased, 16);
-            std::memcpy(&vbzero, dr.zero16, 16);
-            const __m128i vab = _mm_add_epi16(va_exp_m127, vbe);
-            _mm_storeu_si128(reinterpret_cast<__m128i *>(pe.abExp),
-                             vab);
-            std::memcpy(pe.bSig, dr.sig, 8);
-            pe.prodNegMask = a_neg ^ dr.negMask;
-            pe.firedMask = 0;
-
-            int emax = pe.acc.chunkRegister().exponent();
-            const __m128i vactive =
-                _mm_andnot_si128(vbzero, va_nonzero16);
-            if (_mm_movemask_epi8(vactive)) {
-                __m128i vm = _mm_or_si128(
-                    _mm_and_si128(vactive, vab),
-                    _mm_andnot_si128(vactive,
-                                     _mm_set1_epi16(INT16_MIN)));
-                vm = _mm_max_epi16(vm, _mm_srli_si128(vm, 8));
-                vm = _mm_max_epi16(vm, _mm_srli_si128(vm, 4));
-                vm = _mm_max_epi16(vm, _mm_srli_si128(vm, 2));
-                const int m = static_cast<int16_t>(
-                    _mm_extract_epi16(vm, 0));
-                if (m > emax)
-                    emax = m;
-            }
-            pe.acc.chunkRegister().alignTo(emax);
-
-            uint32_t ob = 0;
-            if (do_ob) {
-                const int acc_exp = pe.acc.chunkRegister().exponent();
-                if (acc_exp > -16000) {
-                    // acc_exp fits int16 here (bfloat16 exponents cap
-                    // it near +-300); below -16000 the register is the
-                    // zero sentinel and no term can be out-of-bounds.
-                    const __m128i vk = _mm_add_epi16(
-                        _mm_sub_epi16(
-                            _mm_set1_epi16(
-                                static_cast<int16_t>(acc_exp)),
-                            vab),
-                        vshift0_16);
-                    ob = static_cast<uint32_t>(_mm_movemask_epi8(
-                             _mm_packs_epi16(
-                                 _mm_cmpgt_epi16(vk, vthr16),
-                                 vzero128))) &
-                         liveMask_;
-                    for (uint32_t mm = ob; mm; mm &= mm - 1) {
-                        const int l = std::countr_zero(mm);
-                        pe.stats.termsObSkipped += nterms[l];
-                        obPes_[l] |= 1ull << r;
-                    }
-                }
-            }
-            pe.obMask = ob;
-            all_ob &= ob;
-
-            pe.stats.termsZeroSkipped += zero_slots;
-            pe.stats.sets += 1;
-            pe.stats.macs += static_cast<uint64_t>(activeLanes_);
-        }
-    } else
-#endif // __SSE2__
-    {
-        for (int r = 0; r < numPes_; ++r) {
-            PeState &pe = pes_[r];
-            const DecodedBRow &dr = brows[r];
-            int emax = pe.acc.chunkRegister().exponent();
-            for (int l = 0; l < activeLanes_; ++l) {
-                // Zero operands carry an all-zero exponent field;
-                // their product exponents are far below any normal
-                // value, so the MAX tree ignores them and the
-                // out-of-bounds check retires the lane immediately.
-                const int ab = a_exp[l] + dr.beBiased[l] - 127;
-                pe.abExp[l] = static_cast<int16_t>(ab);
-                pe.bSig[l] = dr.sig[l];
-                if (((a_nonzero >> l) & 1u) && dr.zero16[l] == 0 &&
-                    ab > emax)
-                    emax = ab;
-            }
-            pe.prodNegMask = a_neg ^ dr.negMask;
-            pe.firedMask = 0;
-            pe.acc.chunkRegister().alignTo(emax);
-
-            uint32_t ob = 0;
-            if (thr != INT_MAX) {
-                const int acc_exp = pe.acc.chunkRegister().exponent();
-                for (uint32_t m = liveMask_; m; m &= m - 1) {
-                    const int l = std::countr_zero(m);
-                    if (acc_exp - pe.abExp[l] + curShift_[l] > thr) {
-                        ob |= 1u << l;
-                        pe.stats.termsObSkipped += nterms[l];
-                        obPes_[l] |= 1ull << r;
-                    }
-                }
-            }
-            pe.obMask = ob;
-            all_ob &= ob;
-
-            pe.stats.termsZeroSkipped += zero_slots;
-            pe.stats.sets += 1;
-            pe.stats.macs += static_cast<uint64_t>(activeLanes_);
-        }
-    }
-
-    // Consensus drop of lanes every PE flagged on their first term.
-    for (uint32_t m = all_ob; m; m &= m - 1) {
-        const int l = std::countr_zero(m);
-        streams_[l].cursor = streams_[l].terms->size();
-    }
-    liveMask_ &= ~all_ob;
-
-    setCycles_ = 0;
-    inSet_ = true;
-
-    // The summary bits are a pure fast path (they are only consulted to
-    // skip work whose outcome is already determined), so tracing simply
-    // disables them to keep the per-cycle trace stream exact. (The
-    // masks bound a column at 64 PEs; the constructor enforces it.)
-    retiredPeMask_ = 0;
-    retireSkip_ = !trace_;
-    lanesSet_ = false;
-    if (retireSkip_ && liveMask_)
-        refreshRetired();
 }
 
 void
@@ -587,16 +454,19 @@ FPRakerColumn::stepLanes()
         }
     }
 
-    // Lanes with d <= base + maxDelta fire. Each contributes its B
-    // significand shifted left by base + maxDelta - d, signed, so a
-    // PE's sum sits on the 2^(-(base + maxDelta) - 7) scale: the value
-    // the scalar body sums on its lowest fired LSB, which addValue
-    // rounds the same way.
-    const int delta = cfg_.maxDelta;
+    // Lanes with d <= base + maxDelta fire. Up to a window of 7, each
+    // contributes its B significand shifted left by base + maxDelta - d,
+    // signed, so a PE's sum sits on the 2^(-(base + maxDelta) - 7)
+    // scale: the value the adder tree sums on its lowest fired LSB,
+    // which addValue rounds the same way. Wider windows hand each PE's
+    // fired lanes to that adder tree instead.
+    const int delta = std::min(cfg_.maxDelta, kLanesWindowCap);
+    const bool via_tree = delta > 7;
     const bool wide = delta > 4;
     __m128i fireN[G];
     __m128i sum16[G];
     __m128i sum32[G][2];
+    uint32_t pe_fired[8 * G] = {}; // Per PE, the lanes it fired.
     for (int h = 0; h < G; ++h) {
         lim[h] = _mm_adds_epi16(lim[h], _mm_set1_epi16(
                                             static_cast<int16_t>(delta)));
@@ -614,27 +484,34 @@ FPRakerColumn::stepLanes()
         for (int h = 0; h < G; ++h) {
             const __m128i fire = _mm_andnot_si128(
                 _mm_cmpgt_epi16(d[l][h], lim[h]), pend[l][h]);
-            const __m128i shift = _mm_sub_epi16(lim[h], d[l][h]);
-            __m128i c = load16(b.sig[l] + 8 * h);
-            if (delta >= 1)
-                c = _mm_add_epi16(c, _mm_and_si128(c, bit16<0>(shift)));
-            if (delta >= 2)
-                c = select16(bit16<1>(shift), _mm_slli_epi16(c, 2), c);
-            if (delta >= 4)
-                c = select16(bit16<2>(shift), _mm_slli_epi16(c, 4), c);
-            const __m128i neg =
-                _mm_xor_si128(load16(b.neg[l] + 8 * h), sgn);
-            c = _mm_and_si128(_mm_sub_epi16(_mm_xor_si128(c, neg), neg),
-                              fire);
-            if (wide) {
-                sum32[h][0] = _mm_add_epi32(
-                    sum32[h][0],
-                    _mm_srai_epi32(_mm_unpacklo_epi16(c, c), 16));
-                sum32[h][1] = _mm_add_epi32(
-                    sum32[h][1],
-                    _mm_srai_epi32(_mm_unpackhi_epi16(c, c), 16));
+            if (via_tree) {
+                for (uint32_t pm = static_cast<uint32_t>(_mm_movemask_epi8(
+                         _mm_packs_epi16(fire, _mm_setzero_si128())));
+                     pm; pm &= pm - 1)
+                    pe_fired[8 * h + std::countr_zero(pm)] |= 1u << l;
             } else {
-                sum16[h] = _mm_add_epi16(sum16[h], c);
+                const __m128i shift = _mm_sub_epi16(lim[h], d[l][h]);
+                __m128i c = load16(b.sig[l] + 8 * h);
+                if (delta >= 1)
+                    c = _mm_add_epi16(c, _mm_and_si128(c, bit16<0>(shift)));
+                if (delta >= 2)
+                    c = select16(bit16<1>(shift), _mm_slli_epi16(c, 2), c);
+                if (delta >= 4)
+                    c = select16(bit16<2>(shift), _mm_slli_epi16(c, 4), c);
+                const __m128i neg =
+                    _mm_xor_si128(load16(b.neg[l] + 8 * h), sgn);
+                c = _mm_and_si128(
+                    _mm_sub_epi16(_mm_xor_si128(c, neg), neg), fire);
+                if (wide) {
+                    sum32[h][0] = _mm_add_epi32(
+                        sum32[h][0],
+                        _mm_srai_epi32(_mm_unpacklo_epi16(c, c), 16));
+                    sum32[h][1] = _mm_add_epi32(
+                        sum32[h][1],
+                        _mm_srai_epi32(_mm_unpackhi_epi16(c, c), 16));
+                } else {
+                    sum16[h] = _mm_add_epi16(sum16[h], c);
+                }
             }
             store16(st.fired[l] + 8 * h,
                     _mm_or_si128(load16(st.fired[l] + 8 * h), fire));
@@ -645,12 +522,15 @@ FPRakerColumn::stepLanes()
             fired_union |= 1u << l;
     }
 
-    // One addValue per PE with a non-zero window sum.
+    // One addValue per PE with a non-zero window sum, or one adder
+    // tree per PE over its fired lanes.
     alignas(16) int32_t sums[8 * G];
     alignas(16) int16_t bases[8 * G];
     for (int h = 0; h < G; ++h) {
         store16(st.pendN + 8 * h, pendN[h]);
         store16(st.fireN + 8 * h, fireN[h]);
+        if (via_tree)
+            continue;
         store16(bases + 8 * h, lim[h]);
         if (!wide) {
             sum32[h][0] = _mm_srai_epi32(
@@ -665,14 +545,22 @@ FPRakerColumn::stepLanes()
     }
     bool moved = false;
     for (int r = 0; r < numPes_; ++r) {
-        const int s = sums[r];
-        if (s == 0)
-            continue;
         ExtendedAccumulator &reg = pes_[static_cast<size_t>(r)]
                                        .acc.chunkRegister();
         const int before = reg.exponent();
-        reg.addValue(s < 0, -bases[r] - 7,
-                     static_cast<uint64_t>(s < 0 ? -s : s));
+        if (via_tree) {
+            AdderTree tree;
+            for (uint32_t m = pe_fired[r]; m; m &= m - 1) {
+                const int l = std::countr_zero(m);
+                tree.add(static_cast<uint8_t>(b.sig[l][r]),
+                         serial_.exp[l] + b.exp[l][r] - curShift_[l] - 7,
+                         ((b.neg[l][r] ^ (sgn_mask >> l)) & 1) != 0);
+            }
+            tree.addTo(reg);
+        } else if (const int s = sums[r]) {
+            reg.addValue(s < 0, -bases[r] - 7,
+                         static_cast<uint64_t>(s < 0 ? -s : s));
+        }
         if (reg.exponent() != before) {
             moved = true;
             st.accExp[r] = static_cast<int16_t>(
@@ -782,19 +670,6 @@ FPRakerColumn::finishLanes()
 }
 
 void
-FPRakerColumn::refreshRetired()
-{
-    for (int r = 0; r < numPes_; ++r) {
-        if ((retiredPeMask_ >> r) & 1u)
-            continue;
-        if ((liveMask_ & ~pes_[static_cast<size_t>(r)].obMask) == 0) {
-            retiredPeMask_ |= 1ull << r;
-            retireCycle_[static_cast<size_t>(r)] = setCycles_;
-        }
-    }
-}
-
-void
 FPRakerColumn::settleLane(int l, int thr)
 {
     LaneStream &s = streams_[l];
@@ -820,7 +695,6 @@ FPRakerColumn::settleLane(int l, int thr)
                 // this pair is guaranteed out-of-bounds too.
                 pe.obMask |= bit;
                 obPes_[l] |= 1ull << r;
-                settleDirty_ = true;
                 pe.stats.termsObSkipped +=
                     static_cast<uint64_t>(ts.size() - s.cursor);
             } else {
@@ -834,7 +708,6 @@ FPRakerColumn::settleLane(int l, int thr)
             // every PE in the column has flagged the lane.
             s.cursor = ts.size();
             liveMask_ &= ~bit;
-            settleDirty_ = true;
             return;
         }
         ++s.cursor;
@@ -844,7 +717,6 @@ FPRakerColumn::settleLane(int l, int thr)
         firedPes_[l] = 0;
         if (s.cursor >= ts.size()) {
             liveMask_ &= ~bit;
-            settleDirty_ = true;
             return;
         }
         const Term &t = ts[s.cursor];
@@ -856,20 +728,10 @@ FPRakerColumn::settleLane(int l, int thr)
 void
 FPRakerColumn::settle(uint32_t mask)
 {
-    mask &= liveMask_;
-    if (!mask)
-        return;
     const int thr =
         cfg_.skipOutOfBounds ? cfg_.effectiveObThreshold() : INT_MAX;
-    settleDirty_ = false;
-    for (uint32_t m = mask; m; m &= m - 1)
-        settleLane(std::countr_zero(m), thr);
-    // Draining may have retired further lanes (obMask grew, liveMask
-    // shrank); fold any PE that just lost its last live lane into the
-    // summary mask so the next cycle skips it. Cursor-only advances
-    // leave the retirement state untouched.
-    if (retireSkip_ && settleDirty_ && liveMask_)
-        refreshRetired();
+    for (mask &= liveMask_; mask; mask &= mask - 1)
+        settleLane(std::countr_zero(mask), thr);
 }
 
 bool
@@ -925,19 +787,11 @@ FPRakerColumn::stepCycle()
     ++setCycles_;
     uint32_t firedUnion = 0;
     bool expMoved = false;
-
-    // Cursor terms are column-shared and cached (curShift_ /
-    // curNegMask_ track every cursor advance), so the per-cycle
-    // snapshot is free.
-    const int8_t *shiftOf = curShift_;
-    const uint32_t negMask = curNegMask_;
-
     const bool tracing = static_cast<bool>(trace_);
     for (int r = 0; r < numPes_; ++r) {
-        if ((retiredPeMask_ >> r) & 1u)
-            continue; // Deferred no-term accounting in finishSet.
-        PeState &pe = pes_[r];
-        const int acc_exp = pe.acc.chunkRegister().exponent();
+        PeState &pe = pes_[static_cast<size_t>(r)];
+        ExtendedAccumulator &reg = pe.acc.chunkRegister();
+        const int acc_exp = reg.exponent();
         const uint32_t pend = liveMask_ & ~pe.firedMask & ~pe.obMask;
 
         if (!pend) {
@@ -949,82 +803,33 @@ FPRakerColumn::stepCycle()
             continue;
         }
 
-        if (!tracing && (pend & (pend - 1)) == 0) {
-            // Single pending lane (the common tail-cycle shape): it is
-            // its own base shift, so it always fires, the adder tree
-            // reduces to the one contribution, and the stats collapse
-            // to constants — bit-identical to the general path below.
-            const int l = std::countr_zero(pend);
-            firedPes_[l] |= 1ull << r;
-            pe.firedMask |= pend;
-            const bool neg =
-                (((pe.prodNegMask ^ negMask) >> l) & 1u) != 0;
-            if (pe.bSig[l] != 0)
-                pe.acc.chunkRegister().addValue(
-                    neg, pe.abExp[l] - shiftOf[l] - 7, pe.bSig[l]);
-            pe.stats.laneUseful += 1;
-            pe.stats.termsProcessed += 1;
-            pe.stats.laneNoTerm +=
-                static_cast<uint64_t>(activeLanes_) - 1;
-            firedUnion |= pend;
-            if (pe.acc.chunkRegister().exponent() != acc_exp)
-                expMoved = true;
-            continue;
-        }
-
         // Select the lanes that fire this cycle: those whose alignment
         // shift k lies within maxDelta of the base (minimum) shift.
-        // Then reduce their contributions exactly (the adder tree) and
-        // accumulate. The exact int64 tree covers spreads up to 48
-        // bits — far beyond FPRaker's 3-position window; wider
-        // configurations (the Bit-Pragmatic comparison PE has
-        // unrestricted shifters) fall back to per-contribution
-        // accumulation.
+        // Their contributions go to the adder tree in lane order.
         int k_of[kMaxLanes];
         int base = INT_MAX;
-        uint32_t fire = 0;
-        int lsb_min = INT_MAX;
-        int lsb_max = INT_MIN;
         for (uint32_t m = pend; m; m &= m - 1) {
             const int l = std::countr_zero(m);
-            const int k = acc_exp - pe.abExp[l] + shiftOf[l];
-            k_of[l] = k;
-            if (k < base)
-                base = k;
+            k_of[l] = acc_exp - pe.abExp[l] + curShift_[l];
+            base = std::min(base, k_of[l]);
         }
+        uint32_t fire = 0;
+        AdderTree tree;
         for (uint32_t m = pend; m; m &= m - 1) {
             const int l = std::countr_zero(m);
             if (k_of[l] - base > cfg_.maxDelta)
                 continue;
-            // lsb exponent of this contribution: (Ae+Be) - t - 7
-            // (equivalently acc_exp - k - 7; the accumulator exponent
-            // cancels, so the LSB is independent of alignment).
-            const int lsb = pe.abExp[l] - shiftOf[l] - 7;
             fire |= 1u << l;
-            lsb_min = std::min(lsb_min, lsb);
-            lsb_max = std::max(lsb_max, lsb);
-        }
-        const bool exact_tree = lsb_max - lsb_min <= 48;
-
-        int64_t sum = 0;
-        for (uint32_t m = fire; m; m &= m - 1) {
-            const int l = std::countr_zero(m);
             firedPes_[l] |= 1ull << r;
-            const int lsb = pe.abExp[l] - shiftOf[l] - 7;
-            const bool neg = (((pe.prodNegMask ^ negMask) >> l) & 1u) != 0;
-            if (exact_tree) {
-                const int64_t contrib =
-                    static_cast<int64_t>(pe.bSig[l]) << (lsb - lsb_min);
-                sum += neg ? -contrib : contrib;
-            } else if (pe.bSig[l] != 0) {
-                pe.acc.chunkRegister().addValue(
-                    neg, lsb, static_cast<uint64_t>(pe.bSig[l]));
-            }
+            // The LSB of a contribution is (Ae+Be) - t - 7 (equally
+            // acc_exp - k - 7: independent of alignment).
+            tree.add(pe.bSig[l], pe.abExp[l] - curShift_[l] - 7,
+                     ((pe.prodNegMask ^ curNegMask_) >> l) & 1u);
         }
+        tree.addTo(reg);
         pe.firedMask |= fire;
 
-        const uint64_t fired_n =
-            static_cast<uint64_t>(std::popcount(fire));
+        const uint64_t fired_n = static_cast<uint64_t>(tree.n);
         const uint64_t pend_n =
             static_cast<uint64_t>(std::popcount(pend));
         pe.stats.laneUseful += fired_n;
@@ -1032,14 +837,8 @@ FPRakerColumn::stepCycle()
         pe.stats.laneShiftRange += pend_n - fired_n;
         pe.stats.laneNoTerm +=
             static_cast<uint64_t>(activeLanes_) - pend_n;
-
-        if (sum != 0) {
-            pe.acc.chunkRegister().addValue(
-                sum < 0, lsb_min,
-                static_cast<uint64_t>(sum < 0 ? -sum : sum));
-        }
         firedUnion |= fire;
-        if (pe.acc.chunkRegister().exponent() != acc_exp)
+        if (reg.exponent() != acc_exp)
             expMoved = true;
 
         if (tracing)
@@ -1062,17 +861,6 @@ FPRakerColumn::finishSet()
         stepCycle();
     if (lanesSet_)
         finishLanes();
-
-    // Settle the deferred accounting of skipped PEs: a retired PE would
-    // have taken the no-term path on every remaining cycle.
-    for (uint64_t m = retiredPeMask_; m; m &= m - 1) {
-        const int r = std::countr_zero(m);
-        pes_[static_cast<size_t>(r)].stats.laneNoTerm +=
-            static_cast<uint64_t>(setCycles_ -
-                                  retireCycle_[static_cast<size_t>(r)]) *
-            static_cast<uint64_t>(activeLanes_);
-    }
-    retiredPeMask_ = 0;
 
     int cycles = setCycles_;
     const uint64_t floor_lanes =

@@ -46,16 +46,17 @@
  *    16-bit vector ops across the PEs: the fired / out-of-bounds masks
  *    and the B exponents, significands and signs are held lane-major,
  *    one vector per lane, and a product exponent adds the lane's
- *    broadcast A exponent. It runs full 8-lane sets with maxDelta <= 7
- *    on columns of up to 16 PEs, with no trace callback, on any SIMD
- *    tier but scalar (FPRAKER_SIMD=scalar pins the other body).
- *  - The scalar body: a per-PE loop over each PE's pending lanes, with
- *    per-PE bitmasks. It runs everything else: traced sets, ragged
- *    dot() tails, wider windows (ablation_window's unlimited point, the
- *    Bit-Pragmatic PE) and columns of more than 16 PEs.
+ *    broadcast A exponent. It runs every full 8-lane set, whatever the
+ *    window, on columns of up to 16 PEs, with no trace callback, on
+ *    any SIMD tier but scalar.
+ *  - The scalar body: a plain per-PE loop over each PE's pending lanes,
+ *    with per-PE bitmasks. It is the fallback for traced sets, ragged
+ *    dot() tails, columns of more than 16 PEs, lane counts other than
+ *    8, FPRAKER_SIMD=scalar and builds without SSE2.
  *
- * Both are integer-exact, and tests/test_sim.cpp holds each bit-equal
- * to ReferenceColumn.
+ * Both reduce a PE's fired lanes with one adder tree (an exact sum
+ * while their LSBs span at most 48 bits), are integer-exact, and
+ * tests/test_sim.cpp holds each bit-equal to ReferenceColumn.
  */
 
 #ifndef FPRAKER_PE_FPRAKER_PE_H
@@ -105,30 +106,6 @@ class FPRakerColumn
     FPRakerColumn(const PeConfig &cfg, int num_pes);
 
     /**
-     * One parallel-operand row, decoded once: in a tile every column
-     * of a step consumes the same broadcast B rows, so the per-value
-     * field split (exponent, significand, sign, zero/finite check)
-     * runs once per row instead of once per (row, column). Layouts
-     * are chosen so the vectorized beginSetDecoded path loads them
-     * directly; zero16 lanes are 0 / -1 masks.
-     */
-    struct DecodedBRow
-    {
-        alignas(32) int16_t beBiased[ExponentBlockResult::kMaxLanes];
-        alignas(32) int16_t zero16[ExponentBlockResult::kMaxLanes];
-        uint8_t sig[ExponentBlockResult::kMaxLanes];
-        uint32_t negMask = 0;
-    };
-
-    /**
-     * Decode @p rows parallel-operand rows (row r lane l at
-     * b[r * b_stride + l], @p lanes lanes each) into @p out. Performs
-     * the finite-operand panic, so beginSetDecoded can skip it.
-     */
-    static void decodeBRows(const BFloat16 *b, int b_stride, int rows,
-                            int lanes, DecodedBRow *out);
-
-    /**
      * The parallel operands of one full 8-lane set in the PE-parallel
      * body's lane-major layout: field[l][r] belongs to lane l of PE r.
      * Two 8-PE halves; rows past the column's PEs hold zero operands.
@@ -172,14 +149,6 @@ class FPRakerColumn
      */
     void beginSet(const BFloat16 *a, const BFloat16 *b, int b_stride,
                   int active_lanes = -1);
-
-    /**
-     * beginSet against pre-decoded parallel operands: @p brows holds
-     * numPes() rows from decodeBRows. Bit-identical to beginSet; the
-     * tile uses this to share one B decode across all its columns.
-     */
-    void beginSetDecoded(const BFloat16 *a, const DecodedBRow *brows,
-                         int active_lanes = -1);
 
     /**
      * Start a full 8-lane set on the PE-parallel body, against
@@ -310,21 +279,9 @@ class FPRakerColumn
     /** Per-set counters of the PE-parallel body into each PeStats. */
     void finishLanes();
 
-    /**
-     * Re-derive the per-PE "all lanes retired" summary bits after
-     * obMask / liveMask changed. A PE whose still-live lanes are all
-     * in its obMask can never fire again this set (liveMask only
-     * shrinks, obMask only grows), so stepCycle and settleLane skip it
-     * and finishSet charges its remaining no-term lane-cycles in one
-     * deferred multiply — bit-identical to the per-cycle charges.
-     */
-    void refreshRetired();
-
     PeConfig cfg_;
     int numPes_;
-    const TermLut *lut_;
     const ValueLut *vlut_; //!< Whole-bf16 decode table (value memo).
-    std::vector<DecodedBRow> decodeScratch_; //!< beginSet / dot rows.
     LaneStream streams_[kMaxLanes];
     /**
      * Cursor-term cache: the shift and sign of each live lane's
@@ -372,9 +329,13 @@ class FPRakerColumn
      *    of some PE, and a PE has at most 8 lanes x 8 terms), so a
      *    PE's pending lane-cycles are at most 16 x 64 x 8 = 8192, and
      *    its fired and OB-skipped terms at most 64;
+     *  - the window is clamped at kLanesWindowCap: d spans [-255, 261],
+     *    so that window already fires every pending lane, as any wider
+     *    one does, and base + window stays far inside int16;
      *  - a contribution is at most 255 << 7 = 32640. Eight of them sum
      *    in int16 while maxDelta <= 4 (8 x 255 << 4 = 32640), and in
-     *    int32 above that.
+     *    int32 up to 7; wider windows reduce each PE's fired lanes in
+     *    the adder tree the scalar body uses.
      */
     struct LaneState
     {
@@ -391,14 +352,11 @@ class FPRakerColumn
     };
     static constexpr int kLanesExpFloor = -8192;
     static constexpr int kLanesThrCap = 16000;
+    static constexpr int kLanesWindowCap = 1024;
 
     std::vector<PeState> pes_;
-    std::vector<int> retireCycle_;   //!< Cycle a PE fully retired at.
     std::function<void(const PeCycleTrace &)> trace_;
     uint32_t liveMask_ = 0; //!< Lanes whose stream is not exhausted.
-    uint64_t retiredPeMask_ = 0; //!< PEs with every live lane retired.
-    bool retireSkip_ = false;    //!< Summary-bit skip enabled this set.
-    bool settleDirty_ = false;   //!< Settle changed obMask / liveMask.
     int activeLanes_ = 0;   //!< Lanes carrying real operands this set.
     int setCycles_ = 0;
     bool inSet_ = false;

@@ -1,8 +1,6 @@
 #include "pe/value_mac.h"
 
 #include <algorithm>
-#include <bit>
-#include <climits>
 
 #ifdef __SSE2__
 #include <emmintrin.h>
@@ -12,20 +10,6 @@
 #include "numeric/slab_ops.h"
 
 namespace fpraker {
-
-namespace {
-
-/** Cold path: panic on the first non-finite pair of a set. */
-void
-checkFinite(const BFloat16 *a, const BFloat16 *b, int lanes)
-{
-    for (int l = 0; l < lanes; ++l)
-        panic_if(!a[l].isFinite() || !b[l].isFinite(),
-                 "non-finite PE operand (a=%04x b=%04x)", a[l].bits(),
-                 b[l].bits());
-}
-
-} // namespace
 
 #ifdef __SSE2__
 
@@ -71,21 +55,21 @@ struct FPRakerValueMac::TermQueues
 #endif // __SSE2__
 
 FPRakerValueMac::FPRakerValueMac(const PeConfig &cfg)
-    : lut_(&TermLut::of(cfg.encoding)), queues_(nullptr),
-      lanes_(cfg.lanes), maxDelta_(cfg.maxDelta),
+    : queues_(nullptr), maxDelta_(cfg.maxDelta),
       skipOb_(cfg.skipOutOfBounds),
       obThreshold_(cfg.effectiveObThreshold()), acc_(cfg.acc)
 {
-    panic_if(lanes_ < 1 || lanes_ > kMaxLanes, "unsupported lane count %d",
-             lanes_);
     panic_if(maxDelta_ < 0, "negative shifter window");
 #ifdef __SSE2__
     // The SSE2 body sums 8-bit contributions shifted by up to maxDelta
-    // in 16-bit lanes. FPRAKER_SIMD=scalar pins the scalar body.
-    if (lanes_ == 8 && maxDelta_ <= 7 &&
-        slab::activeTier() != slab::SimdTier::Scalar)
+    // in 16-bit lanes. FPRAKER_SIMD=scalar pins the column fallback.
+    if (cfg.lanes == 8 && maxDelta_ <= 7 &&
+        slab::activeTier() != slab::SimdTier::Scalar) {
         queues_ = &TermQueues::of(cfg.encoding);
+        return;
+    }
 #endif
+    column_.emplace(cfg, 1);
 }
 
 void
@@ -97,136 +81,22 @@ FPRakerValueMac::processSet(const BFloat16 *a, const BFloat16 *b)
         return;
     }
 #endif
-    processSetScalar(a, b);
-}
-
-void
-FPRakerValueMac::processSetScalar(const BFloat16 *a, const BFloat16 *b)
-{
-    ExtendedAccumulator &reg = acc_.chunkRegister();
-
-    // Per live lane: its term stream, the index of its next term, the
-    // product's LSB base (Ae + Be) - 7, and the pending term's LSB.
-    const TermStream *stream[kMaxLanes];
-    int next[kMaxLanes];
-    int lsbBase[kMaxLanes];
-    int lsb[kMaxLanes];
-    uint8_t bSig[kMaxLanes];
-    uint32_t live = 0;    //!< Lanes with a pending term.
-    uint32_t prodNeg = 0; //!< Product sign per lane.
-    uint32_t negMask = 0; //!< Pending contribution sign per lane.
-
-    // Exponent block: product exponents and the MAX over the non-zero
-    // products and the accumulator.
-    checkFinite(a, b, lanes_);
-    int emax = reg.exponent();
-    for (int l = 0; l < lanes_; ++l) {
-        const BFloat16 av = a[l];
-        const BFloat16 bv = b[l];
-        // A zero operand carries an all-zero exponent field, so the
-        // MAX ignores its product and, once the accumulator holds an
-        // exponent, its terms fall out-of-bounds.
-        const int ab = av.biasedExponent() + bv.biasedExponent() -
-                       2 * BFloat16::kBias;
-        if (!av.isZero() && !bv.isZero() && ab > emax)
-            emax = ab;
-        const TermStream &ts = lut_->stream(av.significand());
-        if (ts.empty())
-            continue;
-        const uint32_t bit = 1u << l;
-        const bool pneg = av.isNegative() != bv.isNegative();
-        live |= bit;
-        if (pneg)
-            prodNeg |= bit;
-        if (pneg != ts[0].neg)
-            negMask |= bit;
-        stream[l] = &ts;
-        next[l] = 1;
-        lsbBase[l] = ab - 7;
-        lsb[l] = ab - 7 - ts[0].shift;
-        bSig[l] = static_cast<uint8_t>(bv.significand());
-    }
-    reg.alignTo(emax);
-
-    // Out-of-bounds: a pending term is past the accumulator precision
-    // when its alignment shift k = e_acc - 7 - lsb exceeds the
-    // threshold. Terms stream MSB-first, so the rest of its stream is
-    // past it too and the lane retires.
-    const auto dropOutOfBounds = [&](uint32_t lanes) {
-        const int k0 = reg.exponent() - 7;
-        for (uint32_t m = lanes; m; m &= m - 1) {
-            const int l = std::countr_zero(m);
-            if (k0 - lsb[l] > obThreshold_)
-                live &= ~(1u << l);
-        }
-    };
-    if (skipOb_)
-        dropOutOfBounds(live);
-
-    while (live) {
-        const int accExp = reg.exponent();
-
-        // The pending term nearest the accumulator (largest LSB, least
-        // shift) sets the base; lanes within maxDelta of it fire.
-        int top = INT_MIN;
-        for (uint32_t m = live; m; m &= m - 1)
-            top = std::max(top, lsb[std::countr_zero(m)]);
-        uint32_t fire = 0;
-        int lo = top;
-        for (uint32_t m = live; m; m &= m - 1) {
-            const int l = std::countr_zero(m);
-            if (top - lsb[l] <= maxDelta_) {
-                fire |= 1u << l;
-                lo = std::min(lo, lsb[l]);
-            }
-        }
-
-        if (top - lo <= 48) {
-            // The adder tree: an exact sum, added once.
-            int64_t sum = 0;
-            for (uint32_t m = fire; m; m &= m - 1) {
-                const int l = std::countr_zero(m);
-                const int64_t c = static_cast<int64_t>(bSig[l])
-                                  << (lsb[l] - lo);
-                sum += (negMask >> l) & 1u ? -c : c;
-            }
-            if (sum != 0)
-                reg.addValue(sum < 0, lo,
-                             static_cast<uint64_t>(sum < 0 ? -sum : sum));
-        } else {
-            for (uint32_t m = fire; m; m &= m - 1) {
-                const int l = std::countr_zero(m);
-                if (bSig[l] != 0)
-                    reg.addValue((negMask >> l) & 1u, lsb[l], bSig[l]);
-            }
-        }
-
-        // Fired lanes move to their next term, or retire.
-        for (uint32_t m = fire; m; m &= m - 1) {
-            const int l = std::countr_zero(m);
-            const uint32_t bit = 1u << l;
-            const TermStream &ts = *stream[l];
-            if (next[l] == ts.size()) {
-                live &= ~bit;
-                continue;
-            }
-            const Term &t = ts[next[l]++];
-            lsb[l] = lsbBase[l] - t.shift;
-            negMask = (negMask & ~bit) |
-                      ((((prodNeg >> l) & 1u) != 0) != t.neg ? bit : 0u);
-        }
-
-        // Only a fired lane's term or a moved exponent can change an
-        // out-of-bounds verdict.
-        if (skipOb_)
-            dropOutOfBounds(reg.exponent() != accExp ? live : fire & live);
-    }
-    acc_.tickMacs(lanes_);
+    column_->runSet(a, b, column_->config().lanes);
 }
 
 #ifdef __SSE2__
 
 namespace {
+
+/** Cold path: panic on the first non-finite pair of a set. */
+void
+checkFinite(const BFloat16 *a, const BFloat16 *b, int lanes)
+{
+    for (int l = 0; l < lanes; ++l)
+        panic_if(!a[l].isFinite() || !b[l].isFinite(),
+                 "non-finite PE operand (a=%04x b=%04x)", a[l].bits(),
+                 b[l].bits());
+}
 
 /** Largest of eight int16 lanes. */
 int
@@ -256,12 +126,12 @@ hasBit16(__m128i x, int16_t bit)
 } // namespace
 
 /**
- * processSetScalar's steps on eight 16-bit lanes at once. q[k] holds
- * every lane's k-th remaining term as 2 * lsb + sign (TermQueues), so
- * q[0] is the pending term: the out-of-bounds compare, the window's
- * MAX and the fire mask are a few vector ops each, and a fired lane
- * advances by shifting its queue. A lane with no pending term reads
- * at or below kDead.
+ * One PE's set on eight 16-bit lanes at once. q[k] holds every lane's
+ * k-th remaining term as 2 * lsb + sign (TermQueues), so q[0] is the
+ * pending term: the out-of-bounds compare, the window's MAX and the
+ * fire mask are a few vector ops each, and a fired lane advances by
+ * shifting its queue. A lane with no pending term reads at or below
+ * kDead.
  */
 void
 FPRakerValueMac::processSet8(const BFloat16 *a, const BFloat16 *b)
@@ -278,7 +148,8 @@ FPRakerValueMac::processSet8(const BFloat16 *a, const BFloat16 *b)
                                        _mm_cmpeq_epi16(eb, expField))))
         checkFinite(a, b, 8);
 
-    // Exponent block, as in the scalar body.
+    // Exponent block: the accumulator aligns up to the largest
+    // non-zero product exponent.
     const __m128i ab =
         _mm_sub_epi16(_mm_add_epi16(_mm_srli_epi16(ea, 7),
                                     _mm_srli_epi16(eb, 7)),

@@ -8,8 +8,8 @@
  * arithmetic set by set and reproduces FPRakerColumn's accumulator for
  * a column of one, bit for bit. It drops what only timing and the
  * column's lockstep need: cycle and lane-cycle accounting, statistics,
- * per-PE fired / out-of-bounds masks, retire bits, and the cycle
- * trace. It keeps every step that can change the value:
+ * per-PE fired / out-of-bounds masks, and the cycle trace. It keeps
+ * every step that can change the value:
  *
  *  - the term streams of cfg.encoding (TermLut) and the product
  *    exponents Ae + Be;
@@ -22,9 +22,7 @@
  *    against the new exponent;
  *  - the shift window: each cycle the lanes within maxDelta of the
  *    nearest pending term fire, their contributions summed exactly
- *    (the adder tree) and added once; trees wider than 48 bits
- *    (maxDelta > 48, e.g. bitPragmaticFpConfig()) add contribution by
- *    contribution in lane order, as the column does;
+ *    (the adder tree) and added once;
  *  - chunked accumulation: one tickMacs(cfg.lanes) per set.
  *
  * A term's alignment shift is k = e_acc - (Ae + Be) + t and its LSB
@@ -33,17 +31,20 @@
  * maxDelta) and the out-of-bounds bound follow from it.
  *
  * Full 8-lane sets with maxDelta <= 7 (the paper's PE) run an SSE2
- * body that keeps every lane's remaining terms in 16-bit vectors; any
- * other shape, or FPRAKER_SIMD=scalar, runs the scalar body. Both are
- * integer-exact, and tests/test_fuzz_differential.cpp holds both
- * bit-equal to FPRakerPe::processSet across encodings, windows,
- * thresholds, accumulator widths, chunk sizes and lane counts.
+ * body that keeps every lane's remaining terms in 16-bit vectors. Any
+ * other shape, FPRAKER_SIMD=scalar or a build without SSE2 runs a
+ * one-PE FPRakerColumn instead, the model this MAC reproduces. The
+ * SSE2 body is integer-exact, and tests/test_fuzz_differential.cpp
+ * holds the MAC bit-equal to FPRakerPe::processSet across encodings,
+ * windows, thresholds, accumulator widths, chunk sizes and lane counts.
  */
 
 #ifndef FPRAKER_PE_VALUE_MAC_H
 #define FPRAKER_PE_VALUE_MAC_H
 
-#include "numeric/term_lut.h"
+#include <optional>
+
+#include "pe/fpraker_pe.h"
 #include "pe/pe_common.h"
 
 namespace fpraker {
@@ -63,22 +64,24 @@ class FPRakerValueMac
     void processSet(const BFloat16 *a, const BFloat16 *b);
 
     /** FP32 running sum plus the current chunk. */
-    float total() const { return acc_.total(); }
+    float
+    total() const
+    {
+        return column_ ? column_->accumulator(0).total() : acc_.total();
+    }
 
   private:
     /** Every significand's terms as 16-bit queue entries (SSE2 body). */
     struct TermQueues;
 
-    void processSetScalar(const BFloat16 *a, const BFloat16 *b);
     void processSet8(const BFloat16 *a, const BFloat16 *b);
 
-    const TermLut *lut_;
     const TermQueues *queues_; //!< Set when the SSE2 body applies.
-    int lanes_;
     int maxDelta_;
     bool skipOb_;
     int obThreshold_;
-    ChunkedAccumulator acc_;
+    ChunkedAccumulator acc_;              //!< The SSE2 body's register.
+    std::optional<FPRakerColumn> column_; //!< Every other shape.
 };
 
 } // namespace fpraker

@@ -142,10 +142,8 @@ class Tile
     TileConfig cfg_;
     std::vector<std::unique_ptr<FPRakerColumn>> columns_;
     //! Shared decoded B rows: the broadcast rows are identical for
-    //! every column, so phase A decodes each step's rows once and all
-    //! columns consume the decoded form — row-major for the scalar
-    //! column body, lane-major for the PE-parallel one.
-    std::vector<FPRakerColumn::DecodedBRow> decodedB_;
+    //! every column, so on the PE-parallel body phase A decodes each
+    //! step's rows once, lane-major, and all columns consume them.
     FPRakerColumn::DecodedBLanes decodedLanes_;
     std::vector<int> cycleScratch_; //!< Phase-A cycles, [c * steps + s].
     // Phase-B recurrence scratch, members so repeated run() calls

@@ -12,8 +12,9 @@
  *  - FPRakerEmulated: bfloat16 operands through the term-serial FPRaker
  *                     PE's arithmetic, including out-of-bounds term
  *                     skipping: FPRakerValueMac (pe/value_mac.h), which
- *                     accumulates exactly what FPRakerPe would, without
- *                     its cycle model.
+ *                     accumulates exactly what FPRakerPe would: the
+ *                     paper's 8-lane PE without its cycle model, any
+ *                     other shape on a one-PE FPRakerColumn.
  *
  * Fig. 17's claim is that all three converge together: FPRaker skips
  * only work that cannot affect the accumulator.

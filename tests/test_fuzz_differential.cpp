@@ -180,9 +180,9 @@ expectStatsEqual(const PeStats &a, const PeStats &b, const char *what)
  * Single-pending-lane columns: sets where exactly one A lane is
  * nonzero (the lone lane carries a wild exponent, so it keeps draining
  * terms long after every other lane went idle on cycle one). This is
- * the degenerate busy-loop shape the fused tile sweep and the masked
- * retire path both special-case, so it must stay bit-identical to the
- * seed reference in cycles, accumulator bits, and every stat counter.
+ * the degenerate busy-loop shape of the fused tile sweep, so it must
+ * stay bit-identical to the seed reference in cycles, accumulator
+ * bits, and every stat counter.
  */
 TEST(DifferentialFuzz, SinglePendingLaneColumnsMatchReference)
 {

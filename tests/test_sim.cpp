@@ -19,7 +19,9 @@
 #include "accel/accelerator.h"
 #include "common/fnv.h"
 #include "common/rng.h"
+#include "numeric/slab_ops.h"
 #include "numeric/term_lut.h"
+#include "pe/alt_pes.h"
 #include "pe/fpraker_pe.h"
 #include "sim/reference_column.h"
 #include "sim/sim_engine.h"
@@ -161,11 +163,17 @@ struct ColumnTriple
     }
 };
 
+/** ColumnParity's window stratum for the Bit-Pragmatic shape. */
+constexpr int kBitPragmatic = -1;
+
 /**
  * Fuzz the optimized column against the seed-parity reference. Columns
- * of 1-16 PEs and windows of 0-8 are stratified so every size meets
- * several windows, either side of the PE-parallel body's limits
- * (maxDelta <= 7; 8 PEs per vector half).
+ * of 1-16 PEs are stratified over 13 windows so every size meets
+ * several: 0-8, either side of the PE-parallel body's shift network
+ * (maxDelta <= 7); 48 and 49, either side of the adder tree's exact
+ * bound; the unlimited 1 << 20; and the Bit-Pragmatic shape (unlimited,
+ * OB skipping off, exponentFloor 1). Columns of 9-16 PEs fill both of
+ * the body's 8-PE vector halves.
  */
 class ColumnParity : public ::testing::TestWithParam<int>
 {
@@ -173,11 +181,15 @@ class ColumnParity : public ::testing::TestWithParam<int>
 
 TEST_P(ColumnParity, BitIdenticalToReference)
 {
+    constexpr int kWindows[] = {0, 1, 2, 3, 4, 5, 6, 7, 8,
+                                48, 49, 1 << 20, kBitPragmatic};
+    constexpr int kStrata = static_cast<int>(std::size(kWindows));
     Rng rng(static_cast<uint64_t>(GetParam()) * 7717 + 3);
     for (int trial = 0; trial < 6; ++trial) {
         const int i = GetParam() * 6 + trial;
+        const int window = kWindows[i % kStrata];
         PeConfig cfg;
-        cfg.maxDelta = i % 9;
+        cfg.maxDelta = window == kBitPragmatic ? 1 << 20 : window;
         cfg.obThreshold = rng.bernoulli(0.5)
                               ? -1
                               : static_cast<int>(rng.uniformInt(0, 14));
@@ -185,14 +197,19 @@ TEST_P(ColumnParity, BitIdenticalToReference)
         cfg.encoding = rng.bernoulli(0.5) ? TermEncoding::Canonical
                                           : TermEncoding::RawBits;
         cfg.acc.fracBits = static_cast<int>(rng.uniformInt(6, 16));
+        if (window == kBitPragmatic) {
+            cfg.skipOutOfBounds = false;
+            cfg.exponentFloor = 1;
+        }
         const int pes = 1 + i % 16;
         double sparsity = rng.uniform(0.0, 0.6);
         double sigma = rng.uniform(0.5, 5.0);
 
         ColumnTriple col(cfg, pes);
-        const std::string what = "trial " + std::to_string(trial) + ", " +
-                                  std::to_string(pes) + " PEs, window " +
-                                  std::to_string(cfg.maxDelta);
+        const std::string what =
+            "trial " + std::to_string(trial) + ", " + std::to_string(pes) +
+            " PEs, window " + std::to_string(cfg.maxDelta) +
+            (window == kBitPragmatic ? " (Bit-Pragmatic)" : "");
         for (int set = 0; set < 24; ++set) {
             auto a = randomValues(rng, 8, sparsity, sigma);
             auto b = randomValues(
@@ -204,7 +221,7 @@ TEST_P(ColumnParity, BitIdenticalToReference)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Fuzz, ColumnParity, ::testing::Range(0, 8));
+INSTANTIATE_TEST_SUITE_P(Fuzz, ColumnParity, ::testing::Range(0, 13));
 
 /** bfloat16 from its sign, biased exponent field, and 7 mantissa bits. */
 BFloat16
@@ -218,7 +235,8 @@ bf16Fields(bool neg, int biased_exp, int mantissa)
  * The shapes at the edges of the PE-parallel body's int16 layout, on
  * columns either side of its 8-PE halves and under the machine
  * variants that change its paths: the paper's PE, the widest window
- * it runs, OB skipping off, and RawBits streams (up to 8 terms).
+ * its shift network takes, OB skipping off, RawBits streams (up to 8
+ * terms), and the wide windows it reduces in the adder tree.
  */
 TEST(ColumnParity, Int16EdgeShapesMatchReference)
 {
@@ -235,6 +253,10 @@ TEST(ColumnParity, Int16EdgeShapesMatchReference)
     raw.maxDelta = 5;
     raw.obThreshold = 4;
     machines.emplace_back("RawBits", raw);
+    PeConfig unlimited;
+    unlimited.maxDelta = 1 << 20;
+    machines.emplace_back("unlimited window", unlimited);
+    machines.emplace_back("Bit-Pragmatic", bitPragmaticFpConfig());
 
     for (const auto &[name, cfg] : machines) {
         for (int pes : {1, 7, 8, 9, 16}) {
@@ -349,6 +371,90 @@ TEST(ColumnParity, Int16EdgeShapesMatchReference)
     }
 }
 
+/**
+ * The adder tree sums exactly while its fired LSBs span at most 48
+ * bits, and past that adds contribution by contribution in lane order,
+ * in both bodies. Under the Bit-Pragmatic PE (no window limit, no OB
+ * skipping) products of 1, twice 2^-13 (a tie at the register's 12
+ * fractional bits) and a small one fire together: one exact sum reads
+ * 1 + 2^-12, while adds in lane order round each tie to even and read
+ * 1 (in reverse order they would read 1 + 2^-12 again). The last set's
+ * non-zero products span 46 bits, and a zero-B lane that fires with
+ * them stretches the tree past 48.
+ */
+TEST(ColumnParity, AdderTreeIsExactUpTo48Bits)
+{
+    const PeConfig cfg = bitPragmaticFpConfig();
+    ASSERT_EQ(cfg.acc.fracBits, 12);
+    struct Shape
+    {
+        std::string name;
+        std::vector<float> products;
+        double want;
+    };
+    const Shape shapes[] = {
+        {"48-bit tree", {1.0f, 0x1p-13f, 0x1p-13f, 0x1p-48f}, 1 + 0x1p-12},
+        {"49-bit tree", {1.0f, 0x1p-13f, 0x1p-13f, 0x1p-49f}, 1.0},
+        {"60-bit tree", {1.0f, 0x1p-13f, 0x1p-13f, 0x1p-60f}, 1.0},
+        {"zero-B lane", {1.0f, 0x1p-13f, 0x1p-13f, 0x1p-46f, 0.0f}, 1.0},
+    };
+    for (int pes : {1, 9}) {
+        for (const Shape &shape : shapes) {
+            const std::string what =
+                shape.name + ", " + std::to_string(pes) + " PEs";
+            std::vector<BFloat16> a(8, BFloat16());
+            std::vector<BFloat16> b(static_cast<size_t>(pes) * 8,
+                                    BFloat16());
+            for (size_t l = 0; l < shape.products.size(); ++l) {
+                a[l] = bf16(1.0f);
+                for (int r = 0; r < pes; ++r)
+                    b[r * 8 + l] = bf16(shape.products[l]);
+            }
+            ColumnTriple col(cfg, pes);
+            ASSERT_TRUE(col.runSet(a.data(), b.data(), what));
+            col.expectMatch(what);
+            for (int r = 0; r < pes; ++r)
+                EXPECT_EQ(
+                    col.ref.accumulator(r).chunkRegister().readDouble(),
+                    shape.want)
+                    << what << ", pe " << r;
+        }
+    }
+}
+
+/**
+ * Which body a column runs: every full 8-lane set of a column of up to
+ * 16 PEs, whatever its window, runs the PE-parallel body off the scalar
+ * tier; the scalar body keeps tracing, columns above 16 PEs, other
+ * lane counts and the scalar tier.
+ */
+TEST(ColumnBodies, EveryWindowRunsThePeParallelBody)
+{
+#ifdef __SSE2__
+    const bool simd = slab::activeTier() != slab::SimdTier::Scalar;
+#else
+    const bool simd = false;
+#endif
+    PeConfig unlimited;
+    unlimited.maxDelta = 1 << 20;
+    PeConfig window49;
+    window49.maxDelta = 49;
+    for (const PeConfig &cfg :
+         {PeConfig{}, window49, unlimited, bitPragmaticFpConfig()})
+        for (int pes : {1, 8, 9, 16})
+            EXPECT_EQ(FPRakerColumn(cfg, pes).peParallel(), simd)
+                << "window " << cfg.maxDelta << ", " << pes << " PEs";
+    EXPECT_EQ(FPRakerColumn(bitPragmaticFpConfig(), 8).peParallel(), simd);
+
+    EXPECT_FALSE(FPRakerColumn(PeConfig{}, 17).peParallel());
+    PeConfig lanes4;
+    lanes4.lanes = 4;
+    EXPECT_FALSE(FPRakerColumn(lanes4, 8).peParallel());
+    FPRakerColumn traced(PeConfig{}, 8);
+    traced.setTraceCallback([](const PeCycleTrace &) {});
+    EXPECT_FALSE(traced.peParallel());
+}
+
 TEST(ColumnParity, CancellingSetEmptiesTheRegisterMidSet)
 {
     // The cancelling shape above does what it claims: in the
@@ -379,11 +485,12 @@ TEST(ColumnParity, CancellingSetEmptiesTheRegisterMidSet)
 
 /**
  * Wide-row parity: the Fig. 19/20 geometries put up to 16 PEs on one
- * serial-operand stream, which is where the per-PE "all lanes retired"
- * summary bit actually skips work (settle and stepCycle bypass retired
- * PEs, and their no-term stalls are charged in one deferred multiply).
- * Every cycle count, accumulator bit, and stat counter must still
- * match the seed reference exactly.
+ * serial-operand stream (both 8-PE halves of the PE-parallel body), and
+ * 32 PEs run the scalar body. With many PEs, most of a set's cycles
+ * find PEs whose every live lane is already out-of-bounds: they owe no
+ * term, yet still block or join each lane's consensus drop. Every
+ * cycle count, accumulator bit, and stat counter must match the seed
+ * reference exactly.
  */
 class WideRowParity : public ::testing::TestWithParam<int>
 {
@@ -396,7 +503,7 @@ TEST_P(WideRowParity, RetirementSkipIsBitIdenticalToReference)
     for (int trial = 0; trial < 4; ++trial) {
         PeConfig cfg;
         // Narrow accumulators + wide exponent spreads retire lanes
-        // aggressively, so the skip path dominates the run.
+        // aggressively, so most PEs finish a set long before it ends.
         cfg.obThreshold = static_cast<int>(rng.uniformInt(4, 10));
         cfg.acc.fracBits = static_cast<int>(rng.uniformInt(6, 12));
         double sparsity = rng.uniform(0.1, 0.5);

@@ -61,7 +61,7 @@ TEST(MacEngine, ModesAgreeOnBenignData)
  * matmulT converts each operand matrix once and walks contiguous rows;
  * every element must still be bit-equal to dot() over the same two
  * rows, in every mode and in both value-MAC bodies (the SSE2 body for
- * the default 8-lane PE, the scalar body for the other shapes).
+ * the default 8-lane PE, the one-PE column for the other shapes).
  */
 TEST(MacEngine, MatmulTMatchesPerDotBitForBit)
 {
