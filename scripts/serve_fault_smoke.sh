@@ -16,6 +16,9 @@
 #   5. dropped response  -> the client retry policy resubmits; the
 #                           served document is bit-identical to a
 #                           direct `fpraker run`
+#   6. malformed option  -> structured "bad_request" on the same
+#                           connection; the daemon still answers
+#                           ping and shuts down cleanly
 #
 #   scripts/serve_fault_smoke.sh [build-dir]     (default: build)
 #
@@ -217,6 +220,38 @@ test "$(fingerprint "$work/drop.json")" = "$direct_fp" || {
     echo "FAIL: retried document diverged from the direct run"
     exit 1
 }
+stop_daemon
+
+# ---------------------------------------------------------------------
+echo "--- scenario 6: a malformed served option is a bad_request"
+start_daemon badopt
+python3 - "$sock" <<'EOF'
+import json, socket, sys
+s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+s.connect(sys.argv[1])
+s.settimeout(30)
+f = s.makefile("rwb")
+
+def ask(message):
+    f.write((json.dumps(message) + "\n").encode())
+    f.flush()
+    line = f.readline()
+    assert line, "daemon closed the connection"
+    return json.loads(line)
+
+# A bad batch or seq was once a fatal() in a scheduler worker: the
+# daemon exited with status 1 and the client read EOF.
+for experiment, options in (("ext_workload_catalog", {"batch": "abc"}),
+                            ("ext_workload_catalog", {"seq": "16x"}),
+                            ("ext_batch_sweep", {"batches": "8,,16"})):
+    resp = ask({"op": "submit",
+                "spec": {"experiment": experiment, "options": options}})
+    assert resp["ok"] is False, resp
+    assert resp["error_code"] == "bad_request", resp
+resp = ask({"op": "ping"})
+assert resp["ok"] is True, resp
+print("malformed options refused as bad_request; daemon still serving")
+EOF
 stop_daemon
 
 echo "serve fault smoke OK"

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <filesystem>
 
+#include "common/parse.h"
 #include "numeric/slab_ops.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -72,26 +73,6 @@ printUsage(FILE *to, const char *prog)
         "Results are bit-identical at any thread count; the knobs only\n"
         "change wall-clock time and sampling noise.\n",
         prog);
-}
-
-/** Strict positive-integer parse: all digits, value >= 1. */
-bool
-parsePositiveInt(const char *text, int *out)
-{
-    if (!*text)
-        return false;
-    long v = 0;
-    for (const char *p = text; *p; ++p) {
-        if (*p < '0' || *p > '9')
-            return false;
-        v = v * 10 + (*p - '0');
-        if (v > 1000000000)
-            return false;
-    }
-    if (v < 1)
-        return false;
-    *out = static_cast<int>(v);
-    return true;
 }
 
 } // namespace

@@ -8,13 +8,12 @@
  * speedup-vs-batch curves are not flat.
  */
 
-#include <cstdlib>
 #include <iterator>
 #include <memory>
-#include <sstream>
 
 #include "api/api.h"
 #include "common/logging.h"
+#include "common/parse.h"
 #include "workload/lowering.h"
 
 namespace fpraker {
@@ -25,24 +24,6 @@ using workload::BatchGeometry;
 using workload::CatalogModel;
 using workload::LoweredModel;
 
-/** Parse "8,16,32,64" into a positive-int list. */
-std::vector<int>
-parseBatchList(const std::string &csv)
-{
-    // A bad entry empties the list; the experiment turns that into a
-    // failed Result rather than a panic, because this value can also
-    // arrive over the serve wire and must never abort the daemon.
-    std::vector<int> out;
-    std::stringstream ss(csv);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-        int v = std::atoi(item.c_str());
-        if (v < 1) return {};
-        out.push_back(v);
-    }
-    return out;
-}
-
 REGISTER_EXPERIMENT("ext_batch_sweep",
                     "Extension: batch-geometry sweep",
                     "catalog models lowered at a sweep of minibatch "
@@ -51,12 +32,15 @@ REGISTER_EXPERIMENT("ext_batch_sweep",
                     "occupancy, and the compute/memory balance, so "
                     "the payoff is geometry-dependent")
 {
-    const std::vector<int> batches =
-        parseBatchList(session.strOption("batches", "8,16,32,64"));
-    if (batches.empty()) {
+    // A bad list is a failed Result, never a fatal(): the daemon
+    // refuses a bad served list as bad_request before it gets here,
+    // but the CLI's --batches reaches the experiment unchecked.
+    const std::string batchList =
+        session.strOption("batches", "8,16,32,64");
+    std::vector<int> batches;
+    if (!parsePositiveList(batchList, &batches)) {
         Result res;
-        res.fail("bad --batches list '" +
-                 session.strOption("batches", "8,16,32,64") +
+        res.fail("bad --batches list '" + batchList +
                  "' (want comma-separated positive integers)");
         return res;
     }

@@ -109,12 +109,11 @@ class Result
     int threads = 0;
     int sampleSteps = 0;
     /**
-     * slab_ops dispatch tier the run executed under ("scalar",
-     * "sse2", "avx2", or "avx512" — whichever activeTier() resolved,
-     * including a FPRAKER_SIMD override). Filled by the driver.
-     * Provenance only — the determinism contract says every tier
-     * produces the same bytes, so the tier must never be part of the
-     * fingerprint.
+     * The bodies the run executed on, slab::simdLevel(): "sse2", or
+     * "scalar" when FPRAKER_SIMD=scalar pins them or the build lacks
+     * SSE2. Filled by the driver. Provenance only — the determinism
+     * contract says both produce the same bytes, so the level must
+     * never be part of the fingerprint.
      */
     std::string simdLevel;
     std::vector<std::string> variants;

@@ -5,6 +5,7 @@
 
 #include "common/fnv.h"
 #include "common/logging.h"
+#include "common/parse.h"
 #include "trace/model_zoo.h"
 
 namespace fpraker {
@@ -84,18 +85,12 @@ envSampleSteps()
     const char *env = std::getenv("FPRAKER_SAMPLE_STEPS");
     if (!env || !*env)
         return 0;
-    long v = 0;
-    for (const char *p = env; *p && v <= 1000000000; ++p) {
-        fatal_if(*p < '0' || *p > '9',
-                 "FPRAKER_SAMPLE_STEPS=%s: expected a positive decimal "
-                 "integer",
-                 env);
-        v = v * 10 + (*p - '0');
-    }
-    fatal_if(v < 1 || v > 1000000000,
-             "FPRAKER_SAMPLE_STEPS=%s: expected an integer in [1, 1e9]",
+    int v = 0;
+    fatal_if(!parsePositiveInt(env, &v),
+             "FPRAKER_SAMPLE_STEPS=%s: expected a positive decimal "
+             "integer in [1, 1e9]",
              env);
-    return static_cast<int>(v);
+    return v;
 }
 
 int
@@ -129,8 +124,9 @@ Session::intOption(const std::string &key, int fallback) const
     const std::string *v = option(key);
     if (!v)
         return fallback;
-    int n = std::atoi(v->c_str());
-    fatal_if(n < 1, "option --%s requires a positive integer (got %s)",
+    int n = 0;
+    fatal_if(!parsePositiveInt(*v, &n),
+             "option --%s requires a positive integer (got %s)",
              key.c_str(), v->c_str());
     return n;
 }

@@ -98,7 +98,11 @@ class Session
     void setOption(const std::string &key, std::string value);
     /** Option value, or nullptr when unset. */
     const std::string *option(const std::string &key) const;
-    /** Integer option with fallback; fatal on a non-positive value. */
+    /**
+     * Integer option with fallback; fatal unless the value passes
+     * parsePositiveInt (common/parse.h), which served specs are
+     * checked against before they reach a session.
+     */
     int intOption(const std::string &key, int fallback) const;
     /** String option with fallback. */
     std::string strOption(const std::string &key,

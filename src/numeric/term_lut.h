@@ -19,7 +19,7 @@
 
 #include <cstdint>
 
-#include "numeric/slab_ops.h"
+#include "numeric/bfloat16.h"
 #include "numeric/term_encoder.h"
 
 namespace fpraker {
@@ -58,19 +58,18 @@ class TermLut
 
     /**
      * The full 256-entry term-count table (counts_[0] == 0), for the
-     * slab-grain SIMD classifiers in numeric/slab_ops.h.
+     * slab-grain classifier slab::countTerms (numeric/slab_ops.h).
      */
     const uint8_t *countsTable() const { return counts_; }
 
     /**
-     * 16-entry in-register counterpart of countsTable() for the
-     * pshufb tiers in slab_ops: a nibble popcount table plus the
-     * encoding's fold rule (canonical NAF counts are popcount(x^3x),
-     * RawBits counts are popcount(x)). Parity with countsTable() over
-     * the reachable significand domain {0} u [128, 255] is pinned by
-     * tests/test_simd_tiers.cpp.
+     * The table's fold rule for slab::countTerms' SSE2 body, which
+     * counts in-register instead of reading countsTable(): canonical
+     * (NAF) counts are popcount(x ^ 3x), RawBits counts popcount(x).
+     * tests/test_simd_tiers.cpp pins the identity against the encoder
+     * and the SSE2 body against the table on every bf16 bit pattern.
      */
-    const slab::NibbleCountLut &nibbleLut() const { return nibble_; }
+    bool nafFold() const { return encoding_ == TermEncoding::Canonical; }
 
     TermEncoding encoding() const { return encoding_; }
 
@@ -80,7 +79,6 @@ class TermLut
     TermEncoding encoding_;
     TermStream streams_[256];
     uint8_t counts_[256] = {};
-    slab::NibbleCountLut nibble_ = {};
 };
 
 } // namespace fpraker

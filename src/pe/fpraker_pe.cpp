@@ -9,6 +9,7 @@
 #endif
 
 #include "common/logging.h"
+#include "numeric/slab_ops.h"
 
 namespace fpraker {
 

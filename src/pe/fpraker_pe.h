@@ -47,8 +47,8 @@
  *    and the B exponents, significands and signs are held lane-major,
  *    one vector per lane, and a product exponent adds the lane's
  *    broadcast A exponent. It runs every full 8-lane set, whatever the
- *    window, on columns of up to 16 PEs, with no trace callback, on
- *    any SIMD tier but scalar.
+ *    window, on columns of up to 16 PEs, with no trace callback,
+ *    unless FPRAKER_SIMD=scalar.
  *  - The scalar body: a plain per-PE loop over each PE's pending lanes,
  *    with per-PE bitmasks. It is the fallback for traced sets, ragged
  *    dot() tails, columns of more than 16 PEs, lane counts other than

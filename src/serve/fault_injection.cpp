@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "common/parse.h"
 
 namespace fpraker {
 namespace serve {
@@ -77,14 +78,12 @@ FaultInjector::configure(const std::string &spec, std::string *error)
                          "': param '" + value + "' is not an integer";
             return false;
         }
-        if (!countText.empty()) {
-            p.count = std::strtoull(countText.c_str(), &rest, 10);
-            if ((rest && *rest) || p.count == 0) {
-                if (error)
-                    *error = "fault '" + p.point + "': count '" +
-                             countText + "' is not a positive integer";
-                return false;
-            }
+        if (!countText.empty() &&
+            !parsePositive(countText, ~0ull, &p.count)) {
+            if (error)
+                *error = "fault '" + p.point + "': count '" +
+                         countText + "' is not a positive integer";
+            return false;
         }
         staged.push_back(std::move(p));
     }

@@ -7,6 +7,7 @@
 
 #include "api/driver.h"
 #include "api/session.h"
+#include "common/parse.h"
 #include "obs/trace.h"
 #include "serve/client.h"
 #include "serve/daemon.h"
@@ -19,43 +20,13 @@ namespace serve {
 
 namespace {
 
-/** Strict positive-integer parse (digits only, >= 1). */
-bool
-parsePositive(const char *text, uint64_t *out, uint64_t max)
-{
-    if (!*text)
-        return false;
-    uint64_t v = 0;
-    for (const char *p = text; *p; ++p) {
-        if (*p < '0' || *p > '9')
-            return false;
-        v = v * 10 + static_cast<uint64_t>(*p - '0');
-        if (v > max)
-            return false;
-    }
-    if (v < 1)
-        return false;
-    *out = v;
-    return true;
-}
-
-bool
-parsePositiveInt(const char *text, int *out)
-{
-    uint64_t v;
-    if (!parsePositive(text, &v, 1000000000))
-        return false;
-    *out = static_cast<int>(v);
-    return true;
-}
-
 /** Signed strict parse for --priority (range [-1e9, 1e9]). */
 bool
 parseSignedInt(const char *text, int *out)
 {
     bool negative = *text == '-';
     uint64_t v;
-    if (!parsePositive(negative ? text + 1 : text, &v, 1000000000)) {
+    if (!parsePositive(negative ? text + 1 : text, kMaxIntArg, &v)) {
         // parsePositive rejects 0; accept the explicit "0" here.
         if (std::strcmp(text, "0") != 0)
             return false;
@@ -172,15 +143,15 @@ serveMain(int argc, char **argv, int first)
                 return flagError(prog, "--workers requires an "
                                        "integer >= 1");
         } else if (std::strncmp(arg, "--cache-bytes=", 14) == 0) {
-            if (!parsePositive(arg + 14, &cfg.scheduler.cacheBytes,
-                               1ull << 40))
+            if (!parsePositive(arg + 14, 1ull << 40,
+                               &cfg.scheduler.cacheBytes))
                 return flagError(prog, "--cache-bytes requires an "
                                        "integer in [1, 2^40]");
         } else if (std::strncmp(arg, "--cache-dir=", 12) == 0) {
             cfg.scheduler.cacheDir = arg + 12;
         } else if (std::strncmp(arg, "--queue-depth=", 14) == 0) {
-            if (!parsePositive(arg + 14, &cfg.scheduler.queueDepth,
-                               1000000))
+            if (!parsePositive(arg + 14, 1000000,
+                               &cfg.scheduler.queueDepth))
                 return flagError(prog, "--queue-depth requires an "
                                        "integer in [1, 1e6]");
         } else if (std::strncmp(arg, "--io-timeout=", 13) == 0) {
@@ -370,7 +341,7 @@ parseJobArgs(int argc, char **argv, int first, bool allow_json,
         } else if (allow_json && std::strncmp(arg, "--json=", 7) == 0) {
             *jsonPath = arg + 7;
         } else if (arg[0] != '-' && !have_job) {
-            if (!parsePositive(arg, job, ~0ull >> 1)) {
+            if (!parsePositive(arg, ~0ull >> 1, job)) {
                 flagError(prog, std::string("job id must be a "
                                             "positive integer, got "
                                             "'") +

@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "common/logging.h"
+#include "common/parse.h"
 #include "obs/metrics.h"
 
 namespace fpraker {
@@ -116,12 +117,15 @@ SimEngine::parallelFor(size_t n,
 int
 SimEngine::defaultThreads()
 {
-    if (const char *env = std::getenv("FPRAKER_THREADS")) {
-        int v = std::atoi(env);
-        if (v > 0)
-            return v;
-    }
-    return 1;
+    const char *env = std::getenv("FPRAKER_THREADS");
+    if (!env || !*env)
+        return 1;
+    int v = 0;
+    fatal_if(!parsePositiveInt(env, &v),
+             "FPRAKER_THREADS=%s: expected a positive decimal integer "
+             "in [1, 1e9]",
+             env);
+    return v;
 }
 
 } // namespace fpraker

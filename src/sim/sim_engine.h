@@ -53,7 +53,10 @@ class SimEngine
     /**
      * Thread count used when a config leaves the knob at 0: the
      * FPRAKER_THREADS environment variable, else 1 (the deterministic
-     * serial baseline; parallelism is opt-in).
+     * serial baseline; parallelism is opt-in). A set value must be a
+     * positive decimal integer no larger than 1e9, as --threads; any
+     * other non-empty value is a fatal() naming the variable. Read
+     * afresh on every call; starts no threads.
      */
     static int defaultThreads();
 

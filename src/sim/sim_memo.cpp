@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/logging.h"
+#include "common/parse.h"
 #include "obs/metrics.h"
 
 namespace fpraker {
@@ -151,23 +152,30 @@ SimMemo::bytesHeld() const
     return bytes;
 }
 
+uint64_t
+SimMemo::envBudget()
+{
+    const char *env = std::getenv("FPRAKER_MEMO");
+    if (!env || !*env)
+        return kDefaultBudget;
+    if (std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0)
+        return 0;
+    // Loud-fail like FPRAKER_SIMD: a typo must never silently change
+    // what the run measures.
+    uint64_t bytes = 0;
+    fatal_if(!parsePositive(env, kMaxBudget, &bytes),
+             "FPRAKER_MEMO=%s: expected 'off', '0' or a decimal byte "
+             "budget in [1, 2^40]",
+             env);
+    return bytes;
+}
+
 SimMemo *
 SimMemo::global()
 {
     static SimMemo *g = []() -> SimMemo * {
-        const char *env = std::getenv("FPRAKER_MEMO");
-        if (!env || !*env)
-            return new SimMemo(64u << 20);
-        if (std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0)
-            return nullptr;
-        char *end = nullptr;
-        unsigned long long bytes = std::strtoull(env, &end, 10);
-        // Loud-fail like FPRAKER_SIMD: a typo must never silently
-        // change what the run measures.
-        panic_if(end == env || *end != '\0' || bytes == 0,
-                 "FPRAKER_MEMO=%s: expected 'off' or a byte budget",
-                 env);
-        return new SimMemo(static_cast<size_t>(bytes));
+        const uint64_t bytes = envBudget();
+        return bytes ? new SimMemo(static_cast<size_t>(bytes)) : nullptr;
     }();
     return g;
 }

@@ -21,8 +21,8 @@
  *
  * The process-wide instance (global()) is shared by every accelerator
  * and SweepRunner job; the FPRAKER_MEMO environment knob sizes it
- * (byte budget) or disables it ("off"/"0" — loud-fail on anything
- * else, like FPRAKER_SIMD). Hit/miss counts are telemetry (the memo.*
+ * (byte budget) or disables it ("off"/"0" — fatal on anything else,
+ * like FPRAKER_SIMD). Hit/miss counts are telemetry (the memo.*
  * metrics and stats()), never part of a fingerprint.
  */
 
@@ -80,10 +80,22 @@ class SimMemo
     uint64_t bytesHeld() const;
     size_t budget() const { return budget_; }
 
+    /** FPRAKER_MEMO's default budget (the variable unset or empty). */
+    static constexpr uint64_t kDefaultBudget = 64ull << 20;
+    /** The largest budget FPRAKER_MEMO accepts (1 TiB). */
+    static constexpr uint64_t kMaxBudget = 1ull << 40;
+
     /**
-     * The process-wide memo, sized by FPRAKER_MEMO (unset = 64 MiB;
-     * "off"/"0" = nullptr, so every burst simulates;
-     * a byte count sizes the budget; anything else panics loudly).
+     * The budget FPRAKER_MEMO asks for: kDefaultBudget when unset or
+     * empty, 0 for "off" or "0", else a positive decimal byte count
+     * up to kMaxBudget; anything else ("-1", "+5", " 4096", "64M")
+     * is a fatal() naming the variable. Read afresh on every call.
+     */
+    static uint64_t envBudget();
+
+    /**
+     * The process-wide memo, sized by envBudget() on first use
+     * (nullptr for a budget of 0, so every burst simulates).
      */
     static SimMemo *global();
 

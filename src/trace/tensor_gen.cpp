@@ -215,7 +215,7 @@ measureTensor(const BFloat16 *values, size_t n, TermEncoding encoding)
     const TermLut &lut = TermLut::of(encoding);
     TensorStats stats;
     stats.values = n;
-    slab::countTerms(values, n, lut.countsTable(), lut.nibbleLut(),
+    slab::countTerms(values, n, lut.countsTable(), lut.nafFold(),
                      &stats.zeros, &stats.terms);
     return stats;
 }

@@ -1,11 +1,15 @@
 /**
  * @file
- * Tests for the common utilities (stats, tables, RNG, bit helpers).
+ * Tests for the common utilities (stats, tables, RNG, bit helpers,
+ * the strict decimal parser).
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "common/bitutil.h"
+#include "common/parse.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -164,6 +168,29 @@ TEST(Table, CellFormatting)
     EXPECT_EQ(Table::cell(1.234, 2), "1.23");
     EXPECT_EQ(Table::cell(1.0, 0), "1");
     EXPECT_EQ(Table::pct(0.421), "42.1%");
+}
+
+TEST(Parse, StrictPositiveDecimal)
+{
+    uint64_t v = 0;
+    EXPECT_TRUE(parsePositive("1", 1, &v));
+    EXPECT_EQ(v, 1u);
+    EXPECT_TRUE(parsePositive("007", 10, &v));
+    EXPECT_EQ(v, 7u);
+    EXPECT_TRUE(parsePositive("18446744073709551615", ~0ull, &v));
+    EXPECT_EQ(v, ~0ull);
+    EXPECT_FALSE(parsePositive("18446744073709551616", ~0ull, &v));
+    EXPECT_FALSE(parsePositive("2", 1, &v));
+    EXPECT_FALSE(parsePositive("9", 5, &v));
+    for (const char *bad : {"", "0", "00", "-1", "+5", " 8", "8 ", "16x",
+                            "1e3", "0x10", "1,000"})
+        EXPECT_FALSE(parsePositive(bad, ~0ull, &v)) << bad;
+
+    int n = 0;
+    EXPECT_TRUE(parsePositiveInt("1000000000", &n));
+    EXPECT_EQ(n, 1000000000);
+    EXPECT_FALSE(parsePositiveInt("1000000001", &n));
+    EXPECT_EQ(n, 1000000000); // untouched on failure
 }
 
 } // namespace

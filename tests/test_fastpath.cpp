@@ -56,7 +56,7 @@ TEST(SlabOps, CountTermsMatchesScalar)
                 slab::countTermsScalar(v.data(), n, lut.countsTable(),
                                        &z_ref, &t_ref);
                 slab::countTerms(v.data(), n, lut.countsTable(),
-                                 lut.nibbleLut(), &z, &t);
+                                 lut.nafFold(), &z, &t);
                 ASSERT_EQ(z_ref, z) << "n=" << n;
                 ASSERT_EQ(t_ref, t) << "n=" << n;
             }

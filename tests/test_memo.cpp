@@ -8,6 +8,7 @@
  * budgets, and evicting, at 1, 2, and 8 threads.
  */
 
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -126,6 +127,44 @@ TEST(SimMemo, OversizedEntryNeverCached)
     SimMemo::Stats st = memo.stats();
     EXPECT_EQ(st.insertions, 0u);
     EXPECT_EQ(st.bytes, 0u);
+}
+
+TEST(SimMemo, EnvBudgetIsReadAfreshAndStrictly)
+{
+    const char *saved = std::getenv("FPRAKER_MEMO");
+    const std::string savedValue = saved ? saved : "";
+
+    ::unsetenv("FPRAKER_MEMO");
+    EXPECT_EQ(SimMemo::envBudget(), SimMemo::kDefaultBudget);
+    ::setenv("FPRAKER_MEMO", "", 1);
+    EXPECT_EQ(SimMemo::envBudget(), SimMemo::kDefaultBudget);
+    ::setenv("FPRAKER_MEMO", "off", 1);
+    EXPECT_EQ(SimMemo::envBudget(), 0u);
+    ::setenv("FPRAKER_MEMO", "0", 1);
+    EXPECT_EQ(SimMemo::envBudget(), 0u);
+    ::setenv("FPRAKER_MEMO", "4096", 1);
+    EXPECT_EQ(SimMemo::envBudget(), 4096u);
+    ::setenv("FPRAKER_MEMO", "1099511627776", 1);
+    EXPECT_EQ(SimMemo::envBudget(), SimMemo::kMaxBudget);
+
+#if GTEST_HAS_DEATH_TEST
+    // Anything but "off", "0" or a decimal byte count exits naming the
+    // variable: "-1" once meant an unbounded memo.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    for (const char *bad : {"-1", "+5", " 4096", "4096 ", "64M", "1e6",
+                            "OFF", "1099511627777",
+                            "99999999999999999999999"}) {
+        ::setenv("FPRAKER_MEMO", bad, 1);
+        EXPECT_EXIT(SimMemo::envBudget(), ::testing::ExitedWithCode(1),
+                    "FPRAKER_MEMO")
+            << bad;
+    }
+#endif
+
+    if (saved)
+        ::setenv("FPRAKER_MEMO", savedValue.c_str(), 1);
+    else
+        ::unsetenv("FPRAKER_MEMO");
 }
 
 TEST(SimMemo, LruEvictsOldestAndRespectsBudget)

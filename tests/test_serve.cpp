@@ -162,6 +162,46 @@ TEST(JobSpec, JsonRoundTripAndStrictParse)
     bad3.set("threads", 4);
     EXPECT_FALSE(JobSpec::fromJson(bad3, &back, &error));
     EXPECT_EQ(error, "unknown spec key 'threads'");
+
+    // The integer workload options follow the CLI's rule (a positive
+    // decimal integer up to 1e9; `batches` a comma-separated list of
+    // them), so a malformed one is refused here, never fatal() in a
+    // worker; other options stay free-form strings.
+    const auto withOption = [](const char *key, const char *value) {
+        JsonValue v = JsonValue::object();
+        v.set("experiment", "ext_workload_catalog");
+        JsonValue opts = JsonValue::object();
+        opts.set(key, value);
+        v.set("options", std::move(opts));
+        return v;
+    };
+    for (const char *key : {"batch", "seq"}) {
+        for (const char *value : {"abc", "16x", "0", "-1", "", " 16",
+                                  "+16", "1e3", "1000000001"}) {
+            EXPECT_FALSE(JobSpec::fromJson(withOption(key, value),
+                                           &back, &error))
+                << key << "=" << value;
+            EXPECT_EQ(error, std::string("spec.options.") + key +
+                                 " must be a decimal integer in "
+                                 "[1, 1e9]");
+        }
+        ASSERT_TRUE(JobSpec::fromJson(withOption(key, "16"), &back,
+                                      &error))
+            << error;
+    }
+    for (const char *value :
+         {"", ",", "8,", ",8", "8,,16", "8,abc", "8, 16", "8,0"}) {
+        EXPECT_FALSE(JobSpec::fromJson(withOption("batches", value),
+                                       &back, &error))
+            << value;
+        EXPECT_NE(error.find("spec.options.batches"), std::string::npos);
+    }
+    ASSERT_TRUE(JobSpec::fromJson(withOption("batches", "8,16,32"),
+                                  &back, &error))
+        << error;
+    ASSERT_TRUE(JobSpec::fromJson(withOption("out", "16x"), &back,
+                                  &error))
+        << error;
 }
 
 TEST(JobSpec, SubmitRejectsThreadsFlag)
@@ -461,6 +501,14 @@ TEST(Daemon, SocketRoundTripServesAndCaches)
     badOp.set("op", "frobnicate");
     ASSERT_TRUE(client.request(badOp, &resp, &error)) << error;
     EXPECT_FALSE(resp.find("ok")->boolean());
+    // So does a malformed served option, which never reaches a worker.
+    JobSpec badBatch = smallSpec("ext_workload_catalog", 8);
+    badBatch.options = {{"batch", "abc"}};
+    ASSERT_TRUE(client.submit(badBatch, &resp, &error)) << error;
+    EXPECT_FALSE(resp.find("ok")->boolean());
+    EXPECT_EQ(resp.find("error_code")->str(), "bad_request");
+    ASSERT_TRUE(client.request(ping, &resp, &error)) << error;
+    EXPECT_TRUE(resp.find("ok")->boolean());
 
     JsonValue stats = JsonValue::object();
     stats.set("op", "stats");

@@ -129,8 +129,9 @@ TEST_F(ServeFaults, InjectorRejectsMalformedSpecsWithoutArming)
 {
     FaultInjector &fi = FaultInjector::instance();
     std::string error;
-    for (const char *bad : {"bogus", "point=", "=1",
-                            "a.b=notanumber", "a.b=1:0", "a.b=1:x"}) {
+    for (const char *bad : {"bogus", "point=", "=1", "a.b=notanumber",
+                            "a.b=1:0", "a.b=1:x", "a.b=1:-1",
+                            "a.b=1:+2", "a.b=1:2x"}) {
         error.clear();
         EXPECT_FALSE(fi.configure(bad, &error)) << bad;
         EXPECT_FALSE(error.empty()) << bad;

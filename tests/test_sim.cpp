@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -865,6 +866,43 @@ TEST(SimEngine, ZeroRequestsDefaultThreads)
 {
     SimEngine engine(0);
     EXPECT_GE(engine.threads(), 1);
+}
+
+TEST(SimEngine, ThreadsEnvIsReadAfreshAndStrictly)
+{
+    const char *saved = std::getenv("FPRAKER_THREADS");
+    const std::string savedValue = saved ? saved : "";
+
+    ::unsetenv("FPRAKER_THREADS");
+    EXPECT_EQ(SimEngine::defaultThreads(), 1);
+    ::setenv("FPRAKER_THREADS", "", 1);
+    EXPECT_EQ(SimEngine::defaultThreads(), 1);
+
+#if GTEST_HAS_DEATH_TEST
+    // Anything but --threads's rule (a positive decimal integer up to
+    // 1e9) exits naming the variable, never silently runs serial or
+    // reads a prefix. Only parsing runs: no value here starts a pool.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    for (const char *bad : {"abc", "-2", "0", "4x", " 4", "+4", "1e3",
+                            "1000000001", "99999999999999999999"}) {
+        ::setenv("FPRAKER_THREADS", bad, 1);
+        EXPECT_EXIT(SimEngine::defaultThreads(),
+                    ::testing::ExitedWithCode(1), "FPRAKER_THREADS")
+            << bad;
+    }
+#endif
+
+    ::setenv("FPRAKER_THREADS", "3", 1);
+    EXPECT_EQ(SimEngine::defaultThreads(), 3);
+    {
+        SimEngine engine(0);
+        EXPECT_EQ(engine.threads(), 3);
+    }
+
+    if (saved)
+        ::setenv("FPRAKER_THREADS", savedValue.c_str(), 1);
+    else
+        ::unsetenv("FPRAKER_THREADS");
 }
 
 uint64_t

@@ -1,11 +1,11 @@
 /**
  * @file
- * PR 7 forced-tier differential harness: every compiled slab_ops
- * dispatch tier (scalar/SSE2/AVX2/AVX-512) fuzzed against the fixed
- * scalar reference bodies, the FPRAKER_SIMD knob contract, and the
- * nibble-LUT / counts-table parity that the pshufb tiers rely on.
- * Tiers the host cannot execute skip, never fail. Everything here is
- * a bit-identity contract — no tolerances.
+ * The slab kernels' two bodies: each SSE2 body against its scalar
+ * reference body (countTerms on every bf16 bit pattern under both
+ * encodings, plus random-size fuzz), the FPRAKER_SIMD knob contract
+ * (only `scalar` is accepted), and the NAF fold identity the SSE2
+ * count rests on. Everything here is a bit-identity contract — no
+ * tolerances.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +23,11 @@
 
 namespace fpraker {
 namespace {
+
+constexpr TermEncoding kEncodings[] = {TermEncoding::Canonical,
+                                       TermEncoding::RawBits};
+
+#ifdef __SSE2__
 
 BFloat16
 randomFinite(Rng &rng, double zero_p)
@@ -57,51 +62,47 @@ extremeFinite(Rng &rng)
     }
 }
 
-/** Scalar evaluation of the nibble table, exactly as the pshufb tiers
- *  compute it: optional x^3x fold in 16-bit width, then per-nibble
- *  popcount lookups. */
-uint64_t
-nibbleCount(const slab::NibbleCountLut &nib, int sig8)
+TEST(SlabSse2, CountTermsMatchesScalarOnEveryBitPattern)
 {
-    uint32_t t = static_cast<uint32_t>(sig8);
-    if (nib.nafFold)
-        t ^= t + (t << 1);
-    uint64_t total = 0;
-    for (; t; t >>= 4)
-        total += nib.pop4[t & 0xf];
-    return total;
+    std::vector<BFloat16> all(1u << 16);
+    for (size_t bits = 0; bits < all.size(); ++bits)
+        all[bits] = BFloat16::fromBits(static_cast<uint16_t>(bits));
+    for (TermEncoding enc : kEncodings) {
+        const TermLut &lut = TermLut::of(enc);
+        // Each pattern alone, in all 8 lanes of one SSE2 iteration.
+        for (const BFloat16 v : all) {
+            const std::vector<BFloat16> lanes(8, v);
+            uint64_t z_ref = 0, t_ref = 0, z = 0, t = 0;
+            slab::countTermsScalar(lanes.data(), 8, lut.countsTable(),
+                                   &z_ref, &t_ref);
+            slab::countTermsSse2(lanes.data(), 8, lut.countsTable(),
+                                 lut.nafFold(), &z, &t);
+            ASSERT_EQ(z_ref, z) << "bits=" << v.bits();
+            ASSERT_EQ(t_ref, t) << "bits=" << v.bits();
+        }
+        // The whole domain in one slab: 8,192 accumulated iterations.
+        uint64_t z_ref = 0, t_ref = 0, z = 0, t = 0;
+        slab::countTermsScalar(all.data(), all.size(), lut.countsTable(),
+                               &z_ref, &t_ref);
+        slab::countTermsSse2(all.data(), all.size(), lut.countsTable(),
+                             lut.nafFold(), &z, &t);
+        EXPECT_EQ(z_ref, z);
+        EXPECT_EQ(t_ref, t);
+    }
 }
 
-class SimdTierTest : public ::testing::TestWithParam<slab::SimdTier>
+TEST(SlabSse2, CountTermsMatchesScalarReference)
 {
-  protected:
-    void
-    SetUp() override
-    {
-        if (!slab::tierCompiled(GetParam()))
-            GTEST_SKIP() << "tier " << slab::tierName(GetParam())
-                         << " not compiled into this build";
-        if (!slab::tierSupported(GetParam()))
-            GTEST_SKIP() << "tier " << slab::tierName(GetParam())
-                         << " not supported by this host";
-    }
-};
-
-TEST_P(SimdTierTest, CountTermsMatchesScalarReference)
-{
-    const slab::SimdTier tier = GetParam();
-    Rng rng(0x51D0 + static_cast<int>(tier));
-    for (TermEncoding enc :
-         {TermEncoding::Canonical, TermEncoding::RawBits}) {
+    Rng rng(0x51D0);
+    for (TermEncoding enc : kEncodings) {
         const TermLut &lut = TermLut::of(enc);
         for (double zero_p : {0.0, 0.3, 0.95, 1.0}) {
-            // Sizes straddle the 16/32/64-value strides of every tier
-            // plus every ragged-tail shape below them.
+            // Sizes straddle the 8-value stride plus every ragged-tail
+            // shape below it.
             for (size_t n :
-                 {size_t(0), size_t(1), size_t(7), size_t(15),
-                  size_t(16), size_t(31), size_t(32), size_t(33),
-                  size_t(63), size_t(64), size_t(65), size_t(127),
-                  size_t(128), size_t(1000)}) {
+                 {size_t(0), size_t(1), size_t(7), size_t(8),
+                  size_t(9), size_t(15), size_t(16), size_t(17),
+                  size_t(63), size_t(64), size_t(65), size_t(1000)}) {
                 std::vector<BFloat16> v(n);
                 for (size_t i = 0; i < n; ++i)
                     v[i] = rng.bernoulli(0.25)
@@ -110,36 +111,31 @@ TEST_P(SimdTierTest, CountTermsMatchesScalarReference)
                 uint64_t z_ref = 7, t_ref = 9, z = 7, t = 9;
                 slab::countTermsScalar(v.data(), n, lut.countsTable(),
                                        &z_ref, &t_ref);
-                slab::countTermsAt(tier, v.data(), n,
-                                   lut.countsTable(), lut.nibbleLut(),
-                                   &z, &t);
-                ASSERT_EQ(z_ref, z)
-                    << "tier=" << slab::tierName(tier) << " n=" << n;
-                ASSERT_EQ(t_ref, t)
-                    << "tier=" << slab::tierName(tier) << " n=" << n;
+                slab::countTermsSse2(v.data(), n, lut.countsTable(),
+                                     lut.nafFold(), &z, &t);
+                ASSERT_EQ(z_ref, z) << "n=" << n;
+                ASSERT_EQ(t_ref, t) << "n=" << n;
             }
         }
     }
 }
 
-TEST_P(SimdTierTest, CountTermsAllZeroSlab)
+TEST(SlabSse2, CountTermsAllZeroSlab)
 {
-    const slab::SimdTier tier = GetParam();
     const TermLut &lut = TermLut::of(TermEncoding::Canonical);
     for (size_t n : {size_t(1), size_t(16), size_t(64), size_t(97)}) {
         std::vector<BFloat16> v(n); // value-initialized: all zero
         uint64_t z = 0, t = 0;
-        slab::countTermsAt(tier, v.data(), n, lut.countsTable(),
-                           lut.nibbleLut(), &z, &t);
-        EXPECT_EQ(n, z) << slab::tierName(tier);
-        EXPECT_EQ(0u, t) << slab::tierName(tier);
+        slab::countTermsSse2(v.data(), n, lut.countsTable(),
+                             lut.nafFold(), &z, &t);
+        EXPECT_EQ(n, z);
+        EXPECT_EQ(0u, t);
     }
 }
 
-TEST_P(SimdTierTest, PackBf16MatchesScalarReference)
+TEST(SlabSse2, PackBf16MatchesScalarReference)
 {
-    const slab::SimdTier tier = GetParam();
-    Rng rng(0xFACE + static_cast<int>(tier));
+    Rng rng(0xFACE);
     for (size_t n : {size_t(1), size_t(8), size_t(15), size_t(16),
                      size_t(17), size_t(31), size_t(32), size_t(33),
                      size_t(64), size_t(65), size_t(333)}) {
@@ -173,92 +169,77 @@ TEST_P(SimdTierTest, PackBf16MatchesScalarReference)
         std::vector<BFloat16> ref(n), got(n);
         slab::packBf16Scalar(exp.data(), man.data(), neg.data(), n,
                              ref.data());
-        slab::packBf16At(tier, exp.data(), man.data(), neg.data(), n,
-                         got.data());
+        slab::packBf16Sse2(exp.data(), man.data(), neg.data(), n,
+                           got.data());
         ASSERT_EQ(0, std::memcmp(ref.data(), got.data(),
                                  n * sizeof(BFloat16)))
-            << "tier=" << slab::tierName(tier) << " n=" << n;
+            << "n=" << n;
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllTiers, SimdTierTest,
-    ::testing::Values(slab::SimdTier::Scalar, slab::SimdTier::Sse2,
-                      slab::SimdTier::Avx2, slab::SimdTier::Avx512),
-    [](const ::testing::TestParamInfo<slab::SimdTier> &info) {
-        return std::string(slab::tierName(info.param));
-    });
-
-TEST(SimdKnob, TierNamesRoundTrip)
-{
-    for (int i = 0; i < slab::kNumSimdTiers; ++i) {
-        const auto tier = static_cast<slab::SimdTier>(i);
-        slab::SimdTier parsed;
-        ASSERT_TRUE(slab::parseSimdTier(slab::tierName(tier), &parsed));
-        EXPECT_EQ(tier, parsed);
-    }
-}
-
-TEST(SimdKnob, RejectsUnknownSpellings)
-{
-    slab::SimdTier parsed;
-    EXPECT_FALSE(slab::parseSimdTier("", &parsed));
-    EXPECT_FALSE(slab::parseSimdTier("AVX2", &parsed));
-    EXPECT_FALSE(slab::parseSimdTier("avx-512", &parsed));
-    EXPECT_FALSE(slab::parseSimdTier("sse4", &parsed));
-    EXPECT_FALSE(slab::parseSimdTier("best", &parsed));
-    EXPECT_FALSE(slab::parseSimdTier(nullptr, &parsed));
-}
+#endif // __SSE2__
 
 TEST(SimdKnob, ActiveTierHonorsEnvironment)
 {
-    const slab::SimdTier active = slab::activeTier();
-    ASSERT_TRUE(slab::tierCompiled(active));
-    ASSERT_TRUE(slab::tierSupported(active));
-    EXPECT_STREQ(slab::tierName(active), slab::simdLevel());
     const char *env = std::getenv("FPRAKER_SIMD");
     if (env != nullptr && *env != '\0') {
-        // Forced: the knob pins the tier verbatim (an invalid value
-        // would have been fatal before any test ran).
-        EXPECT_STREQ(env, slab::simdLevel());
-    } else {
-        // Unforced: the widest supported tier wins.
-        slab::SimdTier best = slab::SimdTier::Scalar;
-        for (int i = 0; i < slab::kNumSimdTiers; ++i) {
-            const auto tier = static_cast<slab::SimdTier>(i);
-            if (slab::tierSupported(tier))
-                best = tier;
-        }
-        EXPECT_EQ(best, active);
+        // Forced: only `scalar` gets this far (anything else would
+        // have been fatal on first use).
+        EXPECT_EQ(slab::SimdTier::Scalar, slab::activeTier());
+        EXPECT_STREQ("scalar", slab::simdLevel());
+        return;
     }
+#ifdef __SSE2__
+    EXPECT_EQ(slab::SimdTier::Sse2, slab::activeTier());
+    EXPECT_STREQ("sse2", slab::simdLevel());
+#else
+    EXPECT_EQ(slab::SimdTier::Scalar, slab::activeTier());
+    EXPECT_STREQ("scalar", slab::simdLevel());
+#endif
 }
 
-TEST(NibbleLut, ParityWithCountsTableOnReachableDomain)
+TEST(SimdKnob, AcceptsOnlyScalar)
 {
-    // The pshufb tiers evaluate the 16-entry nibble table where the
-    // memory tiers walk the 256-entry counts table; both must agree on
-    // every reachable significand ({0} u [128, 255]).
-    for (TermEncoding enc :
-         {TermEncoding::Canonical, TermEncoding::RawBits}) {
-        const TermLut &lut = TermLut::of(enc);
-        const slab::NibbleCountLut &nib = lut.nibbleLut();
-        EXPECT_EQ(enc == TermEncoding::Canonical, nib.nafFold);
-        EXPECT_EQ(0u, nibbleCount(nib, 0));
-        for (int sig = 0x80; sig <= 0xff; ++sig)
-            ASSERT_EQ(lut.countsTable()[sig], nibbleCount(nib, sig))
-                << "enc=" << static_cast<int>(enc) << " sig=" << sig;
+#if GTEST_HAS_DEATH_TEST
+    const char *saved = std::getenv("FPRAKER_SIMD");
+    const std::string savedValue = saved ? saved : "";
+    // Each statement runs in a re-executed child, where the tier is
+    // still unresolved and reads the value set here.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    ::setenv("FPRAKER_SIMD", "scalar", 1);
+    EXPECT_EXIT(std::exit(slab::activeTier() == slab::SimdTier::Scalar
+                              ? 0
+                              : 3),
+                ::testing::ExitedWithCode(0), "");
+    // The former tier names, a wrong case, and "best" all exit naming
+    // the variable, never silently pick a body.
+    for (const char *bad : {"avx2", "sse2", "AVX2", "best", "avx512",
+                            "scalar "}) {
+        ::setenv("FPRAKER_SIMD", bad, 1);
+        EXPECT_EXIT(slab::activeTier(), ::testing::ExitedWithCode(1),
+                    "FPRAKER_SIMD")
+            << bad;
     }
+    if (saved)
+        ::setenv("FPRAKER_SIMD", savedValue.c_str(), 1);
+    else
+        ::unsetenv("FPRAKER_SIMD");
+#else
+    GTEST_SKIP() << "death tests unavailable";
+#endif
 }
 
-TEST(NibbleLut, FoldIdentityMatchesEncoderOnLegalDomain)
+TEST(CountFold, FoldIdentityMatchesEncoderOnLegalDomain)
 {
-    // The fold rests on termCount(x) == popcount(x ^ 3x) for the NAF
-    // recoding (3x taken at full width). Pin it against the encoder
-    // itself over its whole legal domain — zero plus every normalized
-    // significand — so a future encoder change cannot silently break
-    // the SIMD count.
+    // The SSE2 count rests on termCount(x) == popcount(x ^ 3x) for the
+    // NAF recoding (3x taken at full width) and popcount(x) for
+    // RawBits. Pin it against the encoder itself over its whole legal
+    // domain — zero plus every normalized significand — so a future
+    // encoder change cannot silently break the SIMD count.
     const TermEncoder naf(TermEncoding::Canonical);
     const TermEncoder raw(TermEncoding::RawBits);
+    EXPECT_TRUE(TermLut::of(TermEncoding::Canonical).nafFold());
+    EXPECT_FALSE(TermLut::of(TermEncoding::RawBits).nafFold());
     for (uint32_t x = 0; x < 256; x = (x == 0 ? 0x80 : x + 1)) {
         EXPECT_EQ(naf.encodeSignificand(static_cast<int>(x)).size(),
                   std::popcount(x ^ (3u * x)))
