@@ -3,8 +3,8 @@
 
 The determinism contract says `fpraker run --all` must produce the
 same results serially, in parallel, and on the scalar bodies that
-FPRAKER_SIMD=scalar pins as on the default SSE2 ones (slab kernels,
-PE column, value MAC); every fpraker-result-v1 document carries a
+FPRAKER_SIMD=scalar pins as on the default SSE2 ones (PE column,
+value MAC, FP32 dot); every fpraker-result-v1 document carries a
 content fingerprint, so N sweeps agree iff the fingerprints match
 experiment by experiment. Accepts two or more trees; the first is the
 reference the rest are diffed against. CI runs:

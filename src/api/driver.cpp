@@ -110,23 +110,15 @@ parseCliArgs(int argc, char **argv, int first, bool allow_positionals,
         } else if (std::strcmp(arg, "--telemetry") == 0) {
             opts->telemetry = true;
         } else if (std::strncmp(arg, "--batch=", 8) == 0 ||
-                   std::strncmp(arg, "--seq=", 6) == 0) {
+                   std::strncmp(arg, "--seq=", 6) == 0 ||
+                   std::strncmp(arg, "--batches=", 10) == 0) {
             const char *eq = std::strchr(arg, '=');
-            int value = 0;
-            if (!parsePositiveInt(eq + 1, &value)) {
-                *error = std::string(arg, static_cast<size_t>(
-                                              eq - arg)) +
-                         " requires an integer >= 1 (got '" +
-                         (eq + 1) + "')";
+            std::string key(arg + 2, eq);
+            if (!checkOption(key, eq + 1, error)) {
+                *error = "--" + *error + " (got '" + (eq + 1) + "')";
                 return false;
             }
-            opts->extras.emplace_back(
-                std::string(arg + 2, static_cast<size_t>(eq - arg - 2)),
-                eq + 1);
-        } else if (std::strncmp(arg, "--batches=", 10) == 0) {
-            // Comma-separated batch list for ext_batch_sweep; each
-            // entry is validated by the experiment itself.
-            opts->extras.emplace_back("batches", arg + 10);
+            opts->extras.emplace_back(std::move(key), eq + 1);
         } else if (std::strcmp(arg, "--all") == 0) {
             if (!allow_positionals) {
                 *error = "--all is only valid with `fpraker run`";

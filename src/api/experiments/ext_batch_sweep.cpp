@@ -13,7 +13,6 @@
 
 #include "api/api.h"
 #include "common/logging.h"
-#include "common/parse.h"
 #include "workload/lowering.h"
 
 namespace fpraker {
@@ -32,18 +31,8 @@ REGISTER_EXPERIMENT("ext_batch_sweep",
                     "occupancy, and the compute/memory balance, so "
                     "the payoff is geometry-dependent")
 {
-    // A bad list is a failed Result, never a fatal(): the daemon
-    // refuses a bad served list as bad_request before it gets here,
-    // but the CLI's --batches reaches the experiment unchecked.
-    const std::string batchList =
-        session.strOption("batches", "8,16,32,64");
-    std::vector<int> batches;
-    if (!parsePositiveList(batchList, &batches)) {
-        Result res;
-        res.fail("bad --batches list '" + batchList +
-                 "' (want comma-separated positive integers)");
-        return res;
-    }
+    const std::vector<int> batches =
+        session.intListOption("batches", {8, 16, 32, 64});
     const int seq = session.intOption("seq", 64);
     const char *const kModels[] = {"AlexNet", "ResNet-50",
                                    "Transformer-S"};

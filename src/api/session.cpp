@@ -118,6 +118,24 @@ Session::option(const std::string &key) const
     return it == options_.end() ? nullptr : &it->second;
 }
 
+bool
+checkOption(const std::string &key, const std::string &value,
+            std::string *error)
+{
+    int n;
+    std::vector<int> list;
+    if ((key == "batch" || key == "seq") && !parsePositiveInt(value, &n)) {
+        *error = key + " must be a decimal integer in [1, 1e9]";
+        return false;
+    }
+    if (key == "batches" && !parsePositiveList(value, &list)) {
+        *error = key + " must be a comma-separated list of decimal "
+                       "integers in [1, 1e9]";
+        return false;
+    }
+    return true;
+}
+
 int
 Session::intOption(const std::string &key, int fallback) const
 {
@@ -129,6 +147,21 @@ Session::intOption(const std::string &key, int fallback) const
              "option --%s requires a positive integer (got %s)",
              key.c_str(), v->c_str());
     return n;
+}
+
+std::vector<int>
+Session::intListOption(const std::string &key,
+                       std::vector<int> fallback) const
+{
+    const std::string *v = option(key);
+    if (!v)
+        return fallback;
+    std::vector<int> list;
+    fatal_if(!parsePositiveList(*v, &list),
+             "option --%s requires a comma-separated list of positive "
+             "integers (got %s)",
+             key.c_str(), v->c_str());
+    return list;
 }
 
 std::string

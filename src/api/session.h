@@ -100,10 +100,13 @@ class Session
     const std::string *option(const std::string &key) const;
     /**
      * Integer option with fallback; fatal unless the value passes
-     * parsePositiveInt (common/parse.h), which served specs are
-     * checked against before they reach a session.
+     * checkOption, which the CLI and served specs apply before a
+     * value reaches a session.
      */
     int intOption(const std::string &key, int fallback) const;
+    /** Integer-list option ("8,16,32"), checked as intOption. */
+    std::vector<int> intListOption(const std::string &key,
+                                   std::vector<int> fallback) const;
     /** String option with fallback. */
     std::string strOption(const std::string &key,
                           const std::string &fallback) const;
@@ -160,6 +163,18 @@ class Session
     std::map<std::string, const Accelerator *> variants_;
     std::vector<std::string> variantDescs_;
 };
+
+/**
+ * Check one experiment option before it is set on a session: `batch`
+ * and `seq` must pass parsePositiveInt and `batches` parsePositiveList
+ * (common/parse.h); any other key is a free-form string. On failure,
+ * *error reads "<key> must be ...". The CLI (parseCliArgs) and served
+ * specs (serve::JobSpec::fromJson) both check here, so a malformed
+ * value is a usage error or a bad_request, never a fatal() in
+ * intOption or intListOption.
+ */
+bool checkOption(const std::string &key, const std::string &value,
+                 std::string *error);
 
 /**
  * The FPRAKER_SAMPLE_STEPS override: 0 when the variable is unset or

@@ -1,127 +1,12 @@
 #include "numeric/slab_ops.h"
 
-#include <bit>
 #include <cstdlib>
 #include <cstring>
-#include <type_traits>
 
 #include "common/logging.h"
 
-#ifdef __SSE2__
-#include <emmintrin.h>
-#endif
-
 namespace fpraker {
 namespace slab {
-
-void
-countTermsScalar(const BFloat16 *values, size_t n,
-                 const uint8_t counts[256], uint64_t *zeros,
-                 uint64_t *terms)
-{
-    uint64_t z = 0, t = 0;
-    for (size_t i = 0; i < n; ++i) {
-        const BFloat16 v = values[i];
-        if (v.isZero()) {
-            z += 1;
-            continue;
-        }
-        t += counts[v.significand()];
-    }
-    *zeros += z;
-    *terms += t;
-}
-
-void
-packBf16Scalar(const int16_t *biased_exp, const uint8_t *man,
-               const uint8_t *neg, size_t n, BFloat16 *out)
-{
-    for (size_t i = 0; i < n; ++i)
-        out[i] = BFloat16::fromBits(static_cast<uint16_t>(
-            (neg[i] ? 0x8000u : 0u) |
-            (static_cast<unsigned>(biased_exp[i] & 0xff) << 7) |
-            (man[i] & 0x7fu)));
-}
-
-#ifdef __SSE2__
-
-// The SIMD bodies load and store whole registers over BFloat16 slots.
-static_assert(std::is_trivially_copyable_v<BFloat16>,
-              "slab kernels move BFloat16 bit patterns with memcpy");
-
-void
-countTermsSse2(const BFloat16 *values, size_t n,
-               const uint8_t counts[256], bool nafFold,
-               uint64_t *zeros, uint64_t *terms)
-{
-    const __m128i vzero = _mm_setzero_si128();
-    const __m128i m55 = _mm_set1_epi8(0x55);
-    const __m128i m33 = _mm_set1_epi8(0x33);
-    const __m128i m0f = _mm_set1_epi8(0x0f);
-    __m128i acc = vzero;
-    uint64_t z = 0;
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        __m128i v;
-        std::memcpy(&v, values + i, 16);
-        // Zero lanes take significand 0, as BFloat16::significand().
-        const __m128i zl = _mm_cmpeq_epi16(
-            _mm_and_si128(v, _mm_set1_epi16(0x7fff)), vzero);
-        z += static_cast<unsigned>(std::popcount(
-                 static_cast<unsigned>(_mm_movemask_epi8(zl)))) /
-             2;
-        __m128i t = _mm_andnot_si128(
-            zl, _mm_or_si128(_mm_and_si128(v, _mm_set1_epi16(0x7f)),
-                             _mm_set1_epi16(0x80)));
-        // x ^ 3x maps the NAF digit count onto popcount; 3x needs the
-        // 16-bit width.
-        if (nafFold)
-            t = _mm_xor_si128(t, _mm_add_epi16(t, _mm_slli_epi16(t, 1)));
-        // Per-byte SWAR popcount: the masks drop the bits the 16-bit
-        // shifts carry across bytes; sad_epu8 then sums the bytes.
-        t = _mm_sub_epi8(t, _mm_and_si128(_mm_srli_epi16(t, 1), m55));
-        t = _mm_add_epi8(_mm_and_si128(t, m33),
-                         _mm_and_si128(_mm_srli_epi16(t, 2), m33));
-        t = _mm_and_si128(_mm_add_epi8(t, _mm_srli_epi16(t, 4)), m0f);
-        acc = _mm_add_epi64(acc, _mm_sad_epu8(t, vzero));
-    }
-    alignas(16) uint64_t lanes[2];
-    _mm_store_si128(reinterpret_cast<__m128i *>(lanes), acc);
-    *terms += lanes[0] + lanes[1];
-    *zeros += z;
-    if (i < n)
-        countTermsScalar(values + i, n - i, counts, zeros, terms);
-}
-
-void
-packBf16Sse2(const int16_t *biased_exp, const uint8_t *man,
-             const uint8_t *neg, size_t n, BFloat16 *out)
-{
-    const __m128i vzero = _mm_setzero_si128();
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        __m128i e, m8, s8;
-        std::memcpy(&e, biased_exp + i, 16);
-        m8 = _mm_loadl_epi64(
-            reinterpret_cast<const __m128i *>(man + i));
-        s8 = _mm_loadl_epi64(
-            reinterpret_cast<const __m128i *>(neg + i));
-        const __m128i m16 = _mm_unpacklo_epi8(m8, vzero);
-        const __m128i s16 = _mm_unpacklo_epi8(s8, vzero);
-        const __m128i bits = _mm_or_si128(
-            _mm_or_si128(
-                _mm_slli_epi16(_mm_and_si128(e, _mm_set1_epi16(0xff)),
-                               7),
-                _mm_and_si128(m16, _mm_set1_epi16(0x7f))),
-            _mm_slli_epi16(s16, 15));
-        std::memcpy(static_cast<void *>(out + i), &bits, 16);
-    }
-    if (i < n)
-        packBf16Scalar(biased_exp + i, man + i, neg + i, n - i,
-                       out + i);
-}
-
-#endif // __SSE2__
 
 SimdTier
 activeTier()
@@ -150,30 +35,30 @@ simdLevel()
 
 void
 countTerms(const BFloat16 *values, size_t n, const uint8_t counts[256],
-           bool nafFold, uint64_t *zeros, uint64_t *terms)
+           uint64_t *zeros, uint64_t *terms)
 {
-#ifdef __SSE2__
-    if (activeTier() == SimdTier::Sse2) {
-        countTermsSse2(values, n, counts, nafFold, zeros, terms);
-        return;
+    uint64_t z = 0, t = 0;
+    for (size_t i = 0; i < n; ++i) {
+        const BFloat16 v = values[i];
+        if (v.isZero()) {
+            z += 1;
+            continue;
+        }
+        t += counts[v.significand()];
     }
-#else
-    (void)nafFold;
-#endif
-    countTermsScalar(values, n, counts, zeros, terms);
+    *zeros += z;
+    *terms += t;
 }
 
 void
 packBf16(const int16_t *biased_exp, const uint8_t *man,
          const uint8_t *neg, size_t n, BFloat16 *out)
 {
-#ifdef __SSE2__
-    if (activeTier() == SimdTier::Sse2) {
-        packBf16Sse2(biased_exp, man, neg, n, out);
-        return;
-    }
-#endif
-    packBf16Scalar(biased_exp, man, neg, n, out);
+    for (size_t i = 0; i < n; ++i)
+        out[i] = BFloat16::fromBits(static_cast<uint16_t>(
+            (neg[i] ? 0x8000u : 0u) |
+            (static_cast<unsigned>(biased_exp[i] & 0xff) << 7) |
+            (man[i] & 0x7fu)));
 }
 
 } // namespace slab

@@ -4,18 +4,16 @@
  * synthesis and term classification over whole slabs of bfloat16
  * values (one phase burst's A or B operands, a benchmark workload).
  *
- * Each entry point has two bodies: a portable scalar body that defines
- * the semantics, and one SSE2 body under `#ifdef __SSE2__`, the guard
- * the PE-parallel column and the value MAC use. FPRAKER_SIMD accepts
- * only `scalar`, which pins the scalar bodies here and the scalar
- * fallbacks of the column, the value MAC and the FP32 dot; any other
- * non-empty value is fatal. Both bodies are integer-exact, so the
- * choice never changes a result. The SSE2 countTerms counts in-register
- * rather than through the 256-entry LUT: the canonical (NAF) count is
- * popcount(x ^ 3x) and the RawBits count popcount(x), so it folds,
- * runs a 16-bit SWAR popcount over 8 significands and sums them with
- * sad_epu8 (docs/PERFORMANCE.md). tests/test_simd_tiers.cpp holds it
- * to the scalar body on all 65,536 bf16 bit patterns.
+ * Each kernel is one plain scalar loop: the slab kernels are a sliver
+ * of a figure run (docs/PERFORMANCE.md, "Scalar slab kernels"), so the
+ * tree's vector code lives where the time goes — the PE-parallel
+ * column, the value MAC and the FP32 dot.
+ *
+ * This header also holds the one switch for those bodies: each is an
+ * SSE2 body under `#ifdef __SSE2__` with a scalar fallback, and
+ * FPRAKER_SIMD accepts only `scalar`, which pins every fallback; any
+ * other non-empty value is fatal. Both paths are integer-exact, so
+ * the choice never changes a result.
  */
 
 #ifndef FPRAKER_NUMERIC_SLAB_OPS_H
@@ -29,7 +27,7 @@
 namespace fpraker {
 namespace slab {
 
-/** The body the dispatched entry points (and the PE fast paths) run. */
+/** The bodies the PE fast paths run. */
 enum class SimdTier
 {
     Scalar = 0,
@@ -50,13 +48,11 @@ const char *simdLevel();
  * Count zero values and total encoded terms over a value slab.
  * @p counts is the 256-entry per-significand term-count table
  * (TermLut::countsTable(), counts[0] == 0 so zero values add no
- * terms) and @p nafFold its encoding's fold rule: true for the
- * canonical encoding, whose counts are popcount(x ^ 3x), false for
- * RawBits, whose counts are popcount(x). Adds to *zeros / *terms.
+ * terms). Adds to *zeros / *terms.
  */
 void countTerms(const BFloat16 *values, size_t n,
-                const uint8_t counts[256], bool nafFold,
-                uint64_t *zeros, uint64_t *terms);
+                const uint8_t counts[256], uint64_t *zeros,
+                uint64_t *terms);
 
 /**
  * Assemble bfloat16 bit patterns from SoA field planes:
@@ -66,20 +62,6 @@ void countTerms(const BFloat16 *values, size_t n,
  */
 void packBf16(const int16_t *biased_exp, const uint8_t *man,
               const uint8_t *neg, size_t n, BFloat16 *out);
-
-// The fixed bodies, exposed for differential tests.
-void countTermsScalar(const BFloat16 *values, size_t n,
-                      const uint8_t counts[256], uint64_t *zeros,
-                      uint64_t *terms);
-void packBf16Scalar(const int16_t *biased_exp, const uint8_t *man,
-                    const uint8_t *neg, size_t n, BFloat16 *out);
-#ifdef __SSE2__
-void countTermsSse2(const BFloat16 *values, size_t n,
-                    const uint8_t counts[256], bool nafFold,
-                    uint64_t *zeros, uint64_t *terms);
-void packBf16Sse2(const int16_t *biased_exp, const uint8_t *man,
-                  const uint8_t *neg, size_t n, BFloat16 *out);
-#endif
 
 } // namespace slab
 } // namespace fpraker

@@ -62,15 +62,6 @@ class TermLut
      */
     const uint8_t *countsTable() const { return counts_; }
 
-    /**
-     * The table's fold rule for slab::countTerms' SSE2 body, which
-     * counts in-register instead of reading countsTable(): canonical
-     * (NAF) counts are popcount(x ^ 3x), RawBits counts popcount(x).
-     * tests/test_simd_tiers.cpp pins the identity against the encoder
-     * and the SSE2 body against the table on every bf16 bit pattern.
-     */
-    bool nafFold() const { return encoding_ == TermEncoding::Canonical; }
-
     TermEncoding encoding() const { return encoding_; }
 
   private:

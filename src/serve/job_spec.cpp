@@ -4,7 +4,6 @@
 
 #include "api/session.h"
 #include "common/fnv.h"
-#include "common/parse.h"
 
 namespace fpraker {
 namespace serve {
@@ -110,30 +109,6 @@ readPositiveInt(const api::JsonValue &v, const char *key, int *out,
     return true;
 }
 
-/**
- * The workload options the experiments read as integers, checked with
- * the CLI's rule so a malformed value is a bad_request here instead of
- * a fatal() in a scheduler worker; other options pass through.
- */
-bool
-checkOption(const std::string &key, const std::string &value,
-            std::string *error)
-{
-    int n;
-    std::vector<int> list;
-    if ((key == "batch" || key == "seq") && !parsePositiveInt(value, &n)) {
-        *error = "spec.options." + key +
-                 " must be a decimal integer in [1, 1e9]";
-        return false;
-    }
-    if (key == "batches" && !parsePositiveList(value, &list)) {
-        *error = "spec.options.batches must be a comma-separated list "
-                 "of decimal integers in [1, 1e9]";
-        return false;
-    }
-    return true;
-}
-
 } // namespace
 
 bool
@@ -182,8 +157,10 @@ JobSpec::fromJson(const api::JsonValue &v, JobSpec *out,
                              " must be a string";
                     return false;
                 }
-                if (!checkOption(okey, ovalue.str(), error))
+                if (!api::checkOption(okey, ovalue.str(), error)) {
+                    *error = "spec.options." + *error;
                     return false;
+                }
                 spec.options.emplace_back(okey, ovalue.str());
             }
         } else {

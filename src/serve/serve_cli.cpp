@@ -8,12 +8,14 @@
 #include "api/driver.h"
 #include "api/session.h"
 #include "common/parse.h"
+#include "numeric/slab_ops.h"
 #include "obs/trace.h"
 #include "serve/client.h"
 #include "serve/daemon.h"
 #include "serve/fault_injection.h"
 #include "serve/protocol.h"
 #include "serve/retry.h"
+#include "sim/sim_memo.h"
 
 namespace fpraker {
 namespace serve {
@@ -184,9 +186,14 @@ serveMain(int argc, char **argv, int first)
     // Test harnesses arm fault schedules through the environment
     // when they cannot reach the flag (panics on a malformed value).
     FaultInjector::instance().configureFromEnv();
-    // Every job keys and runs on FPRAKER_SAMPLE_STEPS: a malformed
-    // value fails here, before the socket is bound.
+    // The knobs jobs read lazily, in a scheduler worker, fail here on
+    // a malformed value, before the socket is bound: every job keys
+    // and runs on FPRAKER_SAMPLE_STEPS, sizes the memo by FPRAKER_MEMO
+    // and picks its bodies by FPRAKER_SIMD. FPRAKER_THREADS is read
+    // when the daemon builds its engine, also before the bind.
     api::envSampleSteps();
+    SimMemo::envBudget();
+    slab::activeTier();
 
     Daemon daemon(cfg);
     std::string error;

@@ -18,7 +18,7 @@
  *    outcome equals the uniform() < p compare bit for bit), the AR(1)
  *    innovation scale is hoisted out of the loop, and the staged
  *    sign/exponent/mantissa planes are packed into bfloat16 bit
- *    patterns 8/16 values at a time (numeric/slab_ops.h).
+ *    patterns in one pass per block (numeric/slab_ops.h).
  *
  * tests/test_fastpath.cpp fuzzes the two paths against each other.
  */

@@ -105,6 +105,11 @@ TEST(Session, KnobsAndVariants)
     EXPECT_EQ(session.intOption("batch", 3), 5);
     EXPECT_EQ(session.intOption("seq", 7), 7);
     EXPECT_EQ(session.strOption("batches", "8,16"), "8,16");
+    EXPECT_EQ(session.intListOption("batches", {8, 16}),
+              (std::vector<int>{8, 16}));
+    session.setOption("batches", "4,32");
+    EXPECT_EQ(session.intListOption("batches", {8, 16}),
+              (std::vector<int>{4, 32}));
 
     session.withVariant("a", smallConfig());
     EXPECT_TRUE(session.hasVariant("a"));
@@ -315,6 +320,10 @@ TEST(Driver, StrictFlagParsing)
     EXPECT_FALSE(parse({"--bogus"}, false, &bad));
     EXPECT_FALSE(parse({"--bogus"}, true, &bad));
     EXPECT_FALSE(parse({"--batch=0"}, false, &bad));
+    EXPECT_FALSE(parse({"--seq=16x"}, false, &bad));
+    // --batches is checked here too, as served specs check it.
+    EXPECT_FALSE(parse({"--batches=8,,16"}, true, &bad));
+    EXPECT_FALSE(parse({"--batches=8,abc"}, false, &bad));
     // No experiment takes --reps: it is an unknown flag like any other.
     EXPECT_FALSE(parse({"--reps=1"}, true, &bad));
     EXPECT_FALSE(parse({"stray"}, false, &bad));

@@ -1,9 +1,9 @@
 /**
  * @file
- * PR 4 fast-data-path coverage: the SIMD slab kernels against their
- * scalar reference bodies, the batched TensorGenerator fill against
- * the value-at-a-time walk, and pooled tile scratch against fresh
- * construction (at several thread counts). Everything here is a
+ * Fast-data-path coverage: the slab kernels against the encoder and
+ * the bfloat16 field accessors, the batched TensorGenerator fill
+ * against the value-at-a-time walk, and pooled tile scratch against
+ * fresh construction (at several thread counts). Everything here is a
  * bit-identity contract — no tolerances.
  */
 
@@ -15,6 +15,7 @@
 #include "accel/phase_runner.h"
 #include "common/rng.h"
 #include "numeric/slab_ops.h"
+#include "numeric/term_encoder.h"
 #include "numeric/term_lut.h"
 #include "sim/sim_engine.h"
 #include "sim/tile_pool.h"
@@ -38,54 +39,53 @@ randomFinite(Rng &rng, double zero_p)
     }
 }
 
-TEST(SlabOps, CountTermsMatchesScalar)
+TEST(SlabOps, CountTermsMatchesEncoderOnEveryBitPattern)
 {
-    Rng rng(0xc0de);
+    // Every bf16 bit pattern in one slab, under both encodings, against
+    // the encoder itself; the kernel adds to the counts it is handed.
+    std::vector<BFloat16> all(1u << 16);
+    for (size_t bits = 0; bits < all.size(); ++bits)
+        all[bits] = BFloat16::fromBits(static_cast<uint16_t>(bits));
     for (TermEncoding enc :
          {TermEncoding::Canonical, TermEncoding::RawBits}) {
-        const TermLut &lut = TermLut::of(enc);
-        for (double zero_p : {0.0, 0.3, 0.95, 1.0}) {
-            // Sizes straddle every SIMD width and tail shape.
-            for (size_t n : {size_t(0), size_t(1), size_t(7),
-                             size_t(16), size_t(31), size_t(32),
-                             size_t(33), size_t(1000)}) {
-                std::vector<BFloat16> v(n);
-                for (auto &x : v)
-                    x = randomFinite(rng, zero_p);
-                uint64_t z_ref = 0, t_ref = 0, z = 0, t = 0;
-                slab::countTermsScalar(v.data(), n, lut.countsTable(),
-                                       &z_ref, &t_ref);
-                slab::countTerms(v.data(), n, lut.countsTable(),
-                                 lut.nafFold(), &z, &t);
-                ASSERT_EQ(z_ref, z) << "n=" << n;
-                ASSERT_EQ(t_ref, t) << "n=" << n;
-            }
+        const TermEncoder encoder(enc);
+        uint64_t z_ref = 7, t_ref = 9, z = 7, t = 9;
+        for (BFloat16 v : all) {
+            if (v.isZero())
+                ++z_ref;
+            else
+                t_ref += encoder.encode(v).size();
         }
+        slab::countTerms(all.data(), all.size(),
+                         TermLut::of(enc).countsTable(), &z, &t);
+        EXPECT_EQ(z_ref, z);
+        EXPECT_EQ(t_ref, t);
     }
 }
 
-TEST(SlabOps, PackBf16MatchesScalar)
+TEST(SlabOps, PackBf16AssemblesFieldPlanes)
 {
     Rng rng(0xbeef);
-    for (size_t n : {size_t(1), size_t(8), size_t(15), size_t(16),
-                     size_t(17), size_t(333)}) {
+    for (size_t n : {size_t(1), size_t(8), size_t(17), size_t(333)}) {
         std::vector<int16_t> exp(n);
         std::vector<uint8_t> man(n), neg(n);
         for (size_t i = 0; i < n; ++i) {
             bool zero = rng.bernoulli(0.3);
-            exp[i] = zero ? 0
-                          : static_cast<int16_t>(
-                                rng.uniformInt(int64_t(1), int64_t(254)));
-            man[i] = zero ? 0 : static_cast<uint8_t>(rng.next() & 0x7f);
+            // Full-width planes: the kernel masks exponent and mantissa
+            // to their fields.
+            exp[i] = zero ? 0 : static_cast<int16_t>(rng.next());
+            man[i] = zero ? 0 : static_cast<uint8_t>(rng.next());
             neg[i] = zero ? 0 : static_cast<uint8_t>(rng.next() & 1);
         }
-        std::vector<BFloat16> ref(n), got(n);
-        slab::packBf16Scalar(exp.data(), man.data(), neg.data(), n,
-                             ref.data());
+        std::vector<BFloat16> got(n);
         slab::packBf16(exp.data(), man.data(), neg.data(), n,
                        got.data());
-        ASSERT_EQ(0, std::memcmp(ref.data(), got.data(),
-                                 n * sizeof(BFloat16)));
+        for (size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(neg[i] != 0, got[i].isNegative()) << "i=" << i;
+            ASSERT_EQ(exp[i] & 0xff, got[i].biasedExponent())
+                << "i=" << i;
+            ASSERT_EQ(man[i] & 0x7f, got[i].mantissa()) << "i=" << i;
+        }
     }
 }
 

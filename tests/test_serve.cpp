@@ -9,8 +9,11 @@
  */
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -210,6 +213,38 @@ TEST(JobSpec, SubmitRejectsThreadsFlag)
     const char *argv[] = {"fpraker", "submit", "fig13", "--threads=2",
                           "--socket=/nonexistent/fpraker.sock"};
     EXPECT_EQ(serve::submitMain(5, const_cast<char **>(argv), 2), 2);
+}
+
+TEST(ServeCli, MalformedKnobFailsBeforeBind)
+{
+#if GTEST_HAS_DEATH_TEST
+    // Every knob a job reads is checked before the socket is bound, so
+    // a malformed one never surfaces as EOF on a first submit. The
+    // socket directory does not exist: a daemon that got past the
+    // checks would fail its bind with another message, never serve.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const char *argv[] = {"fprakerd", "serve",
+                          "--socket=/nonexistent/fpraker.sock"};
+    const std::pair<const char *, const char *> knobs[] = {
+        {"FPRAKER_SAMPLE_STEPS", "abc"},
+        {"FPRAKER_MEMO", "-1"},
+        {"FPRAKER_SIMD", "avx2"},
+        {"FPRAKER_THREADS", "4x"}};
+    for (const auto &[name, value] : knobs) {
+        const char *saved = std::getenv(name);
+        const std::string savedValue = saved ? saved : "";
+        ::setenv(name, value, 1);
+        EXPECT_EXIT(serve::serveMain(3, const_cast<char **>(argv), 2),
+                    ::testing::ExitedWithCode(1), name)
+            << name << "=" << value;
+        if (saved)
+            ::setenv(name, savedValue.c_str(), 1);
+        else
+            ::unsetenv(name);
+    }
+#else
+    GTEST_SKIP() << "death tests unavailable";
+#endif
 }
 
 TEST(ResultCache, HitIsByteIdenticalAndMarkedCached)

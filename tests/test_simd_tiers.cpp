@@ -1,183 +1,19 @@
 /**
  * @file
- * The slab kernels' two bodies: each SSE2 body against its scalar
- * reference body (countTerms on every bf16 bit pattern under both
- * encodings, plus random-size fuzz), the FPRAKER_SIMD knob contract
- * (only `scalar` is accepted), and the NAF fold identity the SSE2
- * count rests on. Everything here is a bit-identity contract — no
- * tolerances.
+ * The FPRAKER_SIMD knob contract: unset, the PE fast paths run their
+ * SSE2 bodies; `scalar` pins their scalar fallbacks; any other value
+ * is fatal and names the variable, never silently picks a body.
  */
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdlib>
-#include <cstring>
 #include <string>
-#include <vector>
 
-#include "common/rng.h"
 #include "numeric/slab_ops.h"
-#include "numeric/term_encoder.h"
-#include "numeric/term_lut.h"
 
 namespace fpraker {
 namespace {
-
-constexpr TermEncoding kEncodings[] = {TermEncoding::Canonical,
-                                       TermEncoding::RawBits};
-
-#ifdef __SSE2__
-
-BFloat16
-randomFinite(Rng &rng, double zero_p)
-{
-    if (rng.bernoulli(zero_p))
-        return BFloat16();
-    for (;;) {
-        BFloat16 v =
-            BFloat16::fromBits(static_cast<uint16_t>(rng.next()));
-        if (v.isFinite() && !v.isZero())
-            return v;
-    }
-}
-
-/** Extreme-exponent finite operand: subnormal-exponent (biased 0,
- *  nonzero mantissa), minimum-normal, or maximum-finite exponent. */
-BFloat16
-extremeFinite(Rng &rng)
-{
-    const uint16_t sign = rng.bernoulli(0.5) ? 0x8000u : 0u;
-    const uint16_t man =
-        static_cast<uint16_t>((rng.next() & 0x7fu) | 1u);
-    switch (rng.uniformInt(int64_t(0), int64_t(2))) {
-    case 0:
-        return BFloat16::fromBits(static_cast<uint16_t>(sign | man));
-    case 1:
-        return BFloat16::fromBits(
-            static_cast<uint16_t>(sign | (1u << 7) | man));
-    default:
-        return BFloat16::fromBits(
-            static_cast<uint16_t>(sign | (254u << 7) | man));
-    }
-}
-
-TEST(SlabSse2, CountTermsMatchesScalarOnEveryBitPattern)
-{
-    std::vector<BFloat16> all(1u << 16);
-    for (size_t bits = 0; bits < all.size(); ++bits)
-        all[bits] = BFloat16::fromBits(static_cast<uint16_t>(bits));
-    for (TermEncoding enc : kEncodings) {
-        const TermLut &lut = TermLut::of(enc);
-        // Each pattern alone, in all 8 lanes of one SSE2 iteration.
-        for (const BFloat16 v : all) {
-            const std::vector<BFloat16> lanes(8, v);
-            uint64_t z_ref = 0, t_ref = 0, z = 0, t = 0;
-            slab::countTermsScalar(lanes.data(), 8, lut.countsTable(),
-                                   &z_ref, &t_ref);
-            slab::countTermsSse2(lanes.data(), 8, lut.countsTable(),
-                                 lut.nafFold(), &z, &t);
-            ASSERT_EQ(z_ref, z) << "bits=" << v.bits();
-            ASSERT_EQ(t_ref, t) << "bits=" << v.bits();
-        }
-        // The whole domain in one slab: 8,192 accumulated iterations.
-        uint64_t z_ref = 0, t_ref = 0, z = 0, t = 0;
-        slab::countTermsScalar(all.data(), all.size(), lut.countsTable(),
-                               &z_ref, &t_ref);
-        slab::countTermsSse2(all.data(), all.size(), lut.countsTable(),
-                             lut.nafFold(), &z, &t);
-        EXPECT_EQ(z_ref, z);
-        EXPECT_EQ(t_ref, t);
-    }
-}
-
-TEST(SlabSse2, CountTermsMatchesScalarReference)
-{
-    Rng rng(0x51D0);
-    for (TermEncoding enc : kEncodings) {
-        const TermLut &lut = TermLut::of(enc);
-        for (double zero_p : {0.0, 0.3, 0.95, 1.0}) {
-            // Sizes straddle the 8-value stride plus every ragged-tail
-            // shape below it.
-            for (size_t n :
-                 {size_t(0), size_t(1), size_t(7), size_t(8),
-                  size_t(9), size_t(15), size_t(16), size_t(17),
-                  size_t(63), size_t(64), size_t(65), size_t(1000)}) {
-                std::vector<BFloat16> v(n);
-                for (size_t i = 0; i < n; ++i)
-                    v[i] = rng.bernoulli(0.25)
-                               ? extremeFinite(rng)
-                               : randomFinite(rng, zero_p);
-                uint64_t z_ref = 7, t_ref = 9, z = 7, t = 9;
-                slab::countTermsScalar(v.data(), n, lut.countsTable(),
-                                       &z_ref, &t_ref);
-                slab::countTermsSse2(v.data(), n, lut.countsTable(),
-                                     lut.nafFold(), &z, &t);
-                ASSERT_EQ(z_ref, z) << "n=" << n;
-                ASSERT_EQ(t_ref, t) << "n=" << n;
-            }
-        }
-    }
-}
-
-TEST(SlabSse2, CountTermsAllZeroSlab)
-{
-    const TermLut &lut = TermLut::of(TermEncoding::Canonical);
-    for (size_t n : {size_t(1), size_t(16), size_t(64), size_t(97)}) {
-        std::vector<BFloat16> v(n); // value-initialized: all zero
-        uint64_t z = 0, t = 0;
-        slab::countTermsSse2(v.data(), n, lut.countsTable(),
-                             lut.nafFold(), &z, &t);
-        EXPECT_EQ(n, z);
-        EXPECT_EQ(0u, t);
-    }
-}
-
-TEST(SlabSse2, PackBf16MatchesScalarReference)
-{
-    Rng rng(0xFACE);
-    for (size_t n : {size_t(1), size_t(8), size_t(15), size_t(16),
-                     size_t(17), size_t(31), size_t(32), size_t(33),
-                     size_t(64), size_t(65), size_t(333)}) {
-        std::vector<int16_t> exp(n);
-        std::vector<uint8_t> man(n), neg(n);
-        for (size_t i = 0; i < n; ++i) {
-            if (rng.bernoulli(0.2)) {
-                exp[i] = man[i] = neg[i] = 0; // zero value
-                continue;
-            }
-            // Full field ranges, including the extreme exponents 1 and
-            // 254 and out-of-range planes the kernels must mask.
-            switch (rng.uniformInt(int64_t(0), int64_t(3))) {
-            case 0:
-                exp[i] = 1;
-                break;
-            case 1:
-                exp[i] = 254;
-                break;
-            case 2:
-                exp[i] = static_cast<int16_t>(
-                    rng.uniformInt(int64_t(1), int64_t(254)));
-                break;
-            default:
-                exp[i] = static_cast<int16_t>(rng.next());
-                break;
-            }
-            man[i] = static_cast<uint8_t>(rng.next());
-            neg[i] = static_cast<uint8_t>(rng.next() & 1);
-        }
-        std::vector<BFloat16> ref(n), got(n);
-        slab::packBf16Scalar(exp.data(), man.data(), neg.data(), n,
-                             ref.data());
-        slab::packBf16Sse2(exp.data(), man.data(), neg.data(), n,
-                           got.data());
-        ASSERT_EQ(0, std::memcmp(ref.data(), got.data(),
-                                 n * sizeof(BFloat16)))
-            << "n=" << n;
-    }
-}
-
-#endif // __SSE2__
 
 TEST(SimdKnob, ActiveTierHonorsEnvironment)
 {
@@ -227,27 +63,6 @@ TEST(SimdKnob, AcceptsOnlyScalar)
 #else
     GTEST_SKIP() << "death tests unavailable";
 #endif
-}
-
-TEST(CountFold, FoldIdentityMatchesEncoderOnLegalDomain)
-{
-    // The SSE2 count rests on termCount(x) == popcount(x ^ 3x) for the
-    // NAF recoding (3x taken at full width) and popcount(x) for
-    // RawBits. Pin it against the encoder itself over its whole legal
-    // domain — zero plus every normalized significand — so a future
-    // encoder change cannot silently break the SIMD count.
-    const TermEncoder naf(TermEncoding::Canonical);
-    const TermEncoder raw(TermEncoding::RawBits);
-    EXPECT_TRUE(TermLut::of(TermEncoding::Canonical).nafFold());
-    EXPECT_FALSE(TermLut::of(TermEncoding::RawBits).nafFold());
-    for (uint32_t x = 0; x < 256; x = (x == 0 ? 0x80 : x + 1)) {
-        EXPECT_EQ(naf.encodeSignificand(static_cast<int>(x)).size(),
-                  std::popcount(x ^ (3u * x)))
-            << "x=" << x;
-        EXPECT_EQ(raw.encodeSignificand(static_cast<int>(x)).size(),
-                  std::popcount(x))
-            << "x=" << x;
-    }
 }
 
 } // namespace
