@@ -167,6 +167,38 @@ Accelerator::runLayerOp(const ModelInfo &model, const LayerShape &layer,
                         TrainingOp op, double progress,
                         const SlabSupply *supply) const
 {
+    return layerOpReport(
+        model, layer, op, progress,
+        runPhaseSample(model, layer, op, progress, phaseConfig(supply)));
+}
+
+PhaseRunConfig
+Accelerator::phaseConfig(const SlabSupply *supply) const
+{
+    PhaseRunConfig prc = samplingOf(cfg_);
+    prc.engine = engine_;
+    prc.pool = &tilePool_;
+    prc.supply = supply;
+    prc.memo = cfg_.memoize ? SimMemo::global() : nullptr;
+    return prc;
+}
+
+PhaseRunConfig
+Accelerator::samplingOf(const AcceleratorConfig &cfg)
+{
+    PhaseRunConfig prc;
+    prc.tile = cfg.tile;
+    prc.sampleSteps = cfg.sampleSteps;
+    prc.seed = cfg.seed;
+    prc.autoSerialSide = cfg.autoSerialSide;
+    return prc;
+}
+
+LayerOpReport
+Accelerator::layerOpReport(const ModelInfo &model, const LayerShape &layer,
+                           TrainingOp op, double progress,
+                           const PhaseRunResult &sample) const
+{
     const int lanes = cfg_.tile.pe.lanes;
     LayerOpReport r;
     r.layerName = layer.name;
@@ -185,18 +217,7 @@ Accelerator::runLayerOp(const ModelInfo &model, const LayerShape &layer,
         divCeil<uint64_t>(layer.n, cfg_.baselineTile.rows) *
         divCeil<uint64_t>(layer.k, cfg_.baselineTile.pe.lanes);
 
-    // Cycle-accurate sample of the FPRaker tile on this workload.
-    PhaseRunConfig prc;
-    prc.tile = cfg_.tile;
-    prc.sampleSteps = cfg_.sampleSteps;
-    prc.seed = cfg_.seed;
-    prc.autoSerialSide = cfg_.autoSerialSide;
-    prc.engine = engine_;
-    prc.pool = &tilePool_;
-    prc.supply = supply;
-    prc.memo = cfg_.memoize ? SimMemo::global() : nullptr;
-    PhaseRunResult sample =
-        runPhaseSample(model, layer, op, progress, prc);
+    // The cycle-accurate sample of the FPRaker tile on this workload.
     r.serialSide = sample.serialSide;
     r.avgCyclesPerStep = sample.avgCyclesPerStep;
     r.sampleStats = sample.peStats;

@@ -141,7 +141,8 @@ class Accelerator
                 SimEngine *shared);
 
     /**
-     * Simulate one (layer, op). @p supply optionally overrides the
+     * Simulate one (layer, op): layerOpReport over the phase sample
+     * of phaseConfig(@p supply). @p supply optionally overrides the
      * operand source of the sampled phase (trace-backed workload
      * ingestion, src/workload/supply.h); null synthesizes from the
      * model's value profiles as always.
@@ -150,6 +151,31 @@ class Accelerator
                              const LayerShape &layer, TrainingOp op,
                              double progress,
                              const SlabSupply *supply = nullptr) const;
+
+    /**
+     * The FPRaker tile's phase-sample config: samplingOf(config()),
+     * this accelerator's engine and scratch pool, the burst memo when
+     * memoize is set, and @p supply. A sweep runs the configs of many
+     * accelerators as one phase group (runPhaseSamples).
+     */
+    PhaseRunConfig phaseConfig(const SlabSupply *supply = nullptr) const;
+
+    /**
+     * What @p cfg fixes of a phase sample: its tile, sampling budget,
+     * seed and serial-side policy (trace capture plans with it,
+     * workload/supply.h).
+     */
+    static PhaseRunConfig samplingOf(const AcceleratorConfig &cfg);
+
+    /**
+     * The (layer, op) report derived from @p sample, this machine's
+     * phase sample of it: tile steps, compute and memory cycles of
+     * both machines, traffic, scaled activity and energy.
+     */
+    LayerOpReport layerOpReport(const ModelInfo &model,
+                                const LayerShape &layer, TrainingOp op,
+                                double progress,
+                                const PhaseRunResult &sample) const;
 
     /**
      * Simulate a whole model (all layers, all three ops). The

@@ -17,18 +17,28 @@
  * The burst is the one unit a phase shards and memoizes: a burst covers
  * one output block (the accumulators reset between blocks), seeds its
  * own RNG substreams (substreamSeed(base, burst) — a function of the
- * burst index, never of the executing worker), generates its own
- * operand slabs, and runs a private tile. When the config carries a
- * SimEngine the bursts shard across it, bit-identical to the serial
- * walk at any thread count; when it carries a SimMemo, each
- * generator-backed burst is looked up by its plan before it leases
- * scratch or fills operands.
+ * burst index, never of the executing worker), and runs a private
+ * tile. When the config carries a SimEngine the bursts shard across
+ * it, bit-identical to the serial walk at any thread count; when it
+ * carries a SimMemo, each generator-backed burst is looked up by its
+ * plan before it leases scratch or fills operands.
+ *
+ * One (layer, op) phase can run on several machines at once
+ * (runPhaseSamples: a sweep's accelerator variants and progress
+ * points of one model layer). Burst bi of every machine then runs as
+ * one task: it looks up each machine's memo, fills each distinct
+ * operand slab the missing machines need once and classifies it once
+ * per term encoding, runs each missing machine's tile on views into
+ * those slabs, and serves a machine whose burst key equals an earlier
+ * machine's from that machine's result, as a memo hit would. Slabs
+ * live for that one burst. runPhaseSample is the one-machine case.
  */
 
 #ifndef FPRAKER_ACCEL_PHASE_RUNNER_H
 #define FPRAKER_ACCEL_PHASE_RUNNER_H
 
 #include <algorithm>
+#include <vector>
 
 #include "sim/sim_engine.h"
 #include "sim/sim_memo.h"
@@ -50,7 +60,7 @@ struct PhaseRunConfig
     SimEngine *engine = nullptr; //!< Optional burst-sharding executor.
     /**
      * Optional scratch pool (its config must equal @p tile): bursts
-     * borrow pooled tile/slab scratch instead of constructing fresh —
+     * borrow pooled tile scratch instead of constructing fresh —
      * bit-identical, just allocation-free. Null constructs per burst.
      */
     TilePool *pool = nullptr;
@@ -122,7 +132,24 @@ struct PhaseRunResult
     uint64_t steps = 0;
 };
 
-/** Run one sampled (layer, op) phase on a fresh tile. */
+/** One machine of a grouped phase run and its training-progress point. */
+struct PhaseMachine
+{
+    PhaseRunConfig cfg;
+    double progress = 0.5;
+};
+
+/**
+ * Run one sampled (layer, op) phase on every machine of @p machines,
+ * sharing each burst's operand slabs between them; results come back
+ * in machine order, each bit-identical to that machine run alone. The
+ * machines must share one engine and one supply.
+ */
+std::vector<PhaseRunResult>
+runPhaseSamples(const ModelInfo &model, const LayerShape &layer,
+                TrainingOp op, const std::vector<PhaseMachine> &machines);
+
+/** Run one sampled (layer, op) phase on one machine. */
 PhaseRunResult runPhaseSample(const ModelInfo &model,
                               const LayerShape &layer, TrainingOp op,
                               double progress, const PhaseRunConfig &cfg);

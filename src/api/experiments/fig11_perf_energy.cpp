@@ -25,8 +25,10 @@ REGISTER_EXPERIMENT("fig11", "Fig. 11",
         makeVariants(session.sampleSteps());
 
     // All 3 variants x 9 models submit through one session runner:
-    // the (job, layer, op) units of the whole figure shard across a
-    // single engine instead of 27 serial model runs.
+    // the phase groups of the whole figure shard across a single
+    // engine instead of 27 serial model runs, and each group's
+    // variants share their operand slabs ("zero" and "zero+bdc" are
+    // one machine on the tile, so each of their bursts runs once).
     session.withVariant("zero", variants.zeroOnly);
     session.withVariant("zero+bdc", variants.zeroBdc);
     session.withVariant("full", variants.full);

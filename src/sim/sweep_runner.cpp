@@ -1,6 +1,8 @@
 #include "sim/sweep_runner.h"
 
 #include <algorithm>
+#include <map>
+#include <tuple>
 
 #include "common/logging.h"
 #include "obs/trace.h"
@@ -84,43 +86,22 @@ SweepRunner::addAccelerator(const AcceleratorConfig &cfg,
 std::vector<ModelRunReport>
 SweepRunner::runModels(const std::vector<SweepJob> &jobs)
 {
-    // Flatten every job into its (layer, op) units so a sweep of many
-    // small models fills the pool as well as one large model. The BDC
-    // caches warm up front, themselves sharded across the engine, so
-    // the unit fan-out only reads them.
-    for (const SweepJob &job : jobs)
-        panic_if(!job.accel || !job.model, "incomplete sweep job");
-    warmBdcCaches(*engine_, jobs);
-
-    struct Unit
-    {
-        size_t job;
-        LayerOpUnit u;
-    };
-    std::vector<Unit> units;
+    // Every job's (layer, op) units become layer jobs, which
+    // runLayerOps groups by phase and shards; the reports then reduce
+    // per job, in job order.
+    std::vector<SweepLayerJob> units;
     std::vector<size_t> first(jobs.size() + 1, 0);
     for (size_t j = 0; j < jobs.size(); ++j) {
         const SweepJob &job = jobs[j];
+        panic_if(!job.accel || !job.model, "incomplete sweep job");
         first[j] = units.size();
         for (const LayerOpUnit &u : Accelerator::modelUnits(*job.model))
-            units.push_back(Unit{j, u});
+            units.push_back(SweepLayerJob{job.accel, job.model, u.layer,
+                                          u.op, job.progress});
     }
     first[jobs.size()] = units.size();
+    std::vector<LayerOpReport> results = runLayerOps(units);
 
-    std::vector<LayerOpReport> results(units.size());
-    engine_->parallelFor(units.size(), [&](size_t i) {
-        const Unit &unit = units[i];
-        const SweepJob &job = jobs[unit.job];
-        obs::TraceSpan span(
-            "sweep", obs::TraceCollector::instance().enabled()
-                         ? unit.u.layer->name + ":" +
-                               opLabel(unit.u.op)
-                         : std::string());
-        results[i] = job.accel->runLayerOp(*job.model, *unit.u.layer,
-                                           unit.u.op, job.progress);
-    });
-
-    // Reduce per job, in job order.
     std::vector<ModelRunReport> reports;
     reports.reserve(jobs.size());
     for (size_t j = 0; j < jobs.size(); ++j) {
@@ -138,20 +119,56 @@ SweepRunner::runModels(const std::vector<SweepJob> &jobs)
 std::vector<LayerOpReport>
 SweepRunner::runLayerOps(const std::vector<SweepLayerJob> &jobs)
 {
+    // The BDC caches warm up front, themselves sharded across the
+    // engine, so the group fan-out only reads them.
     for (const SweepLayerJob &job : jobs)
         panic_if(!job.accel || !job.model || !job.layer,
                  "incomplete sweep layer job");
     warmBdcCaches(*engine_, jobs);
-    std::vector<LayerOpReport> results(jobs.size());
-    engine_->parallelFor(jobs.size(), [&](size_t i) {
+
+    // One group per (model, layer, op, supply), in order of first
+    // appearance: every job that samples that phase from one operand
+    // source, whatever its accelerator or progress point. A group
+    // fills each burst's distinct operand slabs once for all its
+    // machines (runPhaseSamples).
+    using GroupKey = std::tuple<const ModelInfo *, const LayerShape *,
+                                TrainingOp, const SlabSupply *>;
+    std::map<GroupKey, size_t> index;
+    std::vector<std::vector<size_t>> groups;
+    for (size_t i = 0; i < jobs.size(); ++i) {
         const SweepLayerJob &job = jobs[i];
+        auto [it, fresh] = index.try_emplace(
+            GroupKey{job.model, job.layer, job.op, job.supply},
+            groups.size());
+        if (fresh)
+            groups.emplace_back();
+        groups[it->second].push_back(i);
+    }
+
+    std::vector<LayerOpReport> results(jobs.size());
+    engine_->parallelFor(groups.size(), [&](size_t g) {
+        const std::vector<size_t> &group = groups[g];
+        const SweepLayerJob &lead = jobs[group.front()];
         obs::TraceSpan span(
             "sweep", obs::TraceCollector::instance().enabled()
-                         ? job.layer->name + ":" + opLabel(job.op)
+                         ? lead.layer->name + ":" + opLabel(lead.op)
                          : std::string());
-        results[i] = job.accel->runLayerOp(*job.model, *job.layer,
-                                           job.op, job.progress,
-                                           job.supply);
+        // The runner's engine shards every group's bursts.
+        std::vector<PhaseMachine> machines;
+        machines.reserve(group.size());
+        for (size_t i : group) {
+            machines.push_back(PhaseMachine{
+                jobs[i].accel->phaseConfig(jobs[i].supply),
+                jobs[i].progress});
+            machines.back().cfg.engine = engine_;
+        }
+        std::vector<PhaseRunResult> samples = runPhaseSamples(
+            *lead.model, *lead.layer, lead.op, machines);
+        for (size_t k = 0; k < group.size(); ++k) {
+            const SweepLayerJob &job = jobs[group[k]];
+            results[group[k]] = job.accel->layerOpReport(
+                *job.model, *job.layer, job.op, job.progress, samples[k]);
+        }
     });
     return results;
 }

@@ -11,28 +11,38 @@
  *  - every accelerator variant of a sweep is bound to ONE shared
  *    SimEngine (addAccelerator), so workers drain a single queue
  *    instead of each model run spinning up its own pool;
- *  - runModels flattens all jobs into their (job, layer, op) units and
- *    shards that flat index space — a sweep of many small models
+ *  - runLayerOps shards phase groups: one group per (model, layer,
+ *    op, supply), holding every job that samples that phase whatever
+ *    its accelerator or progress point. A group runs burst by burst
+ *    (runPhaseSamples), filling each distinct operand slab once for
+ *    all its machines, so a sweep's variants share the synthesized
+ *    operands instead of each regenerating them;
+ *  - runModels flattens all jobs into their (layer, op) units and
+ *    runs them through runLayerOps — a sweep of many small models
  *    saturates the pool just as well as one large model;
- *  - runLayerOps does the same for layer-grain sweeps (Fig. 21's
- *    per-layer accumulator widths, the inference extension);
  *  - parallelFor shards any other per-model measurement loop (the
  *    sparsity/compression harnesses that never build an accelerator).
  *
  * Determinism: jobs only read shared state (models, configs, the
- * pre-warmed BDC caches); every unit writes its own result slot;
- * reductions run serially in job order; and all sampling inside a unit
- * seeds RNG substreams by unit index (trace/rng_stream.h). Reports are
- * therefore bit-identical at any thread count.
+ * pre-warmed BDC caches); every job writes its own result slot;
+ * reductions run serially in job order; and all sampling inside a
+ * burst seeds RNG substreams by burst index (trace/rng_stream.h), so
+ * a shared slab holds exactly the bytes each machine would have
+ * filled alone. Reports are therefore bit-identical at any thread
+ * count, and to each job run alone through Accelerator::runLayerOp.
  *
  * Memoization: every accelerator a runner builds hands its phase
- * samples the process-wide SimMemo::global(), so sweep jobs that
- * re-simulate a burst of an identical (config, plan) phase — ablation
- * grids that vary one knob, repeated progress points, `fpraker run
- * --all` experiments over the same zoo, a larger sample budget of the
- * same layer — hit warm and skip the tile. Cached values are byte
- * copies of the identical computation, so reports stay bit-identical
- * whether the memo is cold, warm, or off (FPRAKER_MEMO=off).
+ * samples the process-wide SimMemo::global(), so a job that
+ * re-simulates a burst of an identical (tile context, plan) phase —
+ * a later sweep or `fpraker run --all` experiment over the same zoo,
+ * a larger sample budget of the same layer — hits warm and skips the
+ * tile. A varied tile knob changes the tile context, so only a grid
+ * point equal to an earlier config hits. Within one group, machines
+ * with equal burst keys (equal tile contexts, or progress points a
+ * constant profile cannot tell apart) simulate once. Cached values
+ * are byte copies of the identical computation, so reports stay
+ * bit-identical whether the memo is cold, warm, or off
+ * (FPRAKER_MEMO=off).
  */
 
 #ifndef FPRAKER_SIM_SWEEP_RUNNER_H
@@ -100,13 +110,16 @@ class SweepRunner
                                       const EnergyModelConfig &ecfg = {});
 
     /**
-     * Run every job, sharding the flattened (job, layer, op) units
-     * across the engine; reports come back in job order, bit-identical
+     * Run every job: its (layer, op) units go through runLayerOps and
+     * reduce per job; reports come back in job order, bit-identical
      * to a serial walk for any thread count.
      */
     std::vector<ModelRunReport> runModels(const std::vector<SweepJob> &jobs);
 
-    /** Run layer-grain jobs the same way; results in job order. */
+    /**
+     * Run layer-grain jobs, sharding their phase groups across the
+     * engine; results come back in job order.
+     */
     std::vector<LayerOpReport>
     runLayerOps(const std::vector<SweepLayerJob> &jobs);
 

@@ -7,8 +7,10 @@
  * slab buffers — for tiny sample budgets the construction dominated
  * the simulated work (the ROADMAP-flagged allocation churn). A
  * TilePool keeps finished burst scratch on a freelist instead: a
- * worker borrows a Scratch (tile + A/B slabs + step views), runs its
- * burst, and the RAII lease returns it for the next burst to reuse.
+ * worker borrows a Scratch (tile + step views), runs its burst, and
+ * the RAII lease returns it for the next burst to reuse. The operand
+ * slabs belong to the burst, not the tile: the machines of one phase
+ * group read the same slabs (accel/phase_runner.h).
  *
  * Reuse is bit-identical to fresh construction: Tile::resetForReuse
  * restores the only state that survives a run (accumulators and
@@ -37,14 +39,12 @@ namespace fpraker {
 class TilePool
 {
   public:
-    /** One burst's working set: the tile and its operand staging. */
+    /** One burst's working set: the tile and its step views. */
     struct Scratch
     {
         explicit Scratch(const TileConfig &cfg) : tile(cfg) {}
 
         Tile tile;
-        std::vector<BFloat16> a;          //!< [step][col * lanes + l]
-        std::vector<BFloat16> b;          //!< [step][row * lanes + l]
         std::vector<TileStepView> views;  //!< One view per step.
     };
 
@@ -76,8 +76,8 @@ class TilePool
     explicit TilePool(const TileConfig &cfg) : cfg_(cfg) {}
 
     /**
-     * Borrow a Scratch, reset to like-new tile state. Slab/view
-     * buffers keep their capacity (callers resize to their burst).
+     * Borrow a Scratch, reset to like-new tile state. The view
+     * buffer keeps its capacity (callers resize to their burst).
      */
     Lease acquire();
 

@@ -194,10 +194,17 @@ TensorGenerator::fill(BFloat16 *out, size_t n)
     }
 }
 
+uint64_t
+GeneratorSlabSupply::windowSeed(uint64_t base_seed, size_t bi,
+                                bool parallel)
+{
+    return substreamSeed(base_seed, 2 * bi + (parallel ? 1 : 0));
+}
+
 void
 GeneratorSlabSupply::fillSerial(size_t bi, BFloat16 *out, size_t n) const
 {
-    TensorGenerator gen(serial_, substreamSeed(baseSeed_, 2 * bi));
+    TensorGenerator gen(serial_, windowSeed(baseSeed_, bi, false));
     gen.fill(out, n);
 }
 
@@ -205,7 +212,7 @@ void
 GeneratorSlabSupply::fillParallel(size_t bi, BFloat16 *out,
                                   size_t n) const
 {
-    TensorGenerator gen(parallel_, substreamSeed(baseSeed_, 2 * bi + 1));
+    TensorGenerator gen(parallel_, windowSeed(baseSeed_, bi, true));
     gen.fill(out, n);
 }
 

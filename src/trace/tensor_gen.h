@@ -122,6 +122,10 @@ class GeneratorSlabSupply final : public SlabSupply
     void fillParallel(size_t bi, BFloat16 *out,
                       size_t n) const override;
 
+    /** Generator seed of burst @p bi's serial or parallel window. */
+    static uint64_t windowSeed(uint64_t base_seed, size_t bi,
+                               bool parallel);
+
   private:
     ValueProfile serial_;
     ValueProfile parallel_;

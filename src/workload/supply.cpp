@@ -105,17 +105,10 @@ unitPlan(const LoweredModel &model, size_t unit,
          const AcceleratorConfig &cfg, double progress)
 {
     const WorkloadUnit &u = model.units().at(unit);
-    // Mirror Accelerator::runLayerOp's PhaseRunConfig exactly (tile,
-    // sampling budget, seed, serial-side policy; stepsPerOutput stays
-    // at its default) so the captured streams are the ones the
-    // generator path would synthesize.
-    PhaseRunConfig prc;
-    prc.tile = cfg.tile;
-    prc.sampleSteps = cfg.sampleSteps;
-    prc.seed = cfg.seed;
-    prc.autoSerialSide = cfg.autoSerialSide;
+    // Accelerator::runLayerOp samples with this config too, so the
+    // captured streams are the ones the generator path synthesizes.
     return planPhaseSample(model.carrierOf(unit), u.shape, u.op,
-                           progress, prc);
+                           progress, Accelerator::samplingOf(cfg));
 }
 
 WorkloadSupply::WorkloadSupply(const LoweredModel &model,

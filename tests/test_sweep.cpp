@@ -4,19 +4,24 @@
  * with serial per-model runs, reports must be bit-identical at any
  * thread count (the per-worker RNG substream contract), and the
  * substream derivation itself must be stable and collision-free over
- * the index ranges the simulator uses.
+ * the index ranges the simulator uses. A sweep's phase groups must
+ * return what each job returns alone while filling each shared
+ * operand slab once.
  */
 
 #include <cstring>
+#include <memory>
 #include <set>
 
 #include <gtest/gtest.h>
 
 #include "accel/phase_runner.h"
 #include "common/fnv.h"
+#include "obs/metrics.h"
 #include "sim/sweep_runner.h"
 #include "trace/model_zoo.h"
 #include "trace/rng_stream.h"
+#include "workload/supply.h"
 
 namespace fpraker {
 namespace {
@@ -147,6 +152,218 @@ TEST(PhaseRunner, BurstShardingIsBitIdenticalAcrossThreadCounts)
     EXPECT_EQ(cycles[0], cycles[2]);
     EXPECT_EQ(useful[0], useful[1]);
     EXPECT_EQ(useful[0], useful[2]);
+}
+
+/** Every numeric field of a layer-op report, in declaration order. */
+std::vector<double>
+reportFields(const LayerOpReport &r)
+{
+    const ScaledPeActivity &a = r.activity;
+    const PeStats &s = r.sampleStats;
+    std::vector<double> v = {
+        static_cast<double>(r.macs), static_cast<double>(r.tileSteps),
+        r.fprComputeCycles, r.fprMemCycles, r.fprCycles,
+        r.baseComputeCycles, r.baseMemCycles, r.baseCycles,
+        static_cast<double>(r.serialSide), r.avgCyclesPerStep,
+        r.trafficBytes, r.trafficBytesCompressed,
+        a.laneUseful, a.laneNoTerm, a.laneShiftRange, a.laneInterPe,
+        a.laneExponent, a.termsProcessed, a.termsZeroSkipped,
+        a.termsObSkipped, a.macs};
+    for (uint64_t c :
+         {s.laneUseful, s.laneNoTerm, s.laneShiftRange, s.laneExponent,
+          s.laneInterPe, s.setCycles, s.sets, s.macs, s.termsProcessed,
+          s.termsZeroSkipped, s.termsObSkipped})
+        v.push_back(static_cast<double>(c));
+    for (const EnergyReport *e : {&r.fprEnergy, &r.baseEnergy})
+        for (double pj : {e->core.computePj, e->core.controlPj,
+                          e->core.accumulationPj, e->sramPj, e->dramPj})
+            v.push_back(pj);
+    return v;
+}
+
+void
+expectSameReport(const LayerOpReport &got, const LayerOpReport &want,
+                 const std::string &what)
+{
+    EXPECT_EQ(got.layerName, want.layerName) << what;
+    EXPECT_EQ(got.op, want.op) << what;
+    EXPECT_EQ(reportFields(got), reportFields(want)) << what;
+}
+
+uint64_t
+counterValue(const char *name)
+{
+    return obs::Registry::instance().counter(name, "").value();
+}
+
+/**
+ * Variants that share operand slabs in different ways: three shifter
+ * windows and raw-bit terms on one geometry (both slabs shared), 4
+ * tile rows (the serial slab shared, the parallel one not), and a
+ * variant whose tile context equals the default's (served whole).
+ */
+std::vector<std::pair<std::string, AcceleratorConfig>>
+mixedVariants(bool memoize)
+{
+    AcceleratorConfig base = AcceleratorConfig::paperDefault();
+    base.sampleSteps = 40; // a full and a short burst on most layers
+    base.memoize = memoize;
+    std::vector<std::pair<std::string, AcceleratorConfig>> out;
+    for (int delta : {0, 3, 1 << 20}) {
+        AcceleratorConfig cfg = base;
+        cfg.tile.pe.maxDelta = delta;
+        out.emplace_back("delta-" + std::to_string(delta), cfg);
+    }
+    AcceleratorConfig raw = base;
+    raw.tile.pe.encoding = TermEncoding::RawBits;
+    out.emplace_back("raw", raw);
+    AcceleratorConfig rows = base;
+    rows.tile.rows = 4;
+    out.emplace_back("rows-4", rows);
+    AcceleratorConfig no_bdc = base;
+    no_bdc.useBdc = false;
+    out.emplace_back("no-bdc", no_bdc);
+    return out;
+}
+
+TEST(SweepGroups, MatchEachJobRunAlone)
+{
+    // A constant-profile model and one whose profiles move between
+    // knots, at two progress points each, on every mixed variant.
+    const std::pair<const char *, double> points[] = {
+        {"NCF", 0.1}, {"NCF", 0.5}, {"ResNet18-Q", 0.1},
+        {"ResNet18-Q", 0.5}};
+
+    // References: every (layer, op) of every job, run alone on a
+    // standalone unmemoized accelerator.
+    std::vector<std::unique_ptr<Accelerator>> alone;
+    std::vector<std::vector<LayerOpReport>> want;
+    for (const auto &[name, cfg] : mixedVariants(false)) {
+        alone.push_back(std::make_unique<Accelerator>(cfg));
+        for (const auto &[model_name, progress] : points) {
+            const ModelInfo &model = findModel(model_name);
+            want.emplace_back();
+            for (const LayerOpUnit &u : Accelerator::modelUnits(model))
+                want.back().push_back(alone.back()->runLayerOp(
+                    model, *u.layer, u.op, progress));
+        }
+    }
+
+    // A trace-backed group: the 8-row variants replay one captured
+    // trace of a ResNet18-Q layer.
+    const ModelInfo &traced_model = findModel("ResNet18-Q");
+    const LayerShape &traced_layer = traced_model.layers[3];
+    const workload::PhaseTrace trace = workload::PhaseTrace::capture(
+        planPhaseSample(traced_model, traced_layer, TrainingOp::WeightGrad,
+                        0.1, alone.front()->phaseConfig()));
+    const workload::TraceSlabSupply supply(trace);
+    std::vector<LayerOpReport> want_traced;
+    for (const auto &accel : alone)
+        if (accel->config().tile.rows == 8)
+            want_traced.push_back(accel->runLayerOp(
+                traced_model, traced_layer, TrainingOp::WeightGrad, 0.1,
+                &supply));
+
+    for (bool memoize : {true, false}) {
+        for (int threads : {1, 2, 8}) {
+            const std::string run = " memo=" + std::to_string(memoize) +
+                                    " t=" + std::to_string(threads);
+            SweepRunner runner(threads);
+            std::vector<SweepJob> jobs;
+            std::vector<SweepLayerJob> traced_jobs;
+            for (const auto &[name, cfg] : mixedVariants(memoize)) {
+                const Accelerator &accel = runner.addAccelerator(cfg);
+                for (const auto &[model_name, progress] : points)
+                    jobs.push_back(
+                        SweepJob{&accel, &findModel(model_name), progress});
+                if (cfg.tile.rows == 8)
+                    traced_jobs.push_back(SweepLayerJob{
+                        &accel, &traced_model, &traced_layer,
+                        TrainingOp::WeightGrad, 0.1, &supply});
+            }
+
+            std::vector<ModelRunReport> got = runner.runModels(jobs);
+            ASSERT_EQ(got.size(), want.size());
+            for (size_t j = 0; j < got.size(); ++j) {
+                ASSERT_EQ(got[j].ops.size(), want[j].size());
+                for (size_t u = 0; u < want[j].size(); ++u)
+                    expectSameReport(got[j].ops[u], want[j][u],
+                                     "job " + std::to_string(j) + " op " +
+                                         std::to_string(u) + run);
+            }
+
+            std::vector<LayerOpReport> got_traced =
+                runner.runLayerOps(traced_jobs);
+            ASSERT_EQ(got_traced.size(), want_traced.size());
+            for (size_t k = 0; k < got_traced.size(); ++k)
+                expectSameReport(got_traced[k], want_traced[k],
+                                 "traced " + std::to_string(k) + run);
+        }
+    }
+}
+
+TEST(SweepGroups, WindowVariantsShareEverySlab)
+{
+    // Three windows on one geometry, unmemoized: every burst fills
+    // its two slabs once, and the other two machines read both.
+    AcceleratorConfig base = AcceleratorConfig::paperDefault();
+    base.sampleSteps = 40;
+    base.memoize = false;
+    SweepRunner runner(2);
+    std::vector<SweepJob> jobs;
+    for (int delta : {0, 3, 7}) {
+        AcceleratorConfig cfg = base;
+        cfg.tile.pe.maxDelta = delta;
+        jobs.push_back(
+            SweepJob{&runner.addAccelerator(cfg), &findModel("NCF"), 0.5});
+    }
+
+    const uint64_t filled0 = counterValue("phase.slabs_filled");
+    const uint64_t shared0 = counterValue("phase.slabs_shared");
+    runner.runModels(jobs);
+    const uint64_t filled = counterValue("phase.slabs_filled") - filled0;
+    const uint64_t shared = counterValue("phase.slabs_shared") - shared0;
+    EXPECT_GT(filled, 0u);
+    EXPECT_EQ(shared, 2 * filled);
+}
+
+TEST(SweepGroups, IdenticalTileContextsInsertEachBurstOnce)
+{
+    // Two variants that differ only off the tile (base-delta
+    // compression, like fig11's zero and zero+bdc) form one machine
+    // per burst: its result is inserted once and serves the other
+    // variant without a memo lookup. A seed no other test uses keeps
+    // the process-wide memo cold for these bursts.
+    SimMemo *memo = SimMemo::global();
+    if (!memo)
+        GTEST_SKIP() << "the burst memo is off (FPRAKER_MEMO)";
+    AcceleratorConfig cfg = AcceleratorConfig::paperDefault();
+    cfg.sampleSteps = 40;
+    cfg.seed = 0x5eed5a4e;
+    AcceleratorConfig no_bdc = cfg;
+    no_bdc.useBdc = false;
+
+    SweepRunner runner(2);
+    const Accelerator &with = runner.addAccelerator(cfg);
+    const Accelerator &without = runner.addAccelerator(no_bdc);
+    const ModelInfo &model = findModel("NCF");
+    uint64_t bursts = 0;
+    for (const LayerOpUnit &u : Accelerator::modelUnits(model))
+        bursts += planPhaseSample(model, *u.layer, u.op, 0.5,
+                                  with.phaseConfig())
+                      .bursts;
+
+    const SimMemo::Stats before = memo->stats();
+    std::vector<ModelRunReport> reports = runner.runModels(
+        {SweepJob{&with, &model, 0.5}, SweepJob{&without, &model, 0.5}});
+    const SimMemo::Stats after = memo->stats();
+    EXPECT_EQ(after.insertions - before.insertions, bursts);
+    EXPECT_EQ(after.misses - before.misses, bursts);
+    EXPECT_EQ(after.hits - before.hits, 0u);
+    ASSERT_EQ(reports.size(), 2u);
+    for (size_t u = 0; u < reports[0].ops.size(); ++u)
+        EXPECT_EQ(reports[0].ops[u].avgCyclesPerStep,
+                  reports[1].ops[u].avgCyclesPerStep);
 }
 
 TEST(SweepRunner, ParallelForCoversOrderedSlots)
