@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <climits>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -126,41 +127,175 @@ expectColumnMatches(const FPRakerColumn &opt, const ReferenceColumn &ref,
     }
 }
 
+/** @p cfg with @p lanes lanes (unchanged when @p lanes is 0). */
+PeConfig
+withLanes(PeConfig cfg, int lanes)
+{
+    if (lanes > 0)
+        cfg.lanes = lanes;
+    return cfg;
+}
+
+/** Lane-cycles a cycle charges: every lane is in exactly one class. */
+uint64_t
+laneCycleCount(const PeStats &s)
+{
+    return s.laneUseful + s.laneShiftRange + s.laneNoTerm;
+}
+
 /**
- * One column three ways: the seed reference, the default body (the
- * PE-parallel one wherever it applies), and the scalar body, which a
- * trace callback pins. The forced-scalar CI leg runs the default
- * column on the scalar body too.
+ * One column three ways: the seed reference, the column as the tile
+ * runs it, and a traced copy of that column stepped in lockstep with
+ * the reference. Tracing observes and never influences, so the traced
+ * copy must match the reference too, and each cycle's records must
+ * agree with it: the register's exponent before the cycle, the number
+ * of fired and shift-stalled lanes of every PE, and a base and k's
+ * consistent with the window.
+ *
+ * A reference built with fewer lanes than the column stands for the
+ * column's ragged sets: every set then runs on ref.config().lanes
+ * active lanes, and the reference, which has no active-lane count, is
+ * the narrower column those sets must be equal to.
  */
 struct ColumnTriple
 {
     ReferenceColumn ref;
     FPRakerColumn fast;
-    FPRakerColumn scalar;
+    FPRakerColumn traced;
+    std::vector<PeCycleTrace> records; //!< The traced copy's last cycle.
 
-    ColumnTriple(const PeConfig &cfg, int pes)
-        : ref(cfg, pes), fast(cfg, pes), scalar(cfg, pes)
+    ColumnTriple(const PeConfig &cfg, int pes, int active_lanes = 0)
+        : ref(withLanes(cfg, active_lanes), pes), fast(cfg, pes),
+          traced(cfg, pes)
     {
-        scalar.setTraceCallback([](const PeCycleTrace &) {});
+        traced.setTraceCallback(
+            [this](const PeCycleTrace &t) { records.push_back(t); });
     }
+    ColumnTriple(const ColumnTriple &) = delete;
+    ColumnTriple &operator=(const ColumnTriple &) = delete;
 
-    /** One full 8-lane set; false (with a failure) on diverged cycles. */
+    /**
+     * One set, B row r at b + r * config().lanes; false (with a
+     * failure) on diverged cycles or trace records.
+     */
     bool
     runSet(const BFloat16 *a, const BFloat16 *b, const std::string &what)
     {
-        const int want = ref.runSet(a, b, 8);
-        const int fast_cycles = fast.runSet(a, b, 8);
-        const int scalar_cycles = scalar.runSet(a, b, 8);
+        const int stride = fast.config().lanes;
+        const int active = ref.config().lanes;
+        const int fast_cycles = fast.runSet(a, b, stride, active);
+
+        ref.beginSet(a, b, stride);
+        traced.beginSet(a, b, stride, active);
+        const int pes = ref.numPes();
+        std::vector<int> exps(static_cast<size_t>(pes));
+        std::vector<PeStats> before(static_cast<size_t>(pes));
+        int cycle = 0;
+        while (ref.busy()) {
+            for (int r = 0; r < pes; ++r) {
+                exps[r] = ref.accumulator(r).chunkRegister().exponent();
+                before[r] = ref.stats(r);
+            }
+            ref.stepCycle();
+            // The reference settles on entry, so its first call may
+            // retire the set without a processing cycle.
+            if (laneCycleCount(ref.stats(0)) == laneCycleCount(before[0]))
+                continue;
+            ++cycle;
+            records.clear();
+            traced.stepCycle();
+            if (!expectCycleRecords(
+                    cycle, exps, before,
+                    what + ", cycle " + std::to_string(cycle)))
+                return false;
+        }
+        EXPECT_FALSE(traced.busy()) << what << " (traced)";
+        const int want = ref.finishSet();
+        const int traced_cycles = traced.finishSet();
         EXPECT_EQ(fast_cycles, want) << what;
-        EXPECT_EQ(scalar_cycles, want) << what << " (scalar body)";
-        return fast_cycles == want && scalar_cycles == want;
+        EXPECT_EQ(traced_cycles, want) << what << " (traced)";
+        return fast_cycles == want && traced_cycles == want;
+    }
+
+    /**
+     * The traced copy's records of processing cycle @p cycle against
+     * the reference's same cycle: @p exps and @p before are each PE's
+     * register exponent and counters before it.
+     */
+    bool
+    expectCycleRecords(int cycle, const std::vector<int> &exps,
+                       const std::vector<PeStats> &before,
+                       const std::string &what) const
+    {
+        using LA = PeCycleTrace::LaneAction;
+        const int pes = ref.numPes();
+        const size_t lanes = static_cast<size_t>(traced.config().lanes);
+        const int active = ref.config().lanes;
+        const int window = traced.config().maxDelta;
+        if (records.size() != static_cast<size_t>(pes)) {
+            ADD_FAILURE() << what << ": " << records.size()
+                          << " records for " << pes << " PEs";
+            return false;
+        }
+        for (int r = 0; r < pes; ++r) {
+            const PeCycleTrace &t = records[static_cast<size_t>(r)];
+            bool ok = t.cycle == cycle && t.pe == r &&
+                      t.accExp == exps[r] && t.action.size() == lanes &&
+                      t.k.size() == lanes;
+            uint64_t fired = 0;
+            uint64_t stalled = 0;
+            int base = INT_MAX;
+            for (size_t l = 0; ok && l < lanes; ++l) {
+                if (t.action[l] == LA::Idle) {
+                    ok = t.k[l] == 0;
+                    continue;
+                }
+                // k = accExp + shift - (Ae + Be): shifts lie in [-1, 7]
+                // and product exponents in [-254, 254].
+                const int d = t.k[l] - t.accExp;
+                ok = static_cast<int>(l) < active && d >= -255 && d <= 261 &&
+                     (t.action[l] == LA::Fired ||
+                      t.action[l] == LA::ShiftStall);
+                base = std::min(base, t.k[l]);
+                (t.action[l] == LA::Fired ? fired : stalled) += 1;
+            }
+            ok = ok && t.base == (fired + stalled ? base : 0);
+            for (size_t l = 0; ok && l < lanes; ++l)
+                if (t.action[l] != LA::Idle)
+                    ok = (t.action[l] == LA::Fired) ==
+                         (t.k[l] - t.base <= window);
+            const PeStats &now = ref.stats(r);
+            ok = ok && fired == now.laneUseful - before[r].laneUseful &&
+                 stalled == now.laneShiftRange - before[r].laneShiftRange;
+            if (!ok) {
+                ADD_FAILURE()
+                    << what << ", pe " << r << ": record (cycle " << t.cycle
+                    << ", pe " << t.pe << ", accExp " << t.accExp
+                    << ", base " << t.base << ", " << fired << " fired, "
+                    << stalled << " stalled) against the reference's "
+                    << "exponent " << exps[r] << ", "
+                    << now.laneUseful - before[r].laneUseful << " fired, "
+                    << now.laneShiftRange - before[r].laneShiftRange
+                    << " stalled";
+                return false;
+            }
+        }
+        return true;
     }
 
     void
     expectMatch(const std::string &what) const
     {
         expectColumnMatches(fast, ref, what);
-        expectColumnMatches(scalar, ref, what + " (scalar body)");
+        expectColumnMatches(traced, ref, what + " (traced)");
+    }
+
+    void
+    resetAccumulators()
+    {
+        ref.resetAccumulators();
+        fast.resetAccumulators();
+        traced.resetAccumulators();
     }
 };
 
@@ -223,6 +358,95 @@ TEST_P(ColumnParity, BitIdenticalToReference)
 }
 
 INSTANTIATE_TEST_SUITE_P(Fuzz, ColumnParity, ::testing::Range(0, 13));
+
+/** A random machine of @p lanes lanes around window @p window. */
+PeConfig
+randomMachine(Rng &rng, int lanes, int window)
+{
+    PeConfig cfg;
+    cfg.lanes = lanes;
+    cfg.maxDelta = window;
+    cfg.obThreshold =
+        rng.bernoulli(0.5) ? -1 : static_cast<int>(rng.uniformInt(0, 14));
+    cfg.skipOutOfBounds = rng.bernoulli(0.8);
+    cfg.encoding = rng.bernoulli(0.5) ? TermEncoding::Canonical
+                                      : TermEncoding::RawBits;
+    cfg.acc.fracBits = static_cast<int>(rng.uniformInt(6, 16));
+    return cfg;
+}
+
+/**
+ * Ragged sets: a column fed only n-lane sets (beginSet's active_lanes,
+ * as dot() runs a ragged tail) is, in cycles, registers and all eleven
+ * counters, an n-lane column. The reference has no active-lane count,
+ * so it is built with n lanes. Every set's A operands and the last B
+ * row end at lane n, so a decode that read a padded lane would leave
+ * its buffer.
+ */
+TEST(ColumnParity, RaggedSetsMatchANarrowerReference)
+{
+    constexpr int kWindows[] = {0, 2, 3, 4, 5, 7, 8, 1 << 20};
+    Rng rng(4099);
+    auto run = [&](int lanes, int n, int pes, int window) {
+        const PeConfig cfg = randomMachine(rng, lanes, window);
+        const std::string what = std::to_string(n) + " of " +
+                                 std::to_string(lanes) + " lanes, " +
+                                 std::to_string(pes) + " PEs, window " +
+                                 std::to_string(window);
+        ColumnTriple col(cfg, pes, n);
+        const double sparsity = rng.uniform(0.0, 0.5);
+        const double sigma = rng.uniform(0.5, 4.0);
+        for (int set = 0; set < 10; ++set) {
+            auto a = randomValues(rng, static_cast<size_t>(n), sparsity, sigma);
+            auto b = randomValues(
+                rng, static_cast<size_t>(pes - 1) * lanes + n, sparsity,
+                sigma);
+            ASSERT_TRUE(col.runSet(a.data(), b.data(),
+                                   what + ", set " + std::to_string(set)));
+        }
+        col.expectMatch(what);
+    };
+    int i = 0;
+    for (int n = 1; n <= 7; ++n)
+        for (int pes = 1; pes <= 24; ++pes, ++i)
+            run(8, n, pes, kWindows[i % std::size(kWindows)]);
+    for (int n : {1, 9, 15})
+        for (int pes : {1, 17}) {
+            run(16, n, pes, kWindows[i % std::size(kWindows)]);
+            ++i;
+        }
+}
+
+/**
+ * Every lane count the PE takes (1-16) on columns of 1 to 64 PEs: one
+ * to eight 8-PE groups, the last one partly filled or full.
+ */
+TEST(ColumnParity, EveryLaneCountAndColumnHeight)
+{
+    constexpr int kWindows[] = {0, 1, 3, 4, 5, 7, 8, 49, 1 << 20};
+    Rng rng(8191);
+    int i = 0;
+    for (int lanes : {1, 2, 4, 7, 8, 9, 12, 16})
+        for (int pes : {1, 5, 16, 17, 33, 64}) {
+            const int window = kWindows[i++ % std::size(kWindows)];
+            const PeConfig cfg = randomMachine(rng, lanes, window);
+            const std::string what =
+                std::to_string(lanes) + " lanes, " + std::to_string(pes) +
+                " PEs, window " + std::to_string(window);
+            ColumnTriple col(cfg, pes);
+            const double sparsity = rng.uniform(0.0, 0.5);
+            const double sigma = rng.uniform(0.5, 4.0);
+            for (int set = 0; set < 8; ++set) {
+                auto a = randomValues(rng, static_cast<size_t>(lanes),
+                                      sparsity, sigma);
+                auto b = randomValues(
+                    rng, static_cast<size_t>(pes) * lanes, sparsity, sigma);
+                ASSERT_TRUE(col.runSet(a.data(), b.data(),
+                                       what + ", set " + std::to_string(set)));
+            }
+            col.expectMatch(what);
+        }
+}
 
 /** bfloat16 from its sign, biased exponent field, and 7 mantissa bits. */
 BFloat16
@@ -317,9 +541,7 @@ TEST(ColumnParity, Int16EdgeShapesMatchReference)
                     ASSERT_TRUE(col.runSet(a.data(), b.data(),
                                            col_what + ", cancelling"));
                     col.expectMatch(col_what + ", cancelling");
-                    col.ref.resetAccumulators();
-                    col.fast.resetAccumulators();
-                    col.scalar.resetAccumulators();
+                    col.resetAccumulators();
                 }
             }
 
@@ -348,11 +570,8 @@ TEST(ColumnParity, Int16EdgeShapesMatchReference)
                         x = extreme();
                     ASSERT_TRUE(col.runSet(a.data(), b.data(),
                                            col_what + ", extreme exponents"));
-                    if (set % 4 == 3) {
-                        col.ref.resetAccumulators();
-                        col.fast.resetAccumulators();
-                        col.scalar.resetAccumulators();
-                    }
+                    if (set % 4 == 3)
+                        col.resetAccumulators();
                 }
                 col.expectMatch(col_what + ", extreme exponents");
             }
@@ -368,6 +587,70 @@ TEST(ColumnParity, Int16EdgeShapesMatchReference)
                 }
                 col.expectMatch(col_what + ", dense");
             }
+        }
+    }
+
+    // The widest column, 16 lanes on 64 PEs, either side of the int16
+    // window sum's bound, lanes x (255 << maxDelta) <= 32767: at window
+    // 3 sixteen lanes of the largest significand, fired together on the
+    // base term, sum to 16 x 255 << 3 = 32640, and at window 4 to twice
+    // that.
+    constexpr int kWideLanes = 16;
+    constexpr int kTallPes = 64;
+    const size_t tall_b = static_cast<size_t>(kTallPes) * kWideLanes;
+    for (int window : {3, 4}) {
+        PeConfig cfg;
+        cfg.lanes = kWideLanes;
+        cfg.encoding = TermEncoding::RawBits;
+        cfg.maxDelta = window;
+        const std::string what =
+            "16 lanes, 64 PEs, RawBits, window " + std::to_string(window);
+        Rng rng(static_cast<uint64_t>(window) * 977 + 5);
+        ColumnTriple col(cfg, kTallPes);
+        for (int set = 0; set < 4; ++set) {
+            std::vector<BFloat16> a(kWideLanes, bf16Fields(false, 127, 0x55));
+            std::vector<BFloat16> b(tall_b);
+            for (size_t i = 0; i < tall_b; ++i)
+                b[i] = bf16Fields(set % 2 == 1, 127 + set, 0x7f);
+            ASSERT_TRUE(col.runSet(a.data(), b.data(), what + ", widest sum"));
+        }
+        col.expectMatch(what + ", widest sum");
+        for (int set = 0; set < 8; ++set) {
+            auto a = randomValues(rng, kWideLanes, 0.1, 2.5);
+            auto b = randomValues(rng, tall_b, 0.1, 2.5);
+            ASSERT_TRUE(col.runSet(a.data(), b.data(), what + ", dense"));
+        }
+        col.expectMatch(what + ", dense");
+    }
+
+    // The 16-lane set that pends the most lane-cycles a PE of one
+    // column can: every A lane streams eight raw terms, the products
+    // are 2^8 apart and the window is 0, so each of its 128 cycles
+    // fires one term while every unfinished lane stalls, pending
+    // 8 x (16 + 15 + ... + 1) = 1088 lane-cycles per PE, inside the
+    // 8 x lanes^2 = 2048 bound of the int16 counter.
+    for (int pes : {1, kTallPes}) {
+        PeConfig cfg;
+        cfg.lanes = kWideLanes;
+        cfg.encoding = TermEncoding::RawBits;
+        cfg.maxDelta = 0;
+        cfg.skipOutOfBounds = false;
+        const std::string what =
+            "most-pending set, " + std::to_string(pes) + " PEs";
+        std::vector<BFloat16> a(kWideLanes, bf16Fields(false, 127, 0x7f));
+        std::vector<BFloat16> b(static_cast<size_t>(pes) * kWideLanes);
+        for (int r = 0; r < pes; ++r)
+            for (int l = 0; l < kWideLanes; ++l)
+                b[static_cast<size_t>(r) * kWideLanes + l] =
+                    bf16Fields(r % 2 == 1, 127 + 60 - 8 * l, r % 128);
+        ColumnTriple col(cfg, pes);
+        ASSERT_TRUE(col.runSet(a.data(), b.data(), what));
+        col.expectMatch(what);
+        for (int r = 0; r < pes; ++r) {
+            const PeStats &s = col.ref.stats(r);
+            EXPECT_EQ(s.setCycles, 128u) << what << ", pe " << r;
+            EXPECT_EQ(s.laneUseful + s.laneShiftRange, 1088u)
+                << what << ", pe " << r;
         }
     }
 }
@@ -486,18 +769,18 @@ TEST(ColumnParity, CancellingSetEmptiesTheRegisterMidSet)
 
 /**
  * Wide-row parity: the Fig. 19/20 geometries put up to 16 PEs on one
- * serial-operand stream (both 8-PE halves of the PE-parallel body), and
- * 32 PEs run the scalar body. With many PEs, most of a set's cycles
- * find PEs whose every live lane is already out-of-bounds: they owe no
- * term, yet still block or join each lane's consensus drop. Every
- * cycle count, accumulator bit, and stat counter must match the seed
- * reference exactly.
+ * serial-operand stream, and the column takes up to 64 (eight 8-PE
+ * groups). With many PEs, most of a set's cycles find PEs whose every
+ * live lane is already out-of-bounds: they owe no term, yet still
+ * block or join each lane's consensus drop. Every cycle count,
+ * accumulator bit, and stat counter must match the seed reference
+ * exactly.
  */
 class WideRowParity : public ::testing::TestWithParam<int>
 {
 };
 
-TEST_P(WideRowParity, RetirementSkipIsBitIdenticalToReference)
+TEST_P(WideRowParity, BitIdenticalToReference)
 {
     const int pes = GetParam();
     Rng rng(static_cast<uint64_t>(pes) * 40503 + 11);
@@ -531,7 +814,7 @@ TEST_P(WideRowParity, RetirementSkipIsBitIdenticalToReference)
 }
 
 INSTANTIATE_TEST_SUITE_P(Fig19Geometries, WideRowParity,
-                         ::testing::Values(2, 4, 16, 32));
+                         ::testing::Values(2, 4, 16, 24, 32, 48, 64));
 
 TEST(WideRowParity, WideTileMatchesReferenceTile)
 {
