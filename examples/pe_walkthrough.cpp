@@ -5,8 +5,9 @@
  * B1 = 2^1 x 1.1010), raw-bit term streams, a 3-position shifter
  * window, and — in the second run — a 6-bit accumulator whose
  * out-of-bounds skipping saves the final cycle. Uses the PE's trace
- * callback (setTraceCallback), which runs the column's scalar body and
- * reports every PE's lanes on every cycle.
+ * callback (setTraceCallback), which reads every PE's lanes out of
+ * the column's lane state on every cycle without changing what the
+ * cycle computes.
  *
  *   ./pe_walkthrough
  */

@@ -20,9 +20,9 @@ REGISTER_EXPERIMENT("fig19", "Fig. 19", "speedup vs rows per tile",
     const int rows_options[] = {2, 4, 8, 16};
     const int pe_budget = 36 * 64; // total PEs at iso-compute area
 
-    // 16 PEs share one A stream in the widest configuration, both
-    // 8-PE halves of the column's PE-parallel body; the 4 variants x
-    // 9 models fan out as one job list over a shared engine.
+    // 16 PEs share one A stream in the widest configuration, two of
+    // the column's 8-PE vector groups; the 4 variants x 9 models fan
+    // out as one job list over a shared engine.
     std::vector<std::string> names;
     for (int rows : rows_options) {
         AcceleratorConfig cfg = AcceleratorConfig::paperDefault();

@@ -7,7 +7,9 @@
  * cycles.
  */
 
-#include <map>
+#include <iterator>
+#include <utility>
+#include <vector>
 
 #include "api/api.h"
 #include "train/acc_width_profiler.h"
@@ -32,17 +34,21 @@ makeModel(const std::string &name, std::vector<LayerShape> layers)
     return m;
 }
 
-/** Total FPRaker cycles for the model under a fixed or profiled
- * accumulator width; returns {AxW, GxW, AxG, total} cycles. */
+/** FPRaker cycles of a model's {AxW, GxW, AxG} phases and their total. */
 struct PhaseCycles
 {
     double axw = 0, gxw = 0, axg = 0;
     double total() const { return axw + gxw + axg; }
 };
 
-PhaseCycles
-runWidths(Session &session, const std::string &prefix,
-          const ModelInfo &model, bool profiled)
+/**
+ * Append @p model's (layer, op) jobs under a fixed or a per-layer
+ * profiled accumulator width to @p jobs.
+ */
+void
+addWidthJobs(Session &session, const std::string &prefix,
+             const ModelInfo &model, bool profiled,
+             std::vector<SweepLayerJob> &jobs)
 {
     AccWidthConfig wcfg;
     // Each (layer, op) carries its own profiled accumulator width.
@@ -62,7 +68,6 @@ runWidths(Session &session, const std::string &prefix,
     const int default_threshold =
         AcceleratorConfig::paperDefault().tile.pe.obThreshold;
 
-    std::vector<SweepLayerJob> jobs;
     for (const auto &layer : model.layers) {
         for (TrainingOp op : {TrainingOp::Forward, TrainingOp::InputGrad,
                               TrainingOp::WeightGrad}) {
@@ -74,10 +79,16 @@ runWidths(Session &session, const std::string &prefix,
                                          &layer, op, kDefaultProgress});
         }
     }
-    std::vector<LayerOpReport> reports = session.runLayerOps(jobs);
+}
 
+/** The phase cycles of @p reports [@p first, @p last). */
+PhaseCycles
+sumPhases(const std::vector<LayerOpReport> &reports, size_t first,
+          size_t last)
+{
     PhaseCycles out;
-    for (const LayerOpReport &r : reports) {
+    for (size_t i = first; i < last; ++i) {
+        const LayerOpReport &r = reports[i];
         switch (r.op) {
           case TrainingOp::Forward:
             out.axw += r.fprCycles;
@@ -101,19 +112,37 @@ REGISTER_EXPERIMENT("fig21", "Fig. 21",
                     "over the fixed-width configuration (paper: 1.56x "
                     "vs 1.13x over the baseline)")
 {
+    // Every (network, width) runs in one sweep, so a (layer, op)'s
+    // fixed and profiled machines share one phase group and fill each
+    // operand slab once. The variants register network by network,
+    // fixed before profiled, as the config digest has always listed
+    // them.
+    const std::pair<std::string, std::vector<LayerShape>> networks[] = {
+        {"AlexNet", alexnetLayers()}, {"ResNet18", resnet18Layers()}};
+    std::vector<ModelInfo> models;
+    models.reserve(std::size(networks));
+    std::vector<SweepLayerJob> jobs;
+    // (network, width) k owns jobs [bounds[k], bounds[k + 1]).
+    std::vector<size_t> bounds = {0};
+    for (const auto &[name, layers] : networks) {
+        const ModelInfo &model = models.emplace_back(makeModel(name, layers));
+        addWidthJobs(session, name + "-fixed", model, false, jobs);
+        bounds.push_back(jobs.size());
+        addWidthJobs(session, name + "-prof", model, true, jobs);
+        bounds.push_back(jobs.size());
+    }
+    const std::vector<LayerOpReport> reports = session.runLayerOps(jobs);
+
     Result res;
     ResultTable &t = res.table("acc_width",
                                {"network", "AxW cycles", "GxW cycles",
                                 "AxG cycles", "total (norm. to fixed)"});
-    for (auto &[name, layers] :
-         {std::pair<std::string, std::vector<LayerShape>>{
-              "AlexNet", alexnetLayers()},
-          {"ResNet18", resnet18Layers()}}) {
-        ModelInfo model = makeModel(name, layers);
-        PhaseCycles fixed =
-            runWidths(session, name + "-fixed", model, false);
-        PhaseCycles prof =
-            runWidths(session, name + "-prof", model, true);
+    for (size_t n = 0; n < std::size(networks); ++n) {
+        const std::string &name = networks[n].first;
+        const PhaseCycles fixed =
+            sumPhases(reports, bounds[2 * n], bounds[2 * n + 1]);
+        const PhaseCycles prof =
+            sumPhases(reports, bounds[2 * n + 1], bounds[2 * n + 2]);
         auto pct = [&](double v, double ref) {
             return Table::pct(v / ref);
         };

@@ -109,9 +109,9 @@ class Result
     int threads = 0;
     int sampleSteps = 0;
     /**
-     * The bodies the run executed on, slab::simdLevel(): "sse2", or
-     * "scalar" when FPRAKER_SIMD=scalar pins them or the build lacks
-     * SSE2. Filled by the driver. Provenance only — the determinism
+     * The value MAC and FP32 dot bodies the run executed on,
+     * slab::simdLevel(): "sse2", or "scalar" when FPRAKER_SIMD=scalar
+     * pins them or the build lacks SSE2. Filled by the driver. Provenance only — the determinism
      * contract says both produce the same bytes, so the level must
      * never be part of the fingerprint.
      */

@@ -6,14 +6,16 @@
  *
  * Each kernel is one plain scalar loop: the slab kernels are a sliver
  * of a figure run (docs/PERFORMANCE.md, "Scalar slab kernels"), so the
- * tree's vector code lives where the time goes — the PE-parallel
- * column, the value MAC and the FP32 dot.
+ * tree's vector code lives where the time goes — the FPRaker column,
+ * the value MAC and the FP32 dot.
  *
- * This header also holds the one switch for those bodies: each is an
- * SSE2 body under `#ifdef __SSE2__` with a scalar fallback, and
- * FPRAKER_SIMD accepts only `scalar`, which pins every fallback; any
- * other non-empty value is fatal. Both paths are integer-exact, so
- * the choice never changes a result.
+ * This header also holds the one switch for two of those: the value
+ * MAC's SSE2 body, with its one-PE column fallback, and the FMA FP32
+ * dot, with its libm loop. FPRAKER_SIMD accepts only `scalar`, which
+ * pins both fallbacks; any other non-empty value is fatal. Both paths
+ * of each give the same bits, so the choice never changes a result.
+ * The FPRaker column has one body, written in GCC vector extensions,
+ * which the switch does not touch.
  */
 
 #ifndef FPRAKER_NUMERIC_SLAB_OPS_H
@@ -27,7 +29,7 @@
 namespace fpraker {
 namespace slab {
 
-/** The bodies the PE fast paths run. */
+/** The bodies the value MAC and the FP32 dot run. */
 enum class SimdTier
 {
     Scalar = 0,

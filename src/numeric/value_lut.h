@@ -8,9 +8,8 @@
  * term shift, stream length) from the raw bits on every set. A bf16 is
  * only 16 bits, so the full value domain is 65536 entries: ValueLut
  * materializes every field the column front-end consumes, once per
- * encoding, and the serial-operand decode (beginSerial) and the scalar
- * body's set start replace their per-value bit manipulation with one
- * indexed load.
+ * encoding, and the serial-operand decode (beginSerial) replaces its
+ * per-value bit manipulation with one indexed load.
  *
  * Exact by construction: the table is built by running every bit
  * pattern through the same BFloat16 accessors and TermLut streams the
@@ -55,14 +54,6 @@ class ValueLut
      * simulation workers read it without synchronization.
      */
     static const ValueLut &of(TermEncoding enc);
-
-    /**
-     * The parallel-operand decode table: the B-side fields (sign,
-     * exponent, significand, zero/finite class) are encoding-
-     * independent, so the scalar body's set start shares one canonical
-     * instance and simply never reads the stream fields.
-     */
-    static const ValueLut &bDecode() { return of(TermEncoding::Canonical); }
 
     /** Decoded entry of a raw bf16 bit pattern. */
     const Entry &entry(uint16_t bits) const { return entries_[bits]; }

@@ -1,22 +1,18 @@
 #include "pe/fpraker_pe.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <climits>
 
-#ifdef __SSE2__
-#include <emmintrin.h>
-#endif
-
 #include "common/logging.h"
-#include "numeric/slab_ops.h"
 
 namespace fpraker {
 
 namespace {
 
 /**
- * The adder tree of one PE-cycle, shared by both column bodies: the
+ * The adder tree of one PE-cycle past the vector window sums: the
  * fired lanes' contributions, bSig x 2^lsb each, added in lane order.
  */
 struct AdderTree
@@ -69,31 +65,167 @@ struct AdderTree
     }
 };
 
+using Vec = FPRakerColumn::Vec;
+/** Four int32 elements: half of a Vec, widened. */
+typedef int32_t Vec32 __attribute__((vector_size(16)));
+/** A Vec as two 64-bit halves, for the any-element tests. */
+typedef uint64_t Vec64 __attribute__((vector_size(16)));
+
+/** @p x in every element. */
+constexpr Vec
+splat(int x)
+{
+    return Vec{} + static_cast<int16_t>(x);
+}
+
+/** Per lane l, bit l in every element (bit 15 reads as the sign). */
+constexpr auto kLaneBit = [] {
+    std::array<Vec, ExponentBlockResult::kMaxLanes> bits{};
+    for (size_t l = 0; l < bits.size(); ++l)
+        bits[l] = splat(1 << l);
+    return bits;
+}();
+
+/** Elements of @p a where @p m is set, else those of @p b. */
+Vec
+select(Vec m, Vec a, Vec b)
+{
+    return (m & a) | (~m & b);
+}
+
+Vec
+vmin(Vec a, Vec b)
+{
+    return a < b ? a : b;
+}
+
+Vec
+vmax(Vec a, Vec b)
+{
+    return a > b ? a : b;
+}
+
+/** True when some element of @p m is non-zero. */
+bool
+anyElement(Vec m)
+{
+    const Vec64 h = std::bit_cast<Vec64>(m);
+    return (h[0] | h[1]) != 0;
+}
+
+/** The OR of @p x's elements, as 16 bits. */
+uint32_t
+orElements(Vec x)
+{
+    const Vec64 h = std::bit_cast<Vec64>(x);
+    uint64_t v = h[0] | h[1];
+    v |= v >> 32;
+    v |= v >> 16;
+    return static_cast<uint16_t>(v);
+}
+
+/** True when every element of @p m is -1. */
+bool
+allElements(Vec m)
+{
+    const Vec64 h = std::bit_cast<Vec64>(m);
+    return (h[0] & h[1]) == ~uint64_t(0);
+}
+
+/** -1 in the elements of @p x with bit @p B set, else 0. */
+template <int B>
+Vec
+bit(Vec x)
+{
+    return (x << (15 - B)) >> 15;
+}
+
+/** Elements 4H to 4H + 3 of @p x, sign-extended. */
+template <int H>
+Vec32
+widen(Vec x)
+{
+    return std::bit_cast<Vec32>(__builtin_shufflevector(
+               x, x, 4 * H, 4 * H, 4 * H + 1, 4 * H + 1, 4 * H + 2,
+               4 * H + 2, 4 * H + 3, 4 * H + 3)) >>
+           16;
+}
+
 } // namespace
 
-FPRakerColumn::FPRakerColumn(const PeConfig &cfg, int num_pes)
-    : cfg_(cfg), numPes_(num_pes), vlut_(&ValueLut::of(cfg.encoding))
+FPRakerColumn::DecodedBLanes::DecodedBLanes(int lanes, int pes)
+    : lanes_(lanes), pes_(pes),
+      groups_((pes + kGroupPes - 1) / kGroupPes)
 {
-    panic_if(cfg_.lanes < 1 || cfg_.lanes > kMaxLanes,
-             "unsupported lane count %d", cfg_.lanes);
-    panic_if(numPes_ < 1, "column needs at least one PE");
-    panic_if(numPes_ > 64,
-             "column of %d PEs exceeds the 64-PE transposed-mask limit",
-             numPes_);
+    panic_if(lanes_ < 1 || lanes_ > kMaxLanes, "unsupported lane count %d",
+             lanes_);
+    panic_if(pes_ < 1 || pes_ > kMaxPes,
+             "column of %d PEs outside 1-%d", pes_, kMaxPes);
+    v_.assign(static_cast<size_t>(lanes_ * groups_), Lane{});
+}
+
+void
+FPRakerColumn::DecodedBLanes::decode(const BFloat16 *b, int b_stride,
+                                     int active_lanes)
+{
+    panic_if(active_lanes < 1 || active_lanes > lanes_,
+             "bad active lane count %d", active_lanes);
+    active_ = active_lanes;
+    // Rows past the column's PEs read as zero operands.
+    static constexpr BFloat16 kZeroRow[kMaxLanes] = {};
+    for (int g = 0; g < groups_; ++g) {
+        const int rows = std::min(kGroupPes, pes_ - g * kGroupPes);
+        const BFloat16 *row[kGroupPes];
+        for (int i = 0; i < kGroupPes; ++i)
+            row[i] = i < rows ? b + static_cast<size_t>(g * kGroupPes + i) *
+                                        b_stride
+                              : kZeroRow;
+        // Gather each active lane's raw bits across the group's rows,
+        // then split the fields on whole vectors.
+        Lane *out = v_.data() + g * lanes_;
+        Vec non_finite = {};
+        for (int l = 0; l < active_; ++l) {
+            const Vec v = {
+                static_cast<int16_t>(row[0][l].bits()),
+                static_cast<int16_t>(row[1][l].bits()),
+                static_cast<int16_t>(row[2][l].bits()),
+                static_cast<int16_t>(row[3][l].bits()),
+                static_cast<int16_t>(row[4][l].bits()),
+                static_cast<int16_t>(row[5][l].bits()),
+                static_cast<int16_t>(row[6][l].bits()),
+                static_cast<int16_t>(row[7][l].bits()),
+            };
+            non_finite |= (v & 0x7f80) == 0x7f80;
+            out[l].exp = ((v >> 7) & 0xff) - BFloat16::kBias;
+            out[l].sig = ((v & 0x7f) | 0x80) & ~((v & 0x7fff) == 0);
+            out[l].neg = v >> 15;
+        }
+        if (anyElement(non_finite)) {
+            for (int i = 0; i < rows; ++i)
+                for (int l = 0; l < active_; ++l) {
+                    const BFloat16 x =
+                        b[static_cast<size_t>(g * kGroupPes + i) * b_stride +
+                          l];
+                    panic_if(!x.isFinite(),
+                             "non-finite PE operand (b=%04x)", x.bits());
+                }
+        }
+    }
+}
+
+FPRakerColumn::FPRakerColumn(const PeConfig &cfg, int num_pes)
+    : cfg_(cfg), numPes_(num_pes),
+      groups_((num_pes + kGroupPes - 1) / kGroupPes),
+      vlut_(&ValueLut::of(cfg.encoding)), laneScratch_(cfg.lanes, num_pes)
+{
     panic_if(cfg_.maxDelta < 0, "negative shifter window");
-    peAll_ = numPes_ == 64 ? ~0ull : (1ull << numPes_) - 1;
     pes_.reserve(static_cast<size_t>(numPes_));
     for (int r = 0; r < numPes_; ++r)
-        pes_.emplace_back(cfg_.acc);
-#ifdef __SSE2__
-    // The PE-parallel body holds 8 lanes of two 8-PE halves.
-    peParallel_ = cfg_.lanes == DecodedBLanes::kLanes &&
-                  numPes_ <= DecodedBLanes::kPes &&
-                  slab::activeTier() != slab::SimdTier::Scalar;
-#endif
-    halves_ = numPes_ > 8 ? 2 : 1;
-    for (int r = 0; r < LaneState::kPes; ++r)
-        lanes_.pad[r] = r < numPes_ ? int16_t(0) : int16_t(-1);
+        pes_.push_back(PeState{ChunkedAccumulator(cfg_.acc), PeStats{}});
+    masks_.assign(static_cast<size_t>(groups_ * cfg_.lanes), LaneMasks{});
+    rows_.assign(static_cast<size_t>(groups_), GroupRows{});
+    for (int r = numPes_; r < groups_ * kGroupPes; ++r)
+        rows_[static_cast<size_t>(r / kGroupPes)].pad[r % kGroupPes] = -1;
 }
 
 void
@@ -101,204 +233,59 @@ FPRakerColumn::beginSet(const BFloat16 *a, const BFloat16 *b,
                         int b_stride, int active_lanes)
 {
     panic_if(inSet_, "beginSet while a set is in flight");
-    activeLanes_ = active_lanes < 0 ? cfg_.lanes : active_lanes;
-    panic_if(activeLanes_ < 1 || activeLanes_ > cfg_.lanes,
-             "bad active lane count %d", activeLanes_);
-    if (activeLanes_ == cfg_.lanes && peParallel()) {
-        decodeBLanes(b, b_stride, numPes_, &laneScratch_);
-        beginSetLanes(a, laneScratch_);
-        return;
-    }
+    laneScratch_.decode(b, b_stride,
+                        active_lanes < 0 ? cfg_.lanes : active_lanes);
+    beginSet(a, laneScratch_);
+}
 
+void
+FPRakerColumn::beginSet(const BFloat16 *a, const DecodedBLanes &b)
+{
+    panic_if(inSet_, "beginSet while a set is in flight");
+    panic_if(b.lanes() != cfg_.lanes || b.pes() != numPes_,
+             "operands decoded for %d lanes x %d PEs, column is %d x %d",
+             b.lanes(), b.pes(), cfg_.lanes, numPes_);
+    activeLanes_ = b.activeLanes();
+    b_ = &b;
     beginSerial(a);
-    for (int l = 0; l < activeLanes_; ++l) {
-        firedPes_[l] = 0;
-        obPes_[l] = 0;
-    }
 
-    // The post-set settle is folded in: before any term fires the only
-    // possible encoder feedback is a first-term out-of-bounds flag (and
-    // the consensus drop when every PE raises it), so both are resolved
-    // here and the set starts settled.
-    const int thr =
-        cfg_.skipOutOfBounds ? cfg_.effectiveObThreshold() : INT_MAX;
-    // The B-side fields are one load each from the decoded-value table.
-    const ValueLut &bvals = ValueLut::bDecode();
-    uint32_t all_ob = liveMask_;
-    for (int r = 0; r < numPes_; ++r) {
-        PeState &pe = pes_[static_cast<size_t>(r)];
-        const BFloat16 *brow = b + static_cast<size_t>(r) * b_stride;
-        int emax = pe.acc.chunkRegister().exponent();
-        uint32_t b_neg = 0;
-        for (int l = 0; l < activeLanes_; ++l) {
-            const ValueLut::Entry &e = bvals.entry(brow[l].bits());
-            panic_if(!(e.flags & ValueLut::kFinite),
-                     "non-finite PE operand (b=%04x)", brow[l].bits());
-            // Zero operands carry an all-zero exponent field; their
-            // product exponents are far below any normal value, so the
-            // MAX tree ignores them and the out-of-bounds check retires
-            // the lane immediately.
-            const int ab = serial_.exp[l] + e.unbiasedExp;
-            pe.abExp[l] = static_cast<int16_t>(ab);
-            pe.bSig[l] = e.sig;
-            if (e.flags & ValueLut::kNegative)
-                b_neg |= 1u << l;
-            if (((serial_.nonzero >> l) & 1u) &&
-                !(e.flags & ValueLut::kZero) && ab > emax)
-                emax = ab;
+    // Exponent block: each PE's MAX over its non-zero products is a
+    // vertical max across the lane vectors. alignTo stays scalar.
+    for (int g = 0; g < groups_; ++g) {
+        const DecodedBLanes::Lane *bl = b.group(g);
+        GroupRows &rows = rows_[static_cast<size_t>(g)];
+        Vec emax = splat(INT16_MIN);
+        for (uint32_t m = serial_.nonzero; m; m &= m - 1) {
+            const int l = std::countr_zero(m);
+            emax = vmax(emax, select(bl[l].sig == 0, splat(INT16_MIN),
+                                     splat(serial_.exp[l]) + bl[l].exp));
         }
-        pe.prodNegMask = serial_.neg ^ b_neg;
-        pe.firedMask = 0;
-        pe.acc.chunkRegister().alignTo(emax);
-
-        uint32_t ob = 0;
-        if (thr != INT_MAX) {
-            const int acc_exp = pe.acc.chunkRegister().exponent();
-            for (uint32_t m = liveMask_; m; m &= m - 1) {
-                const int l = std::countr_zero(m);
-                if (acc_exp - pe.abExp[l] + curShift_[l] > thr) {
-                    ob |= 1u << l;
-                    pe.stats.termsObSkipped += serial_.nterms[l];
-                    obPes_[l] |= 1ull << r;
-                }
-            }
+        const int n = std::min(kGroupPes, numPes_ - g * kGroupPes);
+        for (int i = 0; i < n; ++i) {
+            ExtendedAccumulator &reg =
+                pes_[static_cast<size_t>(g * kGroupPes + i)]
+                    .acc.chunkRegister();
+            if (emax[i] != INT16_MIN)
+                reg.alignTo(emax[i]);
+            rows.accExp[i] = static_cast<int16_t>(
+                std::max(reg.exponent(), kLanesExpFloor));
         }
-        pe.obMask = ob;
-        all_ob &= ob;
-
-        pe.stats.termsZeroSkipped += serial_.zeroSlots;
-        pe.stats.sets += 1;
-        pe.stats.macs += static_cast<uint64_t>(activeLanes_);
+        rows.pendN = rows.fireN = rows.obSkipN = Vec{};
+        LaneMasks *mk = masks_.data() + g * cfg_.lanes;
+        for (uint32_t m = liveMask_; m; m &= m - 1) {
+            const int l = std::countr_zero(m);
+            mk[l].fired = Vec{};
+            mk[l].ob = rows.pad;
+        }
     }
 
-    // Consensus drop of lanes every PE flagged on their first term.
-    for (uint32_t m = all_ob; m; m &= m - 1) {
-        const int l = std::countr_zero(m);
-        streams_[l].cursor = streams_[l].terms->size();
-    }
-    liveMask_ &= ~all_ob;
-
+    // Before any term fires, settling is the first-term OB pass: every
+    // PE owes each live lane's first term, so a term already past the
+    // threshold drops the lane at that PE, and a lane every PE drops
+    // goes before the first cycle. The set starts settled.
+    settle(liveMask_, true);
     setCycles_ = 0;
     inSet_ = true;
-    lanesSet_ = false;
-}
-
-#ifdef __SSE2__
-
-namespace {
-
-__m128i
-load16(const int16_t *p)
-{
-    return _mm_load_si128(reinterpret_cast<const __m128i *>(p));
-}
-
-void
-store16(int16_t *p, __m128i v)
-{
-    _mm_store_si128(reinterpret_cast<__m128i *>(p), v);
-}
-
-/** Elements of @p a where @p m is set, else those of @p b. */
-__m128i
-select16(__m128i m, __m128i a, __m128i b)
-{
-    return _mm_or_si128(_mm_and_si128(m, a), _mm_andnot_si128(m, b));
-}
-
-/** -1 in the elements of @p x with bit @p B set, else 0. */
-template <int B>
-__m128i
-bit16(__m128i x)
-{
-    return _mm_srai_epi16(_mm_slli_epi16(x, 15 - B), 15);
-}
-
-/** Transpose an 8 x 8 block of 16-bit elements held in @p r. */
-void
-transpose8x8(__m128i r[8])
-{
-    __m128i t[8];
-    for (int i = 0; i < 4; ++i) {
-        t[2 * i] = _mm_unpacklo_epi16(r[2 * i], r[2 * i + 1]);
-        t[2 * i + 1] = _mm_unpackhi_epi16(r[2 * i], r[2 * i + 1]);
-    }
-    const __m128i u[8] = {
-        _mm_unpacklo_epi32(t[0], t[2]), _mm_unpackhi_epi32(t[0], t[2]),
-        _mm_unpacklo_epi32(t[1], t[3]), _mm_unpackhi_epi32(t[1], t[3]),
-        _mm_unpacklo_epi32(t[4], t[6]), _mm_unpackhi_epi32(t[4], t[6]),
-        _mm_unpacklo_epi32(t[5], t[7]), _mm_unpackhi_epi32(t[5], t[7]),
-    };
-    for (int i = 0; i < 4; ++i) {
-        r[2 * i] = _mm_unpacklo_epi64(u[i], u[i + 4]);
-        r[2 * i + 1] = _mm_unpackhi_epi64(u[i], u[i + 4]);
-    }
-}
-
-} // namespace
-
-#endif // __SSE2__
-
-void
-FPRakerColumn::decodeBLanes(const BFloat16 *b, int b_stride, int rows,
-                            DecodedBLanes *out)
-{
-    constexpr int kLanes = DecodedBLanes::kLanes;
-    panic_if(rows < 1 || rows > DecodedBLanes::kPes,
-             "%d rows exceed the lane-major layout", rows);
-#ifdef __SSE2__
-    // Each 8-row half transposes into one vector per lane, holding
-    // that lane's raw bits across the half's PEs; the field split then
-    // runs on whole vectors.
-    const __m128i expField = _mm_set1_epi16(0x7f80);
-    for (int h = 0; h * 8 < rows; ++h) {
-        __m128i v[8];
-        for (int i = 0; i < 8; ++i) {
-            const int r = h * 8 + i;
-            v[i] = r < rows
-                       ? _mm_loadu_si128(reinterpret_cast<const __m128i *>(
-                             b + static_cast<size_t>(r) * b_stride))
-                       : _mm_setzero_si128();
-        }
-        transpose8x8(v);
-        __m128i nonFinite = _mm_setzero_si128();
-        for (int l = 0; l < kLanes; ++l) {
-            nonFinite = _mm_or_si128(
-                nonFinite,
-                _mm_cmpeq_epi16(_mm_and_si128(v[l], expField), expField));
-            const __m128i zero = _mm_cmpeq_epi16(
-                _mm_and_si128(v[l], _mm_set1_epi16(0x7fff)),
-                _mm_setzero_si128());
-            store16(out->exp[l] + 8 * h,
-                    _mm_sub_epi16(_mm_and_si128(_mm_srli_epi16(v[l], 7),
-                                                _mm_set1_epi16(0xff)),
-                                  _mm_set1_epi16(BFloat16::kBias)));
-            store16(out->sig[l] + 8 * h,
-                    _mm_andnot_si128(
-                        zero,
-                        _mm_or_si128(
-                            _mm_and_si128(v[l], _mm_set1_epi16(0x7f)),
-                            _mm_set1_epi16(0x80))));
-            store16(out->neg[l] + 8 * h, _mm_srai_epi16(v[l], 15));
-        }
-        if (_mm_movemask_epi8(nonFinite)) {
-            for (int r = h * 8; r < std::min(rows, h * 8 + 8); ++r)
-                for (int l = 0; l < kLanes; ++l) {
-                    const BFloat16 x =
-                        b[static_cast<size_t>(r) * b_stride + l];
-                    panic_if(!x.isFinite(),
-                             "non-finite PE operand (b=%04x)", x.bits());
-                }
-        }
-    }
-#else
-    // Only the PE-parallel body reads this layout, and it needs SSE2.
-    (void)b;
-    (void)b_stride;
-    (void)out;
-    (void)kLanes;
-    panic("the lane-major B layout needs SSE2");
-#endif // __SSE2__
 }
 
 void
@@ -336,124 +323,23 @@ FPRakerColumn::beginSerial(const BFloat16 *a)
     }
 }
 
-void
-FPRakerColumn::beginSetLanes(const BFloat16 *a, const DecodedBLanes &b)
+bool
+FPRakerColumn::busy() const
 {
-    panic_if(inSet_, "beginSet while a set is in flight");
-    panic_if(!peParallel(), "column does not run the PE-parallel body");
-    activeLanes_ = DecodedBLanes::kLanes;
-    lanes_.b = &b;
-    beginSerial(a);
-#ifdef __SSE2__
-    if (halves_ == 1)
-        beginLanes<1>();
-    else
-        beginLanes<2>();
-#endif
-    setCycles_ = 0;
-    inSet_ = true;
-    lanesSet_ = true;
+    return inSet_ && liveMask_ != 0;
 }
 
-#ifdef __SSE2__
-
-template <int G>
 void
-FPRakerColumn::beginLanes()
+FPRakerColumn::stepCycle()
 {
-    LaneState &st = lanes_;
-    const DecodedBLanes &b = *st.b;
-
-    // Exponent block: each PE's MAX over its non-zero products is a
-    // vertical max across the lane vectors. alignTo stays scalar.
-    __m128i emax[G];
-    for (int h = 0; h < G; ++h)
-        emax[h] = _mm_set1_epi16(INT16_MIN);
-    for (uint32_t m = serial_.nonzero; m; m &= m - 1) {
-        const int l = std::countr_zero(m);
-        const __m128i ae = _mm_set1_epi16(serial_.exp[l]);
-        for (int h = 0; h < G; ++h) {
-            const __m128i bzero = _mm_cmpeq_epi16(load16(b.sig[l] + 8 * h),
-                                                  _mm_setzero_si128());
-            emax[h] = _mm_max_epi16(
-                emax[h],
-                select16(bzero, _mm_set1_epi16(INT16_MIN),
-                         _mm_add_epi16(ae, load16(b.exp[l] + 8 * h))));
-        }
-    }
-    alignas(16) int16_t pe_max[8 * G];
-    for (int h = 0; h < G; ++h)
-        store16(pe_max + 8 * h, emax[h]);
-    for (int r = 0; r < numPes_; ++r) {
-        ExtendedAccumulator &reg = pes_[static_cast<size_t>(r)]
-                                       .acc.chunkRegister();
-        if (pe_max[r] != INT16_MIN)
-            reg.alignTo(pe_max[r]);
-        st.accExp[r] = static_cast<int16_t>(
-            std::max(reg.exponent(), kLanesExpFloor));
-    }
-
-    for (int h = 0; h < G; ++h) {
-        store16(st.pendN + 8 * h, _mm_setzero_si128());
-        store16(st.fireN + 8 * h, _mm_setzero_si128());
-        store16(st.obSkipN + 8 * h, _mm_setzero_si128());
-    }
-    for (uint32_t m = liveMask_; m; m &= m - 1) {
-        const int l = std::countr_zero(m);
-        for (int h = 0; h < G; ++h) {
-            store16(st.fired[l] + 8 * h, _mm_setzero_si128());
-            store16(st.ob[l] + 8 * h, load16(st.pad + 8 * h));
-        }
-    }
-
-    // Before any term fires, settling is the first-term OB pass: every
-    // PE owes each live lane's first term, so a term already past the
-    // threshold drops the lane at that PE, and a lane every PE drops
-    // goes before the first cycle. The set starts settled.
-    settleLanes<G>(liveMask_);
-}
-
-template <int G>
-void
-FPRakerColumn::stepLanes()
-{
-    constexpr int kLanes = DecodedBLanes::kLanes;
+    // No settle on entry: beginSet leaves the set settled and every
+    // cycle re-settles on exit, so out-of-bounds state is always
+    // current here.
+    if (!inSet_ || !liveMask_)
+        return;
     ++setCycles_;
-    LaneState &st = lanes_;
-    const DecodedBLanes &b = *st.b;
     const uint32_t live = liveMask_;
-    const __m128i ones = _mm_set1_epi16(-1);
-    const __m128i none = _mm_set1_epi16(INT16_MAX);
-
-    // d = shift - (Ae + Be) of each lane's cursor term. A term's
-    // alignment shift is k = e_acc + d, and the window compares k's of
-    // one PE, so e_acc cancels out of it. The base is the least d over
-    // a PE's pending lanes (d < 300, so adding INT16_MAX to the others
-    // saturates them past any pending d).
-    __m128i d[kLanes][G];
-    __m128i pend[kLanes][G];
-    __m128i lim[G];
-    __m128i pendN[G];
-    for (int h = 0; h < G; ++h) {
-        lim[h] = none;
-        pendN[h] = load16(st.pendN + 8 * h);
-    }
-    for (uint32_t m = live; m; m &= m - 1) {
-        const int l = std::countr_zero(m);
-        const __m128i dt = _mm_set1_epi16(
-            static_cast<int16_t>(curShift_[l] - serial_.exp[l]));
-        for (int h = 0; h < G; ++h) {
-            d[l][h] = _mm_sub_epi16(dt, load16(b.exp[l] + 8 * h));
-            pend[l][h] = _mm_andnot_si128(
-                _mm_or_si128(load16(st.fired[l] + 8 * h),
-                             load16(st.ob[l] + 8 * h)),
-                ones);
-            pendN[h] = _mm_sub_epi16(pendN[h], pend[l][h]);
-            lim[h] = _mm_min_epi16(
-                lim[h], _mm_adds_epi16(d[l][h],
-                                       _mm_andnot_si128(pend[l][h], none)));
-        }
-    }
+    const uint32_t sgn_mask = serial_.neg ^ curNegMask_;
 
     // Lanes with d <= base + maxDelta fire. Up to a window of 7, each
     // contributes its B significand shifted left by base + maxDelta - d,
@@ -463,170 +349,158 @@ FPRakerColumn::stepLanes()
     // fired lanes to that adder tree instead.
     const int delta = std::min(cfg_.maxDelta, kLanesWindowCap);
     const bool via_tree = delta > 7;
-    const bool wide = delta > 4;
-    __m128i fireN[G];
-    __m128i sum16[G];
-    __m128i sum32[G][2];
-    uint32_t pe_fired[8 * G] = {}; // Per PE, the lanes it fired.
-    for (int h = 0; h < G; ++h) {
-        lim[h] = _mm_adds_epi16(lim[h], _mm_set1_epi16(
-                                            static_cast<int16_t>(delta)));
-        fireN[h] = load16(st.fireN + 8 * h);
-        sum16[h] = _mm_setzero_si128();
-        sum32[h][0] = sum32[h][1] = _mm_setzero_si128();
-    }
-    const uint32_t sgn_mask = serial_.neg ^ curNegMask_;
+    const bool wide = !via_tree && cfg_.lanes * (255 << delta) > INT16_MAX;
+
     uint32_t fired_union = 0;
-    for (uint32_t m = live; m; m &= m - 1) {
-        const int l = std::countr_zero(m);
-        const __m128i sgn =
-            _mm_set1_epi16((sgn_mask >> l) & 1u ? int16_t(-1) : int16_t(0));
-        int any = 0;
-        for (int h = 0; h < G; ++h) {
-            const __m128i fire = _mm_andnot_si128(
-                _mm_cmpgt_epi16(d[l][h], lim[h]), pend[l][h]);
-            if (via_tree) {
-                for (uint32_t pm = static_cast<uint32_t>(_mm_movemask_epi8(
-                         _mm_packs_epi16(fire, _mm_setzero_si128())));
-                     pm; pm &= pm - 1)
-                    pe_fired[8 * h + std::countr_zero(pm)] |= 1u << l;
-            } else {
-                const __m128i shift = _mm_sub_epi16(lim[h], d[l][h]);
-                __m128i c = load16(b.sig[l] + 8 * h);
+    bool moved = false;
+    for (int g = 0; g < groups_; ++g) {
+        const DecodedBLanes::Lane *bl = b_->group(g);
+        LaneMasks *mk = masks_.data() + g * cfg_.lanes;
+        GroupRows &rows = rows_[static_cast<size_t>(g)];
+
+        // d = shift - (Ae + Be) of each lane's cursor term. A term's
+        // alignment shift is k = e_acc + d, and the window compares k's
+        // of one PE, so e_acc cancels out of it. The base is the least
+        // d over a PE's pending lanes (d < 300, so adding kNoTerm to
+        // the others puts them past any pending d).
+        Vec d[kMaxLanes];
+        Vec pend[kMaxLanes];
+        Vec least = splat(kNoTerm);
+        Vec pend_n = rows.pendN;
+        for (uint32_t m = live; m; m &= m - 1) {
+            const int l = std::countr_zero(m);
+            d[l] = splat(curShift_[l] - serial_.exp[l]) - bl[l].exp;
+            pend[l] = ~(mk[l].fired | mk[l].ob);
+            pend_n -= pend[l];
+            least = vmin(least, d[l] + (~pend[l] & kNoTerm));
+        }
+        rows.pendN = pend_n;
+
+        const Vec lim = least + static_cast<int16_t>(delta);
+        Vec fire_n = rows.fireN;
+        Vec sum16 = {};
+        Vec32 sum32[2] = {};
+        Vec pe_fired = {}; // Per PE, the lanes it fired, as bits.
+        for (uint32_t m = live; m; m &= m - 1) {
+            const int l = std::countr_zero(m);
+            const Vec fire = pend[l] & (d[l] <= lim);
+            pe_fired |= fire & kLaneBit[l];
+            if (!via_tree) {
+                const Vec shift = lim - d[l];
+                Vec c = bl[l].sig;
                 if (delta >= 1)
-                    c = _mm_add_epi16(c, _mm_and_si128(c, bit16<0>(shift)));
+                    c += c & bit<0>(shift);
                 if (delta >= 2)
-                    c = select16(bit16<1>(shift), _mm_slli_epi16(c, 2), c);
+                    c = select(bit<1>(shift), c << 2, c);
                 if (delta >= 4)
-                    c = select16(bit16<2>(shift), _mm_slli_epi16(c, 4), c);
-                const __m128i neg =
-                    _mm_xor_si128(load16(b.neg[l] + 8 * h), sgn);
-                c = _mm_and_si128(
-                    _mm_sub_epi16(_mm_xor_si128(c, neg), neg), fire);
+                    c = select(bit<2>(shift), c << 4, c);
+                const Vec neg =
+                    bl[l].neg ^ splat((sgn_mask >> l) & 1u ? -1 : 0);
+                c = ((c ^ neg) - neg) & fire;
                 if (wide) {
-                    sum32[h][0] = _mm_add_epi32(
-                        sum32[h][0],
-                        _mm_srai_epi32(_mm_unpacklo_epi16(c, c), 16));
-                    sum32[h][1] = _mm_add_epi32(
-                        sum32[h][1],
-                        _mm_srai_epi32(_mm_unpackhi_epi16(c, c), 16));
+                    sum32[0] += widen<0>(c);
+                    sum32[1] += widen<1>(c);
                 } else {
-                    sum16[h] = _mm_add_epi16(sum16[h], c);
+                    sum16 += c;
                 }
             }
-            store16(st.fired[l] + 8 * h,
-                    _mm_or_si128(load16(st.fired[l] + 8 * h), fire));
-            fireN[h] = _mm_sub_epi16(fireN[h], fire);
-            any |= _mm_movemask_epi8(fire);
+            mk[l].fired |= fire;
+            fire_n -= fire;
         }
-        if (any)
-            fired_union |= 1u << l;
-    }
+        rows.fireN = fire_n;
+        fired_union |= orElements(pe_fired);
+        if (trace_)
+            traceGroup(g, live, d, pend, lim);
 
-    // One addValue per PE with a non-zero window sum, or one adder
-    // tree per PE over its fired lanes.
-    alignas(16) int32_t sums[8 * G];
-    alignas(16) int16_t bases[8 * G];
-    for (int h = 0; h < G; ++h) {
-        store16(st.pendN + 8 * h, pendN[h]);
-        store16(st.fireN + 8 * h, fireN[h]);
-        if (via_tree)
-            continue;
-        store16(bases + 8 * h, lim[h]);
-        if (!wide) {
-            sum32[h][0] = _mm_srai_epi32(
-                _mm_unpacklo_epi16(sum16[h], sum16[h]), 16);
-            sum32[h][1] = _mm_srai_epi32(
-                _mm_unpackhi_epi16(sum16[h], sum16[h]), 16);
-        }
-        _mm_store_si128(reinterpret_cast<__m128i *>(sums + 8 * h),
-                        sum32[h][0]);
-        _mm_store_si128(reinterpret_cast<__m128i *>(sums + 8 * h + 4),
-                        sum32[h][1]);
-    }
-    bool moved = false;
-    for (int r = 0; r < numPes_; ++r) {
-        ExtendedAccumulator &reg = pes_[static_cast<size_t>(r)]
-                                       .acc.chunkRegister();
-        const int before = reg.exponent();
-        if (via_tree) {
-            AdderTree tree;
-            for (uint32_t m = pe_fired[r]; m; m &= m - 1) {
-                const int l = std::countr_zero(m);
-                tree.add(static_cast<uint8_t>(b.sig[l][r]),
-                         serial_.exp[l] + b.exp[l][r] - curShift_[l] - 7,
-                         ((b.neg[l][r] ^ (sgn_mask >> l)) & 1) != 0);
+        // One addValue per PE with a non-zero window sum, or one adder
+        // tree per PE over its fired lanes.
+        const int n = std::min(kGroupPes, numPes_ - g * kGroupPes);
+        for (int i = 0; i < n; ++i) {
+            ExtendedAccumulator &reg =
+                pes_[static_cast<size_t>(g * kGroupPes + i)]
+                    .acc.chunkRegister();
+            const int before = reg.exponent();
+            if (via_tree) {
+                AdderTree tree;
+                for (uint32_t m = static_cast<uint16_t>(pe_fired[i]); m;
+                     m &= m - 1) {
+                    const int l = std::countr_zero(m);
+                    tree.add(static_cast<uint8_t>(bl[l].sig[i]),
+                             serial_.exp[l] + bl[l].exp[i] - curShift_[l] -
+                                 7,
+                             ((bl[l].neg[i] ^ (sgn_mask >> l)) & 1) != 0);
+                }
+                tree.addTo(reg);
+            } else if (const int s = wide ? sum32[i / 4][i % 4] : sum16[i]) {
+                reg.addValue(s < 0, -lim[i] - 7,
+                             static_cast<uint64_t>(s < 0 ? -s : s));
             }
-            tree.addTo(reg);
-        } else if (const int s = sums[r]) {
-            reg.addValue(s < 0, -bases[r] - 7,
-                         static_cast<uint64_t>(s < 0 ? -s : s));
-        }
-        if (reg.exponent() != before) {
-            moved = true;
-            st.accExp[r] = static_cast<int16_t>(
-                std::max(reg.exponent(), kLanesExpFloor));
+            if (reg.exponent() != before) {
+                moved = true;
+                rows.accExp[i] = static_cast<int16_t>(
+                    std::max(reg.exponent(), kLanesExpFloor));
+            }
         }
     }
 
-    // As in the scalar body: only fired lanes can advance, and OB
-    // verdicts change only where an accumulator exponent moved.
-    settleLanes<G>(moved ? liveMask_ : fired_union);
+    // Only fired lanes can advance, and out-of-bounds verdicts change
+    // only where an accumulator exponent moved — so the end-of-cycle
+    // settle usually touches just the lanes that fired.
+    settle(moved ? liveMask_ : fired_union, moved);
 }
 
-template <int G>
 void
-FPRakerColumn::settleLanes(uint32_t mask)
+FPRakerColumn::settle(uint32_t mask, bool moved)
 {
-    LaneState &st = lanes_;
-    const DecodedBLanes &b = *st.b;
-    const bool do_ob = cfg_.skipOutOfBounds;
-    const __m128i thr = _mm_set1_epi16(static_cast<int16_t>(
-        std::min(cfg_.effectiveObThreshold(), kLanesThrCap)));
-    const __m128i ones = _mm_set1_epi16(-1);
+    const int lanes = cfg_.lanes;
+    const int groups = groups_;
+    const Vec thr =
+        splat(std::min(cfg_.effectiveObThreshold(), kLanesThrCap));
+    GroupRows *rows = rows_.data();
     for (mask &= liveMask_; mask; mask &= mask - 1) {
         const int l = std::countr_zero(mask);
         const uint32_t bit = 1u << l;
         LaneStream &s = streams_[l];
         const TermStream &ts = *s.terms;
+        // Lane l of group g is element g * lanes of these.
+        LaneMasks *mk = masks_.data() + l;
+        const DecodedBLanes::Lane *bl = b_->group(0) + l;
+        const int ae = serial_.exp[l];
+        // A PE's out-of-bounds verdict on the cursor term can change
+        // only with the term or with the PE's accumulator exponent, so
+        // a lane whose term stays put needs no new one unless an
+        // exponent moved.
+        bool check = cfg_.skipOutOfBounds && moved;
         for (;;) {
-            // One compare over the PEs that still owe the cursor term
-            // (neither fired it nor dropped the stream).
-            const __m128i dt = _mm_set1_epi16(
-                static_cast<int16_t>(curShift_[l] - serial_.exp[l]));
-            __m128i owe_any = _mm_setzero_si128();
-            __m128i all_ob = ones;
-            for (int h = 0; h < G; ++h) {
-                __m128i ob = load16(st.ob[l] + 8 * h);
-                __m128i owe = _mm_andnot_si128(
-                    _mm_or_si128(load16(st.fired[l] + 8 * h), ob), ones);
-                if (do_ob) {
-                    const __m128i k = _mm_add_epi16(
-                        load16(st.accExp + 8 * h),
-                        _mm_sub_epi16(dt, load16(b.exp[l] + 8 * h)));
-                    const __m128i drop =
-                        _mm_and_si128(owe, _mm_cmpgt_epi16(k, thr));
-                    if (_mm_movemask_epi8(drop)) {
-                        // Terms stream MSB-first: the rest of the
-                        // stream is out-of-bounds at these PEs too.
-                        ob = _mm_or_si128(ob, drop);
-                        store16(st.ob[l] + 8 * h, ob);
-                        store16(st.obSkipN + 8 * h,
-                                _mm_add_epi16(
-                                    load16(st.obSkipN + 8 * h),
-                                    _mm_and_si128(
-                                        drop,
-                                        _mm_set1_epi16(static_cast<int16_t>(
-                                            ts.size() - s.cursor)))));
-                        owe = _mm_andnot_si128(drop, owe);
-                    }
+            // The PEs of group g that still owe the cursor term (neither
+            // fired it nor dropped the stream), once those it is
+            // out-of-bounds at have dropped it: one compare per group.
+            // Terms stream MSB-first, so a dropping PE skips the rest
+            // of the stream.
+            const Vec dt = splat(curShift_[l] - ae);
+            const Vec rest = splat(ts.size() - s.cursor);
+            auto owing = [&](int g) {
+                LaneMasks &m = mk[g * lanes];
+                Vec owe = ~(m.fired | m.ob);
+                if (check) {
+                    const Vec drop =
+                        owe & (rows[g].accExp + (dt - bl[g * lanes].exp) >
+                               thr);
+                    m.ob |= drop;
+                    rows[g].obSkipN += drop & rest;
+                    owe &= ~drop;
                 }
-                owe_any = _mm_or_si128(owe_any, owe);
-                all_ob = _mm_and_si128(all_ob, ob);
+                return owe;
+            };
+            Vec owe_any = owing(0);
+            Vec all_ob = mk[0].ob;
+            for (int g = 1; g < groups; ++g) {
+                owe_any |= owing(g);
+                all_ob &= mk[g * lanes].ob;
             }
-            if (_mm_movemask_epi8(owe_any))
+            if (anyElement(owe_any))
                 break;
-            if (_mm_movemask_epi8(all_ob) == 0xffff) {
+            if (allElements(all_ob)) {
                 // Every PE dropped the lane: the shared encoder drops
                 // the rest of the stream.
                 s.cursor = ts.size();
@@ -634,8 +508,8 @@ FPRakerColumn::settleLanes(uint32_t mask)
                 break;
             }
             ++s.cursor;
-            for (int h = 0; h < G; ++h)
-                store16(st.fired[l] + 8 * h, _mm_setzero_si128());
+            for (int g = 0; g < groups; ++g)
+                mk[g * lanes].fired = Vec{};
             if (s.cursor >= ts.size()) {
                 liveMask_ &= ~bit;
                 break;
@@ -643,213 +517,39 @@ FPRakerColumn::settleLanes(uint32_t mask)
             const Term &t = ts[s.cursor];
             curShift_[l] = t.shift;
             curNegMask_ = (curNegMask_ & ~bit) | (t.neg ? bit : 0u);
+            check = cfg_.skipOutOfBounds;
         }
     }
 }
 
-#endif // __SSE2__
-
 void
-FPRakerColumn::finishLanes()
+FPRakerColumn::traceGroup(int g, uint32_t live, const Vec *d,
+                          const Vec *pend, const Vec &lim) const
 {
-    const LaneState &st = lanes_;
-    const uint64_t lane_cycles =
-        static_cast<uint64_t>(setCycles_) * DecodedBLanes::kLanes;
-    for (int r = 0; r < numPes_; ++r) {
-        PeStats &s = pes_[static_cast<size_t>(r)].stats;
-        const uint64_t pend = static_cast<uint16_t>(st.pendN[r]);
-        const uint64_t fired = static_cast<uint16_t>(st.fireN[r]);
-        s.laneUseful += fired;
-        s.termsProcessed += fired;
-        s.laneShiftRange += pend - fired;
-        s.laneNoTerm += lane_cycles - pend;
-        s.termsObSkipped += static_cast<uint16_t>(st.obSkipN[r]);
-        s.termsZeroSkipped += serial_.zeroSlots;
-        s.sets += 1;
-        s.macs += DecodedBLanes::kLanes;
-    }
-}
-
-void
-FPRakerColumn::settleLane(int l, int thr)
-{
-    LaneStream &s = streams_[l];
-    const TermStream &ts = *s.terms;
-    const uint32_t bit = 1u << l;
-    for (;;) {
-        const int shift = ts[s.cursor].shift;
-        // The transposed masks resolve the cursor term's status with
-        // mask algebra: only PEs that have neither consumed the term
-        // nor dropped the stream still need an out-of-bounds verdict —
-        // usually none, because settle runs right after the term fired
-        // everywhere it could. Accumulator exponents are constant
-        // while settling, so they are read straight off the PEs.
-        bool consumed = true;
-        for (uint64_t m = peAll_ & ~obPes_[l] & ~firedPes_[l]; m;
-             m &= m - 1) {
-            const int r = std::countr_zero(m);
-            PeState &pe = pes_[static_cast<size_t>(r)];
-            const int k = pe.acc.chunkRegister().exponent() -
-                          pe.abExp[l] + shift;
-            if (k > thr) {
-                // Terms stream MSB-first, so every remaining term of
-                // this pair is guaranteed out-of-bounds too.
-                pe.obMask |= bit;
-                obPes_[l] |= 1ull << r;
-                pe.stats.termsObSkipped +=
-                    static_cast<uint64_t>(ts.size() - s.cursor);
-            } else {
-                consumed = false;
-            }
-        }
-        if (!consumed)
-            return;
-        if (obPes_[l] == peAll_) {
-            // The shared encoder drops the rest of the stream once
-            // every PE in the column has flagged the lane.
-            s.cursor = ts.size();
-            liveMask_ &= ~bit;
-            return;
-        }
-        ++s.cursor;
-        for (uint64_t m = firedPes_[l]; m; m &= m - 1)
-            pes_[static_cast<size_t>(std::countr_zero(m))].firedMask &=
-                ~bit;
-        firedPes_[l] = 0;
-        if (s.cursor >= ts.size()) {
-            liveMask_ &= ~bit;
-            return;
-        }
-        const Term &t = ts[s.cursor];
-        curShift_[l] = t.shift;
-        curNegMask_ = (curNegMask_ & ~bit) | (t.neg ? bit : 0u);
-    }
-}
-
-void
-FPRakerColumn::settle(uint32_t mask)
-{
-    const int thr =
-        cfg_.skipOutOfBounds ? cfg_.effectiveObThreshold() : INT_MAX;
-    for (mask &= liveMask_; mask; mask &= mask - 1)
-        settleLane(std::countr_zero(mask), thr);
-}
-
-bool
-FPRakerColumn::busy() const
-{
-    return inSet_ && liveMask_ != 0;
-}
-
-void
-FPRakerColumn::emitTrace(int r, int acc_exp, int base, uint32_t pend,
-                         uint32_t fire, const int *k_of) const
-{
-    PeCycleTrace tr;
-    tr.cycle = setCycles_;
-    tr.pe = r;
-    tr.base = base;
-    tr.accExp = acc_exp;
-    tr.action.assign(static_cast<size_t>(cfg_.lanes),
-                     PeCycleTrace::LaneAction::Idle);
-    tr.k.assign(static_cast<size_t>(cfg_.lanes), 0);
-    for (uint32_t m = pend; m; m &= m - 1) {
-        const int l = std::countr_zero(m);
-        tr.action[static_cast<size_t>(l)] =
-            (fire >> l) & 1u ? PeCycleTrace::LaneAction::Fired
-                             : PeCycleTrace::LaneAction::ShiftStall;
-        tr.k[static_cast<size_t>(l)] = k_of[l];
-    }
-    trace_(tr);
-}
-
-void
-FPRakerColumn::stepCycle()
-{
-    if (!inSet_)
-        return;
-
-    // No settle on entry: beginSet leaves the set settled and every
-    // cycle re-settles on exit, so out-of-bounds state is always
-    // current here.
-    if (!liveMask_)
-        return;
-
-#ifdef __SSE2__
-    if (lanesSet_) {
-        if (halves_ == 1)
-            stepLanes<1>();
-        else
-            stepLanes<2>();
-        return;
-    }
-#endif
-
-    ++setCycles_;
-    uint32_t firedUnion = 0;
-    bool expMoved = false;
-    const bool tracing = static_cast<bool>(trace_);
-    for (int r = 0; r < numPes_; ++r) {
-        PeState &pe = pes_[static_cast<size_t>(r)];
-        ExtendedAccumulator &reg = pe.acc.chunkRegister();
-        const int acc_exp = reg.exponent();
-        const uint32_t pend = liveMask_ & ~pe.firedMask & ~pe.obMask;
-
-        if (!pend) {
-            // Nothing to do for this PE this cycle: every lane is either
-            // exhausted, retired, or waiting for a sibling PE.
-            pe.stats.laneNoTerm += static_cast<uint64_t>(activeLanes_);
-            if (tracing)
-                emitTrace(r, acc_exp, 0, 0, 0, nullptr);
-            continue;
-        }
-
-        // Select the lanes that fire this cycle: those whose alignment
-        // shift k lies within maxDelta of the base (minimum) shift.
-        // Their contributions go to the adder tree in lane order.
-        int k_of[kMaxLanes];
-        int base = INT_MAX;
-        for (uint32_t m = pend; m; m &= m - 1) {
+    const int delta = std::min(cfg_.maxDelta, kLanesWindowCap);
+    const int n = std::min(kGroupPes, numPes_ - g * kGroupPes);
+    for (int i = 0; i < n; ++i) {
+        PeCycleTrace tr;
+        tr.cycle = setCycles_;
+        tr.pe = g * kGroupPes + i;
+        tr.accExp = pes_[static_cast<size_t>(tr.pe)]
+                        .acc.chunkRegister()
+                        .exponent();
+        tr.action.assign(static_cast<size_t>(cfg_.lanes),
+                         PeCycleTrace::LaneAction::Idle);
+        tr.k.assign(static_cast<size_t>(cfg_.lanes), 0);
+        for (uint32_t m = live; m; m &= m - 1) {
             const int l = std::countr_zero(m);
-            k_of[l] = acc_exp - pe.abExp[l] + curShift_[l];
-            base = std::min(base, k_of[l]);
-        }
-        uint32_t fire = 0;
-        AdderTree tree;
-        for (uint32_t m = pend; m; m &= m - 1) {
-            const int l = std::countr_zero(m);
-            if (k_of[l] - base > cfg_.maxDelta)
+            if (!pend[l][i])
                 continue;
-            fire |= 1u << l;
-            firedPes_[l] |= 1ull << r;
-            // The LSB of a contribution is (Ae+Be) - t - 7 (equally
-            // acc_exp - k - 7: independent of alignment).
-            tree.add(pe.bSig[l], pe.abExp[l] - curShift_[l] - 7,
-                     ((pe.prodNegMask ^ curNegMask_) >> l) & 1u);
+            tr.base = tr.accExp + lim[i] - delta;
+            tr.action[static_cast<size_t>(l)] =
+                d[l][i] <= lim[i] ? PeCycleTrace::LaneAction::Fired
+                                  : PeCycleTrace::LaneAction::ShiftStall;
+            tr.k[static_cast<size_t>(l)] = tr.accExp + d[l][i];
         }
-        tree.addTo(reg);
-        pe.firedMask |= fire;
-
-        const uint64_t fired_n = static_cast<uint64_t>(tree.n);
-        const uint64_t pend_n =
-            static_cast<uint64_t>(std::popcount(pend));
-        pe.stats.laneUseful += fired_n;
-        pe.stats.termsProcessed += fired_n;
-        pe.stats.laneShiftRange += pend_n - fired_n;
-        pe.stats.laneNoTerm +=
-            static_cast<uint64_t>(activeLanes_) - pend_n;
-        firedUnion |= fire;
-        if (reg.exponent() != acc_exp)
-            expMoved = true;
-
-        if (tracing)
-            emitTrace(r, acc_exp, base, pend, fire, k_of);
+        trace_(tr);
     }
-
-    // Only fired lanes can advance, and out-of-bounds verdicts can only
-    // change where an accumulator exponent moved — so the end-of-cycle
-    // settle usually touches just the lanes that fired.
-    settle(expMoved ? liveMask_ : firedUnion);
 }
 
 int
@@ -860,21 +560,35 @@ FPRakerColumn::finishSet()
     // case the loop body never runs.)
     while (busy())
         stepCycle();
-    if (lanesSet_)
-        finishLanes();
 
+    // The set's counters into each PE's PeStats, with the exponent
+    // block's floor.
     int cycles = setCycles_;
+    const uint64_t lane_cycles =
+        static_cast<uint64_t>(cycles) * activeLanes_;
     const uint64_t floor_lanes =
         cycles < cfg_.exponentFloor
             ? static_cast<uint64_t>(cfg_.exponentFloor - cycles) *
                   activeLanes_
             : 0;
-    if (cycles < cfg_.exponentFloor)
-        cycles = cfg_.exponentFloor;
+    cycles = std::max(cycles, cfg_.exponentFloor);
     for (int r = 0; r < numPes_; ++r) {
-        pes_[r].stats.laneExponent += floor_lanes;
-        pes_[r].stats.setCycles += static_cast<uint64_t>(cycles);
-        pes_[r].acc.tickMacs(activeLanes_);
+        const GroupRows &rows = rows_[static_cast<size_t>(r / kGroupPes)];
+        const int i = r % kGroupPes;
+        PeStats &s = pes_[static_cast<size_t>(r)].stats;
+        const uint64_t pend = static_cast<uint16_t>(rows.pendN[i]);
+        const uint64_t fired = static_cast<uint16_t>(rows.fireN[i]);
+        s.laneUseful += fired;
+        s.termsProcessed += fired;
+        s.laneShiftRange += pend - fired;
+        s.laneNoTerm += lane_cycles - pend;
+        s.termsObSkipped += static_cast<uint16_t>(rows.obSkipN[i]);
+        s.termsZeroSkipped += serial_.zeroSlots;
+        s.sets += 1;
+        s.macs += static_cast<uint64_t>(activeLanes_);
+        s.laneExponent += floor_lanes;
+        s.setCycles += static_cast<uint64_t>(cycles);
+        pes_[static_cast<size_t>(r)].acc.tickMacs(activeLanes_);
     }
     inSet_ = false;
     return cycles;

@@ -39,24 +39,26 @@
  * because the accumulator exponents are constant between processing
  * cycles, which makes lanes independent inside a settle pass.
  *
- * A set runs one of two bodies, chosen per set:
+ * Because the column's PEs consume each lane's term in lockstep, the
+ * column runs lane-major: a cycle is a loop over the live lanes of
+ * 16-bit vector ops, each across one group of 8 PEs. The B exponents,
+ * significands and signs (DecodedBLanes) and the fired / out-of-bounds
+ * masks are held one vector per lane and group, and a product exponent
+ * adds the lane's broadcast A exponent. This one body covers every
+ * shape and every use:
  *
- *  - The PE-parallel body: the column's PEs consume each lane's term in
- *    lockstep, so a cycle is a loop over the (at most 8) lanes of
- *    16-bit vector ops across the PEs: the fired / out-of-bounds masks
- *    and the B exponents, significands and signs are held lane-major,
- *    one vector per lane, and a product exponent adds the lane's
- *    broadcast A exponent. It runs every full 8-lane set, whatever the
- *    window, on columns of up to 16 PEs, with no trace callback,
- *    unless FPRAKER_SIMD=scalar.
- *  - The scalar body: a plain per-PE loop over each PE's pending lanes,
- *    with per-PE bitmasks. It is the fallback for traced sets, ragged
- *    dot() tails, columns of more than 16 PEs, lane counts other than
- *    8, FPRAKER_SIMD=scalar and builds without SSE2.
+ *  - a set's active-lane count (ragged dot() tails) bounds the lanes
+ *    it decodes and steps, for any lane count from 1 to 16;
+ *  - a loop over the 8-PE groups covers columns of up to 64 PEs;
+ *  - a trace callback reads each cycle's lane state out, and changes
+ *    nothing the cycle computes;
+ *  - the vector ops are GCC vector extensions, which every target
+ *    compiles (to SSE2 on x86-64).
  *
- * Both reduce a PE's fired lanes with one adder tree (an exact sum
- * while their LSBs span at most 48 bits), are integer-exact, and
- * tests/test_sim.cpp holds each bit-equal to ReferenceColumn.
+ * Fired lanes reduce in a vector window sum, or, past a window of 7, in
+ * one adder tree per PE (an exact sum while their LSBs span at most 48
+ * bits). The body is integer-exact, and tests/test_sim.cpp holds it
+ * bit-equal to ReferenceColumn.
  */
 
 #ifndef FPRAKER_PE_FPRAKER_PE_H
@@ -99,46 +101,66 @@ struct PeCycleTrace
 class FPRakerColumn
 {
   public:
+    /** Eight int16 elements: one lane's field across an 8-PE group. */
+    typedef int16_t Vec __attribute__((vector_size(16)));
+    static constexpr int kGroupPes = 8;
+    static constexpr int kMaxPes = 64;
+
     /**
      * @param cfg     PE parameters (shared by all PEs in the column)
-     * @param num_pes number of PEs (rows) sharing the A stream
+     * @param num_pes number of PEs (rows) sharing the A stream, 1-64
      */
     FPRakerColumn(const PeConfig &cfg, int num_pes);
 
     /**
-     * The parallel operands of one full 8-lane set in the PE-parallel
-     * body's lane-major layout: field[l][r] belongs to lane l of PE r.
-     * Two 8-PE halves; rows past the column's PEs hold zero operands.
+     * The parallel operands of one set in the column's lane-major
+     * layout: for each 8-PE group g, one vector per lane, element i
+     * holding PE 8g + i. Rows past the column's PEs hold zero operands.
+     * Sized for a column of @p lanes lanes and @p pes PEs; decode()
+     * fills it and sets the set's active lanes.
      */
-    struct DecodedBLanes
+    class DecodedBLanes
     {
-        static constexpr int kLanes = 8;
-        static constexpr int kPes = 16;
-        alignas(16) int16_t exp[kLanes][kPes]; //!< Unbiased exponent.
-        alignas(16) int16_t sig[kLanes][kPes]; //!< Significand; 0 = zero.
-        alignas(16) int16_t neg[kLanes][kPes]; //!< Sign as 0 / -1.
+      public:
+        /** One lane of one group. */
+        struct Lane
+        {
+            Vec exp; //!< Unbiased exponent.
+            Vec sig; //!< Significand; 0 = zero.
+            Vec neg; //!< Sign as 0 / -1.
+        };
+
+        DecodedBLanes(int lanes, int pes);
+
+        /**
+         * Decode @p active_lanes lanes of every row (row r lane l at
+         * b[r * b_stride + l]; no other lane is read), with the
+         * finite-operand panic.
+         */
+        void decode(const BFloat16 *b, int b_stride, int active_lanes);
+
+        /** Group @p g's lanes. */
+        const Lane *
+        group(int g) const
+        {
+            return v_.data() + g * lanes_;
+        }
+
+        int lanes() const { return lanes_; }
+        int pes() const { return pes_; }
+        int activeLanes() const { return active_; }
+
+      private:
+        int lanes_;
+        int pes_;
+        int groups_;
+        int active_ = 0;
+        std::vector<Lane> v_; //!< [group][lane].
     };
 
     /**
-     * Decode @p rows (<= DecodedBLanes::kPes) full 8-lane parallel
-     * operand rows (row r lane l at b[r * b_stride + l]) into @p out,
-     * with the finite-operand panic.
-     */
-    static void decodeBLanes(const BFloat16 *b, int b_stride, int rows,
-                             DecodedBLanes *out);
-
-    /**
-     * True when a full set runs the PE-parallel body (see the file
-     * comment); a traced column always runs the scalar body.
-     */
-    bool
-    peParallel() const
-    {
-        return peParallel_ && !trace_;
-    }
-
-    /**
-     * Start a new operand set.
+     * Start a new operand set: decode its parallel operands and start
+     * it as the beginSet below does.
      *
      * @param a        cfg.lanes serial operands, shared by every PE
      * @param b        parallel operands, PE r lane l at b[r*b_stride + l]
@@ -151,11 +173,12 @@ class FPRakerColumn
                   int active_lanes = -1);
 
     /**
-     * Start a full 8-lane set on the PE-parallel body, against
-     * parallel operands from decodeBLanes. Requires peParallel();
-     * @p b must outlive the set. Bit-identical to beginSet.
+     * Start a new operand set on parallel operands decoded for this
+     * column's shape, over their active lanes (@p a holds that many).
+     * @p b must outlive the set; a tile decodes each step's broadcast
+     * rows once and starts every column on them.
      */
-    void beginSetLanes(const BFloat16 *a, const DecodedBLanes &b);
+    void beginSet(const BFloat16 *a, const DecodedBLanes &b);
 
     /** True while the current set still has terms to process. */
     bool busy() const;
@@ -226,21 +249,18 @@ class FPRakerColumn
         int cursor = 0;
     };
 
-    /** Per-PE state; lane-indexed fields are packed for mask scans. */
     struct PeState
     {
         ChunkedAccumulator acc;
         PeStats stats;
-        int16_t abExp[kMaxLanes] = {};  //!< Product exponent per lane.
-        uint8_t bSig[kMaxLanes] = {};   //!< B significand per lane.
-        uint32_t prodNegMask = 0;       //!< Product-sign bit per lane.
-        uint32_t firedMask = 0;         //!< Consumed the cursor term.
-        uint32_t obMask = 0;            //!< Stream remainder dropped.
-
-        explicit PeState(const AccumulatorConfig &acc_cfg)
-            : acc(acc_cfg)
-        {}
     };
+
+    /**
+     * A set start's serial-operand side: each lane's term stream and
+     * cursor-term cache, liveMask_, and serial_ for the activeLanes_
+     * lanes of @p a.
+     */
+    void beginSerial(const BFloat16 *a);
 
     /**
      * Retire out-of-bounds lanes and advance fully-consumed cursors to
@@ -248,39 +268,23 @@ class FPRakerColumn
      * paths, not datapath work: they consume no processing cycles.
      * Accumulator exponents are constant while settling, so each live
      * lane drains independently — and a lane can only need settling
-     * when it fired or when some accumulator exponent moved, which is
-     * what lets stepCycle pass a narrow mask.
+     * when it fired or when some accumulator exponent moved (@p moved,
+     * or a set start), which is what lets stepCycle pass a narrow mask.
      */
-    void settle(uint32_t mask);
-
-    /** Drain one lane to its settle fixpoint. @p thr is the OB bound. */
-    void settleLane(int l, int thr);
+    void settle(uint32_t mask, bool moved);
 
     /**
-     * A set start's serial-operand side, shared by both bodies: each
-     * lane's term stream and cursor-term cache, liveMask_, and serial_
-     * for the activeLanes_ lanes of @p a.
+     * Cold path: deliver the trace records of group @p g's PEs for the
+     * cycle stepCycle has selected but not yet accumulated: the lanes'
+     * d and pending masks, and each PE's least pending d plus the
+     * window (@p lim), past which a pending lane stalls.
      */
-    void beginSerial(const BFloat16 *a);
-
-    /** Cold path: build and deliver one PE's cycle trace record. */
-    void emitTrace(int r, int acc_exp, int base, uint32_t pend,
-                   uint32_t fire, const int *k_of) const;
-
-    /**
-     * The PE-parallel body's steps over G 8-PE halves: the set start
-     * after beginSerial, one processing cycle, and the settle of the
-     * lanes in @p mask. Defined where SSE2 is available.
-     */
-    template <int G> void beginLanes();
-    template <int G> void stepLanes();
-    template <int G> void settleLanes(uint32_t mask);
-
-    /** Per-set counters of the PE-parallel body into each PeStats. */
-    void finishLanes();
+    void traceGroup(int g, uint32_t live, const Vec *d, const Vec *pend,
+                    const Vec &lim) const;
 
     PeConfig cfg_;
     int numPes_;
+    int groups_;           //!< 8-PE groups, the last one maybe partial.
     const ValueLut *vlut_; //!< Whole-bf16 decode table (value memo).
     LaneStream streams_[kMaxLanes];
     /**
@@ -290,16 +294,6 @@ class FPRakerColumn
      */
     int8_t curShift_[kMaxLanes] = {};
     uint32_t curNegMask_ = 0;
-    /**
-     * Transposed lane state: for lane l, the set of PEs (as bits) that
-     * have fired its cursor term / dropped its stream. Kept in sync
-     * with the per-PE firedMask/obMask so the settle fixpoint resolves
-     * a term's column-wide status with mask compares instead of a
-     * per-PE scan. Bounds the column at 64 PEs (enforced in the ctor).
-     */
-    uint64_t firedPes_[kMaxLanes] = {};
-    uint64_t obPes_[kMaxLanes] = {};
-    uint64_t peAll_ = 0; //!< Bit per PE.
 
     /** The current set's serial operands, per lane (beginSerial). */
     struct SerialLanes
@@ -313,46 +307,53 @@ class FPRakerColumn
     SerialLanes serial_;
 
     /**
-     * The PE-parallel body's per-set state, lane-major like
-     * DecodedBLanes: element [l][r] is lane l of PE r. Masks are 0 / -1.
-     * Padding PEs past numPes() start every lane out-of-bounds, so they
-     * never fire, never owe a term, and never block a consensus drop.
+     * The set's lane state, lane-major like DecodedBLanes. Per group
+     * and lane, the PEs that have fired the lane's cursor term (fired)
+     * and that have dropped its stream (ob), as 0 / -1 masks; per
+     * group, the PEs' rows. Padding PEs past numPes() start every lane
+     * out-of-bounds, so they never fire, never owe a term, and never
+     * block a consensus drop.
      *
      * Every field is exact in int16:
      *  - product exponents Ae + Be lie in [-254, 254] and term shifts
-     *    in [-1, 7], so d = shift - (Ae + Be) and the alignment shift
-     *    k = accExp + d stay within a few hundred;
+     *    in [-1, 7], so d = shift - (Ae + Be) spans [-255, 261] and the
+     *    alignment shift k = accExp + d stays within a few hundred;
      *  - accExp is clamped at kLanesExpFloor, so the empty register's
      *    kMinExp sentinel gives a k far below any threshold (which is
      *    clamped to kLanesThrCap) and still never looks out-of-bounds;
-     *  - a set runs at most rows x 64 cycles (each cycle fires a term
-     *    of some PE, and a PE has at most 8 lanes x 8 terms), so a
-     *    PE's pending lane-cycles are at most 16 x 64 x 8 = 8192, and
-     *    its fired and OB-skipped terms at most 64;
-     *  - the window is clamped at kLanesWindowCap: d spans [-255, 261],
-     *    so that window already fires every pending lane, as any wider
-     *    one does, and base + window stays far inside int16;
-     *  - a contribution is at most 255 << 7 = 32640. Eight of them sum
-     *    in int16 while maxDelta <= 4 (8 x 255 << 4 = 32640), and in
-     *    int32 up to 7; wider windows reduce each PE's fired lanes in
-     *    the adder tree the scalar body uses.
+     *  - a PE with a pending lane fires at least its base lane every
+     *    cycle, and has at most lanes x 8 terms, so its pending
+     *    lane-cycles per set are at most 8 x lanes^2 (2048 at 16
+     *    lanes), whatever the PE count, and its fired and OB-skipped
+     *    terms at most 8 x lanes;
+     *  - the window is clamped at kLanesWindowCap: that window already
+     *    fires every pending lane, as any wider one does, and kNoTerm
+     *    plus d plus it stays inside int16;
+     *  - a contribution is at most 255 << 7 = 32640. A PE's fired lanes
+     *    sum in int16 while lanes x (255 << maxDelta) <= 32767 (a
+     *    window of 4 at 8 lanes, 3 at 16), and in int32 up to a window
+     *    of 7; wider windows reduce each PE's fired lanes in the adder
+     *    tree.
      */
-    struct LaneState
+    struct LaneMasks
     {
-        static constexpr int kLanes = DecodedBLanes::kLanes;
-        static constexpr int kPes = DecodedBLanes::kPes;
-        alignas(16) int16_t fired[kLanes][kPes]; //!< Fired cursor term.
-        alignas(16) int16_t ob[kLanes][kPes];    //!< Stream dropped.
-        alignas(16) int16_t accExp[kPes];  //!< Clamped e_acc per PE.
-        alignas(16) int16_t pendN[kPes];   //!< Pending lane-cycles.
-        alignas(16) int16_t fireN[kPes];   //!< Fired lane-cycles.
-        alignas(16) int16_t obSkipN[kPes]; //!< Terms skipped OB.
-        alignas(16) int16_t pad[kPes];     //!< -1 past numPes().
-        const DecodedBLanes *b = nullptr;  //!< This set's B operands.
+        Vec fired;
+        Vec ob;
     };
+    struct GroupRows
+    {
+        Vec accExp;  //!< Clamped e_acc.
+        Vec pendN;   //!< Pending lane-cycles.
+        Vec fireN;   //!< Fired lane-cycles.
+        Vec obSkipN; //!< Terms skipped out-of-bounds.
+        Vec pad;     //!< -1 past numPes().
+    };
+    std::vector<LaneMasks> masks_; //!< [group][lane].
+    std::vector<GroupRows> rows_;  //!< [group].
     static constexpr int kLanesExpFloor = -8192;
     static constexpr int kLanesThrCap = 16000;
     static constexpr int kLanesWindowCap = 1024;
+    static constexpr int kNoTerm = 16384; //!< Beyond any pending d.
 
     std::vector<PeState> pes_;
     std::function<void(const PeCycleTrace &)> trace_;
@@ -360,11 +361,8 @@ class FPRakerColumn
     int activeLanes_ = 0;   //!< Lanes carrying real operands this set.
     int setCycles_ = 0;
     bool inSet_ = false;
-    bool peParallel_ = false; //!< Full sets may run the PE-parallel body.
-    bool lanesSet_ = false;   //!< The current set runs that body.
-    int halves_ = 1;          //!< 8-PE halves of the PE-parallel body.
-    LaneState lanes_;
-    DecodedBLanes laneScratch_; //!< beginSet's PE-parallel decode.
+    const DecodedBLanes *b_ = nullptr; //!< This set's B operands.
+    DecodedBLanes laneScratch_;        //!< The pointer beginSet's decode.
 };
 
 /**

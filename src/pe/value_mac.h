@@ -33,8 +33,9 @@
  * Full 8-lane sets with maxDelta <= 7 (the paper's PE) run an SSE2
  * body that keeps every lane's remaining terms in 16-bit vectors. Any
  * other shape, FPRAKER_SIMD=scalar or a build without SSE2 runs a
- * one-PE FPRakerColumn instead, the model this MAC reproduces. The
- * SSE2 body is integer-exact, and tests/test_fuzz_differential.cpp
+ * one-PE FPRakerColumn instead, the model this MAC reproduces; the
+ * knob pins only that choice, not the column's own body. The SSE2
+ * body is integer-exact, and tests/test_fuzz_differential.cpp
  * holds the MAC bit-equal to FPRakerPe::processSet across encodings,
  * windows, thresholds, accumulator widths, chunk sizes and lane counts.
  */

@@ -8,7 +8,7 @@
 namespace fpraker {
 
 Tile::Tile(const TileConfig &cfg)
-    : cfg_(cfg)
+    : cfg_(cfg), decodedLanes_(cfg.pe.lanes, cfg.rows)
 {
     panic_if(cfg_.rows < 1 || cfg_.cols < 1, "degenerate tile %dx%d",
              cfg_.rows, cfg_.cols);
@@ -58,26 +58,19 @@ Tile::run(const TileStepView *steps, size_t n_steps)
     // Phase A: simulate every column's set batch. A column's per-set
     // cycle counts, accumulator contents, and datapath statistics
     // depend only on its own operand sequence, so the recorded cycles
-    // feed the timing recurrence below. The sweep is step-major: on the
-    // PE-parallel body one step's broadcast B rows decode once (instead
-    // of once per column) into its lane-major layout and feed every
-    // column while still hot, and the per-column settle fixpoints advance
-    // together under one busy mask that drops each column the cycle it
-    // settles. Columns never share mutable state, so any interleaving
-    // of their stepCycle calls is bit-identical to a column-major walk.
+    // feed the timing recurrence below. The sweep is step-major: one
+    // step's broadcast B rows decode once (instead of once per column)
+    // into the columns' lane-major layout and feed every column while
+    // still hot, and the per-column settle fixpoints advance together
+    // under one busy mask that drops each column the cycle it settles.
+    // Columns never share mutable state, so any interleaving of their
+    // stepCycle calls is bit-identical to a column-major walk.
     cycleScratch_.resize(cols * n_steps);
-    const bool lane_major = columns_[0]->peParallel();
     for (size_t s = 0; s < n_steps; ++s) {
-        if (lane_major)
-            FPRakerColumn::decodeBLanes(steps[s].b, lanes, cfg_.rows,
-                                        &decodedLanes_);
+        decodedLanes_.decode(steps[s].b, lanes, lanes);
         uint64_t busy = 0;
         for (size_t c = 0; c < cols; ++c) {
-            const BFloat16 *a = steps[s].a + c * lanes;
-            if (lane_major)
-                columns_[c]->beginSetLanes(a, decodedLanes_);
-            else
-                columns_[c]->beginSet(a, steps[s].b, lanes);
+            columns_[c]->beginSet(steps[s].a + c * lanes, decodedLanes_);
             if (columns_[c]->busy())
                 busy |= uint64_t(1) << c;
         }

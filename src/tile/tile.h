@@ -26,11 +26,11 @@
  * contents depend only on its own operand/set sequence, never on the
  * other columns' timing, so phase A sweeps every column's sets
  * step-major under one 64-bit busy mask (which bounds a tile at 64
- * columns, as FPRakerColumn's transposed masks bound a column at 64
- * PEs), and phase B replays the recurrence over the recorded per-set
- * cycle counts and charges each column its broadcast-wait stalls. A
- * tile runs on its caller's thread; the phase runner shards whole
- * bursts (one tile each) instead.
+ * columns, as FPRakerColumn bounds a column at 64 PEs), and phase B
+ * replays the recurrence over the recorded per-set cycle counts and
+ * charges each column its broadcast-wait stalls. A tile runs on its
+ * caller's thread; the phase runner shards whole bursts (one tile
+ * each) instead.
  */
 
 #ifndef FPRAKER_TILE_TILE_H
@@ -142,8 +142,8 @@ class Tile
     TileConfig cfg_;
     std::vector<std::unique_ptr<FPRakerColumn>> columns_;
     //! Shared decoded B rows: the broadcast rows are identical for
-    //! every column, so on the PE-parallel body phase A decodes each
-    //! step's rows once, lane-major, and all columns consume them.
+    //! every column, so phase A decodes each step's rows once,
+    //! lane-major, and all columns consume them.
     FPRakerColumn::DecodedBLanes decodedLanes_;
     std::vector<int> cycleScratch_; //!< Phase-A cycles, [c * steps + s].
     // Phase-B recurrence scratch, members so repeated run() calls

@@ -37,8 +37,8 @@ fp32DotFma(const float *a, const float *b, size_t n)
 /**
  * NativeFp32's dot. The FMA instruction and libm's fmaf both round
  * once, so the choice never changes a bit; FPRAKER_SIMD=scalar pins
- * the libm loop, so CI's forced-scalar legs hold the two to each
- * other.
+ * the libm loop (this and the value MAC's column fallback are all the
+ * knob pins), so CI's forced-scalar legs hold the two to each other.
  */
 float
 fp32Dot(const float *a, const float *b, size_t n)

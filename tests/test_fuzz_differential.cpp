@@ -289,8 +289,8 @@ TEST(DifferentialFuzz, BatchedDotMatchesPerSetReference)
     const FuzzCase stream_shape{0,  -1,  TermEncoding::Canonical,
                                 12, 64, 0.3, 3.0};
     for (int rows : {1, 2, 5}) {
-        // 37 full sets + a 5-lane ragged tail: crosses the 32-set
-        // decode-chunk boundary of dot() twice.
+        // 37 full sets + a 5-lane ragged tail, which decodes and
+        // steps only its 5 active lanes.
         const size_t len = 8 * 37 + 5;
         const int stride = static_cast<int>(len);
         auto a = randomStream(rng, len, stream_shape);

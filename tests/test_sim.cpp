@@ -305,11 +305,11 @@ constexpr int kBitPragmatic = -1;
 /**
  * Fuzz the optimized column against the seed-parity reference. Columns
  * of 1-16 PEs are stratified over 13 windows so every size meets
- * several: 0-8, either side of the PE-parallel body's shift network
+ * several: 0-8, either side of the column's vector shift network
  * (maxDelta <= 7); 48 and 49, either side of the adder tree's exact
  * bound; the unlimited 1 << 20; and the Bit-Pragmatic shape (unlimited,
- * OB skipping off, exponentFloor 1). Columns of 9-16 PEs fill both of
- * the body's 8-PE vector halves.
+ * OB skipping off, exponentFloor 1). Columns of 9-16 PEs fill two of
+ * the body's 8-PE vector groups.
  */
 class ColumnParity : public ::testing::TestWithParam<int>
 {
@@ -457,8 +457,8 @@ bf16Fields(bool neg, int biased_exp, int mantissa)
 }
 
 /**
- * The shapes at the edges of the PE-parallel body's int16 layout, on
- * columns either side of its 8-PE halves and under the machine
+ * The shapes at the edges of the column's int16 lane layout, on
+ * columns either side of its 8-PE groups and under the machine
  * variants that change its paths: the paper's PE, the widest window
  * its shift network takes, OB skipping off, RawBits streams (up to 8
  * terms), and the wide windows it reduces in the adder tree.
@@ -704,39 +704,6 @@ TEST(ColumnParity, AdderTreeIsExactUpTo48Bits)
                     << what << ", pe " << r;
         }
     }
-}
-
-/**
- * Which body a column runs: every full 8-lane set of a column of up to
- * 16 PEs, whatever its window, runs the PE-parallel body off the scalar
- * tier; the scalar body keeps tracing, columns above 16 PEs, other
- * lane counts and the scalar tier.
- */
-TEST(ColumnBodies, EveryWindowRunsThePeParallelBody)
-{
-#ifdef __SSE2__
-    const bool simd = slab::activeTier() != slab::SimdTier::Scalar;
-#else
-    const bool simd = false;
-#endif
-    PeConfig unlimited;
-    unlimited.maxDelta = 1 << 20;
-    PeConfig window49;
-    window49.maxDelta = 49;
-    for (const PeConfig &cfg :
-         {PeConfig{}, window49, unlimited, bitPragmaticFpConfig()})
-        for (int pes : {1, 8, 9, 16})
-            EXPECT_EQ(FPRakerColumn(cfg, pes).peParallel(), simd)
-                << "window " << cfg.maxDelta << ", " << pes << " PEs";
-    EXPECT_EQ(FPRakerColumn(bitPragmaticFpConfig(), 8).peParallel(), simd);
-
-    EXPECT_FALSE(FPRakerColumn(PeConfig{}, 17).peParallel());
-    PeConfig lanes4;
-    lanes4.lanes = 4;
-    EXPECT_FALSE(FPRakerColumn(lanes4, 8).peParallel());
-    FPRakerColumn traced(PeConfig{}, 8);
-    traced.setTraceCallback([](const PeCycleTrace &) {});
-    EXPECT_FALSE(traced.peParallel());
 }
 
 TEST(ColumnParity, CancellingSetEmptiesTheRegisterMidSet)

@@ -1,8 +1,9 @@
 /**
  * @file
- * The FPRAKER_SIMD knob contract: unset, the PE fast paths run their
- * SSE2 bodies; `scalar` pins their scalar fallbacks; any other value
- * is fatal and names the variable, never silently picks a body.
+ * The FPRAKER_SIMD knob contract: unset, the value MAC and the FP32
+ * dot run their SSE2 / FMA bodies; `scalar` pins their fallbacks; any
+ * other value is fatal and names the variable, never silently picks a
+ * body.
  */
 
 #include <gtest/gtest.h>
