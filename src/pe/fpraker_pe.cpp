@@ -351,7 +351,7 @@ FPRakerColumn::stepCycle()
     const bool via_tree = delta > 7;
     const bool wide = !via_tree && cfg_.lanes * (255 << delta) > INT16_MAX;
 
-    uint32_t fired_union = 0;
+    uint32_t stalled = 0; // Lanes some PE still owes after this cycle.
     bool moved = false;
     for (int g = 0; g < groups_; ++g) {
         const DecodedBLanes::Lane *bl = b_->group(g);
@@ -380,11 +380,13 @@ FPRakerColumn::stepCycle()
         Vec fire_n = rows.fireN;
         Vec sum16 = {};
         Vec32 sum32[2] = {};
-        Vec pe_fired = {}; // Per PE, the lanes it fired, as bits.
+        Vec pe_fired = {};   // Per PE, the lanes it fired, as bits.
+        Vec pe_stalled = {}; // Per PE, the lanes it still owes.
         for (uint32_t m = live; m; m &= m - 1) {
             const int l = std::countr_zero(m);
             const Vec fire = pend[l] & (d[l] <= lim);
             pe_fired |= fire & kLaneBit[l];
+            pe_stalled |= pend[l] & ~fire & kLaneBit[l];
             if (!via_tree) {
                 const Vec shift = lim - d[l];
                 Vec c = bl[l].sig;
@@ -408,7 +410,7 @@ FPRakerColumn::stepCycle()
             fire_n -= fire;
         }
         rows.fireN = fire_n;
-        fired_union |= orElements(pe_fired);
+        stalled |= orElements(pe_stalled);
         if (trace_)
             traceGroup(g, live, d, pend, lim);
 
@@ -443,10 +445,12 @@ FPRakerColumn::stepCycle()
         }
     }
 
-    // Only fired lanes can advance, and out-of-bounds verdicts change
-    // only where an accumulator exponent moved — so the end-of-cycle
-    // settle usually touches just the lanes that fired.
-    settle(moved ? liveMask_ : fired_union, moved);
+    // Out-of-bounds verdicts change only where an accumulator exponent
+    // moved, and otherwise a lane can only advance once no PE owes its
+    // term (a settled lane always had one that did) — so the
+    // end-of-cycle settle usually touches just the lanes that every
+    // owing PE fired.
+    settle(moved ? liveMask_ : live & ~stalled, moved);
 }
 
 void
