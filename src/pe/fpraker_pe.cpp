@@ -385,9 +385,10 @@ FPRakerColumn::stepCycle()
         for (uint32_t m = live; m; m &= m - 1) {
             const int l = std::countr_zero(m);
             const Vec fire = pend[l] & (d[l] <= lim);
-            pe_fired |= fire & kLaneBit[l];
             pe_stalled |= pend[l] & ~fire & kLaneBit[l];
-            if (!via_tree) {
+            if (via_tree) {
+                pe_fired |= fire & kLaneBit[l];
+            } else {
                 const Vec shift = lim - d[l];
                 Vec c = bl[l].sig;
                 if (delta >= 1)
