@@ -268,8 +268,10 @@ class FPRakerColumn
      * paths, not datapath work: they consume no processing cycles.
      * Accumulator exponents are constant while settling, so each live
      * lane drains independently — and a lane can only need settling
-     * when it fired or when some accumulator exponent moved (@p moved,
-     * or a set start), which is what lets stepCycle pass a narrow mask.
+     * once no PE owes its term, or when some accumulator exponent
+     * moved (@p moved, or a set start: only then, and after a cursor
+     * advance, are out-of-bounds verdicts rechecked), which is what
+     * lets stepCycle pass a narrow mask.
      */
     void settle(uint32_t mask, bool moved);
 
