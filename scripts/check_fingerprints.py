@@ -2,16 +2,15 @@
 """Compare per-experiment fingerprints across `--json-dir` trees.
 
 The determinism contract says `fpraker run --all` must produce the
-same results serially, in parallel, and on the fallbacks that
-FPRAKER_SIMD=scalar pins as on the default SSE2 bodies (value MAC,
-FP32 dot); every fpraker-result-v1 document carries a
+same results serially, in parallel, with the simulation memo off, and
+with telemetry on; every fpraker-result-v1 document carries a
 content fingerprint, so N sweeps agree iff the fingerprints match
 experiment by experiment. Accepts two or more trees; the first is the
 reference the rest are diffed against. CI runs:
 
     fpraker run --all --json-dir=a            # serial
     fpraker run --all --threads=2 --json-dir=b
-    FPRAKER_SIMD=scalar fpraker run --all --json-dir=c
+    FPRAKER_MEMO=off fpraker run --all --json-dir=c
     scripts/check_fingerprints.py a b c
 
 Exit status: 0 when all trees hold the same experiments with equal

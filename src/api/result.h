@@ -109,11 +109,11 @@ class Result
     int threads = 0;
     int sampleSteps = 0;
     /**
-     * The value MAC and FP32 dot bodies the run executed on,
-     * slab::simdLevel(): "sse2", or "scalar" when FPRAKER_SIMD=scalar
-     * pins them or the build lacks SSE2. Filled by the driver. Provenance only — the determinism
-     * contract says both produce the same bytes, so the level must
-     * never be part of the fingerprint.
+     * The vector ISA the build targets, slab::simdLevel(): "sse2", or
+     * "scalar" for a build without SSE2. Filled by the driver.
+     * Provenance only — the determinism contract says every build
+     * produces the same bytes, so the level must never be part of the
+     * fingerprint.
      */
     std::string simdLevel;
     std::vector<std::string> variants;

@@ -1,36 +1,16 @@
 #include "numeric/slab_ops.h"
 
-#include <cstdlib>
-#include <cstring>
-
-#include "common/logging.h"
-
 namespace fpraker {
 namespace slab {
-
-SimdTier
-activeTier()
-{
-    static const SimdTier tier = [] {
-        const char *env = std::getenv("FPRAKER_SIMD");
-        fatal_if(env != nullptr && *env != '\0' &&
-                     std::strcmp(env, "scalar") != 0,
-                 "FPRAKER_SIMD=%s: expected 'scalar' (or unset for "
-                 "the SSE2 bodies)",
-                 env);
-#ifdef __SSE2__
-        if (env == nullptr || *env == '\0')
-            return SimdTier::Sse2;
-#endif
-        return SimdTier::Scalar;
-    }();
-    return tier;
-}
 
 const char *
 simdLevel()
 {
-    return activeTier() == SimdTier::Sse2 ? "sse2" : "scalar";
+#ifdef __SSE2__
+    return "sse2";
+#else
+    return "scalar";
+#endif
 }
 
 void

@@ -6,16 +6,9 @@
  *
  * Each kernel is one plain scalar loop: the slab kernels are a sliver
  * of a figure run (docs/PERFORMANCE.md, "Scalar slab kernels"), so the
- * tree's vector code lives where the time goes — the FPRaker column,
- * the value MAC and the FP32 dot.
- *
- * This header also holds the one switch for two of those: the value
- * MAC's SSE2 body, with its one-PE column fallback, and the FMA FP32
- * dot, with its libm loop. FPRAKER_SIMD accepts only `scalar`, which
- * pins both fallbacks; any other non-empty value is fatal. Both paths
- * of each give the same bits, so the choice never changes a result.
- * The FPRaker column has one body, written in GCC vector extensions,
- * which the switch does not touch.
+ * tree's vector code lives where the time goes — the FPRaker column
+ * and the value MAC, in GCC vector extensions (pe/vec16.h), and the
+ * FP32 dot.
  */
 
 #ifndef FPRAKER_NUMERIC_SLAB_OPS_H
@@ -29,21 +22,11 @@
 namespace fpraker {
 namespace slab {
 
-/** The bodies the value MAC and the FP32 dot run. */
-enum class SimdTier
-{
-    Scalar = 0,
-    Sse2 = 1,
-};
-
 /**
- * Sse2 in builds with SSE2, unless FPRAKER_SIMD=scalar pins Scalar.
- * Resolved once on first use; any other non-empty FPRAKER_SIMD value
- * is a fatal error naming the variable.
+ * The vector ISA the build targets, for provenance: "sse2" where the
+ * compiler targets SSE2 (every x86-64 build), else "scalar". A build
+ * constant; no result depends on it.
  */
-SimdTier activeTier();
-
-/** Name of activeTier(): "sse2" or "scalar". */
 const char *simdLevel();
 
 /**

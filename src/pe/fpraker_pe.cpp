@@ -9,6 +9,8 @@
 
 namespace fpraker {
 
+using namespace vec16;
+
 namespace {
 
 /**
@@ -65,19 +67,6 @@ struct AdderTree
     }
 };
 
-using Vec = FPRakerColumn::Vec;
-/** Four int32 elements: half of a Vec, widened. */
-typedef int32_t Vec32 __attribute__((vector_size(16)));
-/** A Vec as two 64-bit halves, for the any-element tests. */
-typedef uint64_t Vec64 __attribute__((vector_size(16)));
-
-/** @p x in every element. */
-constexpr Vec
-splat(int x)
-{
-    return Vec{} + static_cast<int16_t>(x);
-}
-
 /** Per lane l, bit l in every element (bit 15 reads as the sign). */
 constexpr auto kLaneBit = [] {
     std::array<Vec, ExponentBlockResult::kMaxLanes> bits{};
@@ -85,71 +74,6 @@ constexpr auto kLaneBit = [] {
         bits[l] = splat(1 << l);
     return bits;
 }();
-
-/** Elements of @p a where @p m is set, else those of @p b. */
-Vec
-select(Vec m, Vec a, Vec b)
-{
-    return (m & a) | (~m & b);
-}
-
-Vec
-vmin(Vec a, Vec b)
-{
-    return a < b ? a : b;
-}
-
-Vec
-vmax(Vec a, Vec b)
-{
-    return a > b ? a : b;
-}
-
-/** True when some element of @p m is non-zero. */
-bool
-anyElement(Vec m)
-{
-    const Vec64 h = std::bit_cast<Vec64>(m);
-    return (h[0] | h[1]) != 0;
-}
-
-/** The OR of @p x's elements, as 16 bits. */
-uint32_t
-orElements(Vec x)
-{
-    const Vec64 h = std::bit_cast<Vec64>(x);
-    uint64_t v = h[0] | h[1];
-    v |= v >> 32;
-    v |= v >> 16;
-    return static_cast<uint16_t>(v);
-}
-
-/** True when every element of @p m is -1. */
-bool
-allElements(Vec m)
-{
-    const Vec64 h = std::bit_cast<Vec64>(m);
-    return (h[0] & h[1]) == ~uint64_t(0);
-}
-
-/** -1 in the elements of @p x with bit @p B set, else 0. */
-template <int B>
-Vec
-bit(Vec x)
-{
-    return (x << (15 - B)) >> 15;
-}
-
-/** Elements 4H to 4H + 3 of @p x, sign-extended. */
-template <int H>
-Vec32
-widen(Vec x)
-{
-    return std::bit_cast<Vec32>(__builtin_shufflevector(
-               x, x, 4 * H, 4 * H, 4 * H + 1, 4 * H + 1, 4 * H + 2,
-               4 * H + 2, 4 * H + 3, 4 * H + 3)) >>
-           16;
-}
 
 } // namespace
 
@@ -284,7 +208,11 @@ FPRakerColumn::beginSet(const BFloat16 *a, const DecodedBLanes &b)
     // threshold drops the lane at that PE, and a lane every PE drops
     // goes before the first cycle. The set starts settled.
     settle(liveMask_, true);
-    setCycles_ = 0;
+    // Every busy cycle fires some PE's pending term, and a PE fires
+    // each of the set's terms at most once.
+    cycleCap_ = numPes_ * (kTermSlots * activeLanes_ -
+                           static_cast<int>(serial_.zeroSlots));
+    cyclesLeft_ = cycleCap_;
     inSet_ = true;
 }
 
@@ -337,7 +265,9 @@ FPRakerColumn::stepCycle()
     // current here.
     if (!inSet_ || !liveMask_)
         return;
-    ++setCycles_;
+    panic_if(--cyclesLeft_ < 0,
+             "column of %d PEs x %d lanes still busy after %d cycles",
+             numPes_, activeLanes_, cycleCap_);
     const uint32_t live = liveMask_;
     const uint32_t sgn_mask = serial_.neg ^ curNegMask_;
 
@@ -535,7 +465,7 @@ FPRakerColumn::traceGroup(int g, uint32_t live, const Vec *d,
     const int n = std::min(kGroupPes, numPes_ - g * kGroupPes);
     for (int i = 0; i < n; ++i) {
         PeCycleTrace tr;
-        tr.cycle = setCycles_;
+        tr.cycle = setCycles();
         tr.pe = g * kGroupPes + i;
         tr.accExp = pes_[static_cast<size_t>(tr.pe)]
                         .acc.chunkRegister()
@@ -568,7 +498,7 @@ FPRakerColumn::finishSet()
 
     // The set's counters into each PE's PeStats, with the exponent
     // block's floor.
-    int cycles = setCycles_;
+    int cycles = setCycles();
     const uint64_t lane_cycles =
         static_cast<uint64_t>(cycles) * activeLanes_;
     const uint64_t floor_lanes =

@@ -53,12 +53,15 @@
  *  - a trace callback reads each cycle's lane state out, and changes
  *    nothing the cycle computes;
  *  - the vector ops are GCC vector extensions, which every target
- *    compiles (to SSE2 on x86-64).
+ *    compiles (to SSE2 on x86-64); their helpers (pe/vec16.h) are
+ *    shared with the value MAC's vector body.
  *
  * Fired lanes reduce in a vector window sum, or, past a window of 7, in
  * one adder tree per PE (an exact sum while their LSBs span at most 48
  * bits). The body is integer-exact, and tests/test_sim.cpp holds it
- * bit-equal to ReferenceColumn.
+ * bit-equal to ReferenceColumn. Every busy cycle fires some PE's
+ * pending term, so a set takes at most numPes() x its terms cycles;
+ * stepCycle panics past that bound rather than loop forever.
  */
 
 #ifndef FPRAKER_PE_FPRAKER_PE_H
@@ -72,6 +75,7 @@
 #include "numeric/value_lut.h"
 #include "pe/exponent_block.h"
 #include "pe/pe_common.h"
+#include "pe/vec16.h"
 
 namespace fpraker {
 
@@ -102,7 +106,7 @@ class FPRakerColumn
 {
   public:
     /** Eight int16 elements: one lane's field across an 8-PE group. */
-    typedef int16_t Vec __attribute__((vector_size(16)));
+    using Vec = vec16::Vec;
     static constexpr int kGroupPes = 8;
     static constexpr int kMaxPes = 64;
 
@@ -183,7 +187,12 @@ class FPRakerColumn
     /** True while the current set still has terms to process. */
     bool busy() const;
 
-    /** Advance one processing cycle (no-op when not busy). */
+    /**
+     * Advance one processing cycle (no-op when not busy). Panics once
+     * the set passes numPes() x its terms cycles, which no correct
+     * column reaches, so a column that never settles fails instead of
+     * hanging its caller.
+     */
     void stepCycle();
 
     /**
@@ -275,6 +284,9 @@ class FPRakerColumn
      */
     void settle(uint32_t mask, bool moved);
 
+    /** Cycles the current set has taken. */
+    int setCycles() const { return cycleCap_ - cyclesLeft_; }
+
     /**
      * Cold path: deliver the trace records of group @p g's PEs for the
      * cycle stepCycle has selected but not yet accumulated: the lanes'
@@ -361,7 +373,8 @@ class FPRakerColumn
     std::function<void(const PeCycleTrace &)> trace_;
     uint32_t liveMask_ = 0; //!< Lanes whose stream is not exhausted.
     int activeLanes_ = 0;   //!< Lanes carrying real operands this set.
-    int setCycles_ = 0;
+    int cycleCap_ = 0;   //!< Most cycles the current set can take.
+    int cyclesLeft_ = 0; //!< Of those, the ones not yet taken.
     bool inSet_ = false;
     const DecodedBLanes *b_ = nullptr; //!< This set's B operands.
     DecodedBLanes laneScratch_;        //!< The pointer beginSet's decode.

@@ -30,14 +30,14 @@
  * each lane's pending-term LSB, and both the window (largest LSB minus
  * maxDelta) and the out-of-bounds bound follow from it.
  *
- * Full 8-lane sets with maxDelta <= 7 (the paper's PE) run an SSE2
- * body that keeps every lane's remaining terms in 16-bit vectors. Any
- * other shape, FPRAKER_SIMD=scalar or a build without SSE2 runs a
- * one-PE FPRakerColumn instead, the model this MAC reproduces; the
- * knob pins only that choice, not the column's own body. The SSE2
- * body is integer-exact, and tests/test_fuzz_differential.cpp
- * holds the MAC bit-equal to FPRakerPe::processSet across encodings,
- * windows, thresholds, accumulator widths, chunk sizes and lane counts.
+ * Full 8-lane sets with maxDelta <= 7 (the paper's PE) run a vector
+ * body that keeps every lane's remaining terms in 16-bit vectors,
+ * written in the column's GCC vector extensions (pe/vec16.h). Any
+ * other shape runs a one-PE FPRakerColumn instead, the model this MAC
+ * reproduces. The vector body is integer-exact, and
+ * tests/test_fuzz_differential.cpp holds the MAC bit-equal to
+ * FPRakerPe::processSet across encodings, every window the vector body
+ * takes, thresholds, accumulator widths, chunk sizes and lane counts.
  */
 
 #ifndef FPRAKER_PE_VALUE_MAC_H
@@ -72,16 +72,18 @@ class FPRakerValueMac
     }
 
   private:
-    /** Every significand's terms as 16-bit queue entries (SSE2 body). */
+    /** Every significand's terms as 16-bit queue entries. */
     struct TermQueues;
 
+    /** The vector body: one full 8-lane set. */
     void processSet8(const BFloat16 *a, const BFloat16 *b);
 
-    const TermQueues *queues_; //!< Set when the SSE2 body applies.
+    const TermQueues *queues_; //!< Set when the vector body applies.
     int maxDelta_;
+    bool wideSum_ = false; //!< A cycle's sum needs int32 (window > 4).
     bool skipOb_;
     int obThreshold_;
-    ChunkedAccumulator acc_;              //!< The SSE2 body's register.
+    ChunkedAccumulator acc_;              //!< The vector body's register.
     std::optional<FPRakerColumn> column_; //!< Every other shape.
 };
 

@@ -8,7 +8,6 @@
 #include "api/driver.h"
 #include "api/session.h"
 #include "common/parse.h"
-#include "numeric/slab_ops.h"
 #include "obs/trace.h"
 #include "serve/client.h"
 #include "serve/daemon.h"
@@ -188,12 +187,11 @@ serveMain(int argc, char **argv, int first)
     FaultInjector::instance().configureFromEnv();
     // The knobs jobs read lazily, in a scheduler worker, fail here on
     // a malformed value, before the socket is bound: every job keys
-    // and runs on FPRAKER_SAMPLE_STEPS, sizes the memo by FPRAKER_MEMO
-    // and picks its bodies by FPRAKER_SIMD. FPRAKER_THREADS is read
-    // when the daemon builds its engine, also before the bind.
+    // and runs on FPRAKER_SAMPLE_STEPS and sizes the memo by
+    // FPRAKER_MEMO. FPRAKER_THREADS is read when the daemon builds its
+    // engine, also before the bind.
     api::envSampleSteps();
     SimMemo::envBudget();
-    slab::activeTier();
 
     Daemon daemon(cfg);
     std::string error;

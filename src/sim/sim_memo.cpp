@@ -160,7 +160,7 @@ SimMemo::envBudget()
         return kDefaultBudget;
     if (std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0)
         return 0;
-    // Loud-fail like FPRAKER_SIMD: a typo must never silently change
+    // Loud-fail like FPRAKER_SAMPLE_STEPS: a typo must never silently change
     // what the run measures.
     uint64_t bytes = 0;
     fatal_if(!parsePositive(env, kMaxBudget, &bytes),

@@ -22,7 +22,7 @@
  * The process-wide instance (global()) is shared by every accelerator
  * and SweepRunner job; the FPRAKER_MEMO environment knob sizes it
  * (byte budget) or disables it ("off"/"0" — fatal on anything else,
- * like FPRAKER_SIMD). Hit/miss counts are telemetry (the memo.*
+ * like FPRAKER_SAMPLE_STEPS). Hit/miss counts are telemetry (the memo.*
  * metrics and stats()), never part of a fingerprint.
  */
 

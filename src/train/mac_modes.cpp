@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "numeric/slab_ops.h"
 #include "pe/value_mac.h"
 
 namespace fpraker {
@@ -13,8 +12,8 @@ namespace fpraker {
 namespace {
 
 /** NativeFp32: one fused multiply-add per product, in order. */
-float
-fp32DotLibm(const float *a, const float *b, size_t n)
+__attribute__((always_inline)) inline float
+fmaLoop(const float *a, const float *b, size_t n)
 {
     float sum = 0.0f;
     for (size_t i = 0; i < n; ++i)
@@ -25,20 +24,19 @@ fp32DotLibm(const float *a, const float *b, size_t n)
 #if defined(__x86_64__) || defined(__i386__)
 /** The same loop on the FMA instruction instead of a libm call. */
 __attribute__((target("fma"))) float
-fp32DotFma(const float *a, const float *b, size_t n)
+fmaLoopHw(const float *a, const float *b, size_t n)
 {
-    float sum = 0.0f;
-    for (size_t i = 0; i < n; ++i)
-        sum = std::fma(a[i], b[i], sum);
-    return sum;
+    return fmaLoop(a, b, n);
 }
 #endif
 
 /**
- * NativeFp32's dot. The FMA instruction and libm's fmaf both round
- * once, so the choice never changes a bit; FPRAKER_SIMD=scalar pins
- * the libm loop (this and the value MAC's column fallback are all the
- * knob pins), so CI's forced-scalar legs hold the two to each other.
+ * NativeFp32's dot, on the FMA instruction where the CPU has one. The
+ * instruction and libm's fmaf both round once, so the choice never
+ * changes a bit. The CPU is probed here rather than by a target_clones
+ * ifunc: ThreadSanitizer instruments an ifunc's resolver, which runs
+ * before the sanitizer's runtime starts and so crashes the process at
+ * load.
  */
 float
 fp32Dot(const float *a, const float *b, size_t n)
@@ -46,13 +44,12 @@ fp32Dot(const float *a, const float *b, size_t n)
 #if defined(__x86_64__) || defined(__i386__)
     static const bool hw = [] {
         __builtin_cpu_init();
-        return slab::activeTier() != slab::SimdTier::Scalar &&
-               __builtin_cpu_supports("fma");
+        return __builtin_cpu_supports("fma");
     }();
     if (hw)
-        return fp32DotFma(a, b, n);
+        return fmaLoopHw(a, b, n);
 #endif
-    return fp32DotLibm(a, b, n);
+    return fmaLoop(a, b, n);
 }
 
 /** Bf16Chunked: every product through the chunked register. */

@@ -351,6 +351,7 @@ enum class ValueCase
     Cancelling,     //!< Second half cancels the first: exponent falls.
     ReluGaussian,   //!< fig17-like: ReLU activations x Gaussian weights.
     WideTree,       //!< Products ~48 bits apart: the exact tree's edge.
+    AlignedLanes,   //!< Equal products: the widest window sums.
 };
 
 /** A finite, normal bf16 with the given sign, unbiased exponent, mantissa. */
@@ -433,6 +434,16 @@ valueCaseOperands(ValueCase vc, size_t n, Rng &rng,
             b[i] = bf16(static_cast<float>(rng.gaussian(0.0, 0.2)));
             break;
           }
+          case ValueCase::AlignedLanes:
+            // Lane 0's A, and its B's sign and exponent with a near-full
+            // significand: every lane fires each term at the window's
+            // top shift, and 8 x (248 << 5) overflows int16.
+            a[i] = i == 0 ? randomNormal(rng, -4, 4) : a[0];
+            b[i] = i == 0 ? randomNormal(rng, -4, 4)
+                          : BFloat16::fromBits(static_cast<uint16_t>(
+                                (b[0].bits() & 0xff80) |
+                                (120 + rng.uniformInt(8))));
+            break;
         }
     }
 }
@@ -485,7 +496,9 @@ TEST(ValueMac, MatchesCycleModelBitForBit)
         c.skipOutOfBounds = false;
         configs.emplace_back("no-ob-skip", c);
     }
-    for (int delta : {0, 3, 7, 8}) {
+    // Windows 0-7 run the vector body (int16 sums up to 4, int32
+    // past it); 8 runs the one-PE column.
+    for (int delta = 0; delta <= 8; ++delta) {
         PeConfig c;
         c.maxDelta = delta;
         configs.emplace_back("maxDelta=" + std::to_string(delta), c);
@@ -525,7 +538,7 @@ TEST(ValueMac, MatchesCycleModelBitForBit)
         ValueCase::Random,     ValueCase::ExponentSkew,
         ValueCase::AllOutOfBounds, ValueCase::ZeroLanes,
         ValueCase::Cancelling, ValueCase::ReluGaussian,
-        ValueCase::WideTree,
+        ValueCase::WideTree,   ValueCase::AlignedLanes,
     };
     Rng rng(20101);
     std::vector<BFloat16> a, b;

@@ -228,7 +228,6 @@ TEST(ServeCli, MalformedKnobFailsBeforeBind)
     const std::pair<const char *, const char *> knobs[] = {
         {"FPRAKER_SAMPLE_STEPS", "abc"},
         {"FPRAKER_MEMO", "-1"},
-        {"FPRAKER_SIMD", "avx2"},
         {"FPRAKER_THREADS", "4x"}};
     for (const auto &[name, value] : knobs) {
         const char *saved = std::getenv(name);

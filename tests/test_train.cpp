@@ -60,7 +60,7 @@ TEST(MacEngine, ModesAgreeOnBenignData)
 /**
  * matmulT converts each operand matrix once and walks contiguous rows;
  * every element must still be bit-equal to dot() over the same two
- * rows, in every mode and in both value-MAC bodies (the SSE2 body for
+ * rows, in every mode and in both value-MAC paths (the vector body for
  * the default 8-lane PE, the one-PE column for the other shapes).
  */
 TEST(MacEngine, MatmulTMatchesPerDotBitForBit)
@@ -118,6 +118,59 @@ TEST(MacEngine, MatmulTMatchesPerDotBitForBit)
                         << " maxDelta=" << cfg.maxDelta << " n=" << n
                         << " (" << i << ", " << j << ")";
         }
+    }
+}
+
+/**
+ * NativeFp32 runs one FP32 dot loop, which x86-64 builds run on the FMA
+ * instruction where the CPU has one. Either way, dot() and matmulT()
+ * must be bit-equal to the same loop on libm's fmaf (this file is built
+ * without -mfma, so std::fma here is a libm call), over signed-zero,
+ * subnormal, normal and near-overflow operands at lengths 0 to 100.
+ */
+TEST(MacEngine, Fp32DotMatchesLibmFma)
+{
+    Rng rng(4217);
+    // Row r draws from the first r + 2 of those classes, so that row
+    // pairs cover subnormal sums, normal ones and near-overflow ones.
+    const auto operand = [&rng](size_t r) {
+        const float sign = rng.bernoulli(0.5) ? -1.0f : 1.0f;
+        switch (rng.uniformInt(r + 2)) {
+          case 0:
+            return sign * 0.0f;
+          case 1:
+            return sign * std::numeric_limits<float>::denorm_min() *
+                   static_cast<float>(rng.uniformInt(1, (1 << 23) - 1));
+          default: // 2^-24 .. 2^0, or 2^125 .. FLT_MAX
+            return sign * std::ldexp(static_cast<float>(rng.uniform(1, 1.99)),
+                                     static_cast<int>(rng.bernoulli(0.5)
+                                         ? rng.uniformInt(-24, -1)
+                                         : rng.uniformInt(125, 127)));
+        }
+    };
+
+    const MacEngine eng(MacMode::NativeFp32);
+    for (size_t n = 0; n <= 100; ++n) {
+        Matrix a(3, n), bt(3, n);
+        for (size_t r = 0; r < 3; ++r)
+            for (size_t k = 0; k < n; ++k) {
+                a.at(r, k) = operand(r);
+                bt.at(r, k) = operand(r);
+            }
+        const Matrix c = eng.matmulT(a, bt);
+        for (size_t i = 0; i < a.rows(); ++i)
+            for (size_t j = 0; j < bt.rows(); ++j) {
+                float libm = 0.0f;
+                for (size_t k = 0; k < n; ++k)
+                    libm = std::fma(a.at(i, k), bt.at(j, k), libm);
+                const uint32_t want = std::bit_cast<uint32_t>(libm);
+                ASSERT_EQ(std::bit_cast<uint32_t>(c.at(i, j)), want)
+                    << "matmulT n=" << n << " (" << i << ", " << j << ")";
+                ASSERT_EQ(std::bit_cast<uint32_t>(
+                              eng.dot(a.row(i), bt.row(j), n)),
+                          want)
+                    << "dot n=" << n << " (" << i << ", " << j << ")";
+            }
     }
 }
 
