@@ -265,7 +265,8 @@ FPRakerColumn::stepCycle()
     // current here.
     if (!inSet_ || !liveMask_)
         return;
-    panic_if(--cyclesLeft_ < 0,
+    --cyclesLeft_;
+    panic_if(cyclesLeft_ < 0,
              "column of %d PEs x %d lanes still busy after %d cycles",
              numPes_, activeLanes_, cycleCap_);
     const uint32_t live = liveMask_;

@@ -55,11 +55,12 @@ FPRakerValueMac::FPRakerValueMac(const PeConfig &cfg)
       obThreshold_(cfg.effectiveObThreshold()), acc_(cfg.acc)
 {
     panic_if(maxDelta_ < 0, "negative shifter window");
-    // The vector body shifts 8-bit significands by up to maxDelta in
-    // 16-bit elements; eight of them sum in int16 up to a window of 4.
-    if (cfg.lanes == 8 && maxDelta_ <= 7) {
+    // The vector body shifts eight 8-bit significands by up to maxDelta
+    // and sums them in int16 elements, exact up to a window of 4.
+    constexpr int kVectorWindow = 4;
+    static_assert(8 * (255 << kVectorWindow) <= INT16_MAX);
+    if (cfg.lanes == 8 && maxDelta_ <= kVectorWindow) {
         queues_ = &TermQueues::of(cfg.encoding);
-        wideSum_ = 8 * (255 << maxDelta_) > INT16_MAX;
         return;
     }
     column_.emplace(cfg, 1);
@@ -172,7 +173,7 @@ FPRakerValueMac::processSet8(const BFloat16 *a, const BFloat16 *b)
         const int ref = (top >> 1) - maxDelta_;
         const Vec fire = q[0] > splat(2 * ref - 1);
         const Vec shift = (q[0] >> 1) - splat(ref);
-        Vec c = bSig; // b << shift, at most 255 << 7: fits int16.
+        Vec c = bSig; // b << shift, at most 255 << 4.
         if (maxDelta_ >= 1)
             c += c & bit<0>(shift);
         if (maxDelta_ >= 2)
@@ -181,8 +182,7 @@ FPRakerValueMac::processSet8(const BFloat16 *a, const BFloat16 *b)
             c = select(bit<2>(shift), c << 4, c);
         const Vec neg = bit<0>(q[0]);
         c = ((c ^ neg) - neg) & fire;
-        const int sum = wideSum_ ? sumElements(widen<0>(c) + widen<1>(c))
-                                 : sumElements(c);
+        const int sum = sumElements(c);
         if (sum != 0)
             reg.addValue(sum < 0, ref,
                          static_cast<uint64_t>(sum < 0 ? -sum : sum));

@@ -30,11 +30,11 @@
  * each lane's pending-term LSB, and both the window (largest LSB minus
  * maxDelta) and the out-of-bounds bound follow from it.
  *
- * Full 8-lane sets with maxDelta <= 7 (the paper's PE) run a vector
- * body that keeps every lane's remaining terms in 16-bit vectors,
- * written in the column's GCC vector extensions (pe/vec16.h). Any
- * other shape runs a one-PE FPRakerColumn instead, the model this MAC
- * reproduces. The vector body is integer-exact, and
+ * Full 8-lane sets with maxDelta <= 4 (the paper's PE has 3) run a
+ * vector body that keeps every lane's remaining terms in 16-bit
+ * vectors, written in the column's GCC vector extensions (pe/vec16.h),
+ * and sums each cycle's fired lanes in int16. Any other shape runs a
+ * one-PE FPRakerColumn instead, the model this MAC reproduces. The vector body is integer-exact, and
  * tests/test_fuzz_differential.cpp holds the MAC bit-equal to
  * FPRakerPe::processSet across encodings, every window the vector body
  * takes, thresholds, accumulator widths, chunk sizes and lane counts.
@@ -80,7 +80,6 @@ class FPRakerValueMac
 
     const TermQueues *queues_; //!< Set when the vector body applies.
     int maxDelta_;
-    bool wideSum_ = false; //!< A cycle's sum needs int32 (window > 4).
     bool skipOb_;
     int obThreshold_;
     ChunkedAccumulator acc_;              //!< The vector body's register.

@@ -104,15 +104,6 @@ sumElements(Vec x)
     return x[0];
 }
 
-/** The sum of @p x's elements. */
-inline int
-sumElements(Vec32 x)
-{
-    x += __builtin_shufflevector(x, x, 2, 3, 0, 1);
-    x += __builtin_shufflevector(x, x, 1, 0, 3, 2);
-    return x[0];
-}
-
 /** -1 in the elements of @p x with bit @p B set, else 0. */
 template <int B>
 Vec

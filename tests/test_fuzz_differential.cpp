@@ -437,7 +437,8 @@ valueCaseOperands(ValueCase vc, size_t n, Rng &rng,
           case ValueCase::AlignedLanes:
             // Lane 0's A, and its B's sign and exponent with a near-full
             // significand: every lane fires each term at the window's
-            // top shift, and 8 x (248 << 5) overflows int16.
+            // top shift. At window 4 the sums reach 8 x (255 << 4), the
+            // most int16 holds; at 5, 8 x (248 << 5) would overflow it.
             a[i] = i == 0 ? randomNormal(rng, -4, 4) : a[0];
             b[i] = i == 0 ? randomNormal(rng, -4, 4)
                           : BFloat16::fromBits(static_cast<uint16_t>(
@@ -496,8 +497,7 @@ TEST(ValueMac, MatchesCycleModelBitForBit)
         c.skipOutOfBounds = false;
         configs.emplace_back("no-ob-skip", c);
     }
-    // Windows 0-7 run the vector body (int16 sums up to 4, int32
-    // past it); 8 runs the one-PE column.
+    // Windows 0-4 run the vector body; 5-8 run the one-PE column.
     for (int delta = 0; delta <= 8; ++delta) {
         PeConfig c;
         c.maxDelta = delta;

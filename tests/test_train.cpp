@@ -3,6 +3,7 @@
  * Tests for the training-emulation framework (Fig. 17/21 substrate).
  */
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -127,35 +128,44 @@ TEST(MacEngine, MatmulTMatchesPerDotBitForBit)
  * must be bit-equal to the same loop on libm's fmaf (this file is built
  * without -mfma, so std::fma here is a libm call), over signed-zero,
  * subnormal, normal and near-overflow operands at lengths 0 to 100.
+ * Every expected sum is finite, so the check compares fused results up
+ * to the top binades rather than how infinities propagate.
  */
 TEST(MacEngine, Fp32DotMatchesLibmFma)
 {
     Rng rng(4217);
-    // Row r draws from the first r + 2 of those classes, so that row
-    // pairs cover subnormal sums, normal ones and near-overflow ones.
-    const auto operand = [&rng](size_t r) {
+    // Classes: 0 signed zero, 1 subnormal, 2 normal in 2^-24 .. 2^0,
+    // 3 near-overflow in 2^120 .. 2^121. Only a draws class 3, and a
+    // class-3 value times any other stays below 2^121, so a sum of up
+    // to 100 products stays below FLT_MAX.
+    const auto operand = [&rng](uint64_t classes) {
         const float sign = rng.bernoulli(0.5) ? -1.0f : 1.0f;
-        switch (rng.uniformInt(r + 2)) {
+        const float sig = static_cast<float>(rng.uniform(1, 1.99));
+        switch (rng.uniformInt(classes)) {
           case 0:
             return sign * 0.0f;
           case 1:
             return sign * std::numeric_limits<float>::denorm_min() *
                    static_cast<float>(rng.uniformInt(1, (1 << 23) - 1));
-          default: // 2^-24 .. 2^0, or 2^125 .. FLT_MAX
-            return sign * std::ldexp(static_cast<float>(rng.uniform(1, 1.99)),
-                                     static_cast<int>(rng.bernoulli(0.5)
-                                         ? rng.uniformInt(-24, -1)
-                                         : rng.uniformInt(125, 127)));
+          case 2:
+            return sign * std::ldexp(sig, static_cast<int>(
+                                              rng.uniformInt(-24, -1)));
+          default:
+            return sign * std::ldexp(sig, 120);
         }
     };
 
     const MacEngine eng(MacMode::NativeFp32);
+    float top = 0.0f; // The largest expected magnitude.
     for (size_t n = 0; n <= 100; ++n) {
+        // Row r draws from the first r + 2 classes, capped at 3 for bt,
+        // so that row pairs cover subnormal sums, normal ones and
+        // near-overflow ones.
         Matrix a(3, n), bt(3, n);
         for (size_t r = 0; r < 3; ++r)
             for (size_t k = 0; k < n; ++k) {
-                a.at(r, k) = operand(r);
-                bt.at(r, k) = operand(r);
+                a.at(r, k) = operand(r + 2);
+                bt.at(r, k) = operand(std::min<uint64_t>(r + 2, 3));
             }
         const Matrix c = eng.matmulT(a, bt);
         for (size_t i = 0; i < a.rows(); ++i)
@@ -163,6 +173,9 @@ TEST(MacEngine, Fp32DotMatchesLibmFma)
                 float libm = 0.0f;
                 for (size_t k = 0; k < n; ++k)
                     libm = std::fma(a.at(i, k), bt.at(j, k), libm);
+                ASSERT_TRUE(std::isfinite(libm))
+                    << "n=" << n << " (" << i << ", " << j << ")";
+                top = std::max(top, std::fabs(libm));
                 const uint32_t want = std::bit_cast<uint32_t>(libm);
                 ASSERT_EQ(std::bit_cast<uint32_t>(c.at(i, j)), want)
                     << "matmulT n=" << n << " (" << i << ", " << j << ")";
@@ -172,6 +185,8 @@ TEST(MacEngine, Fp32DotMatchesLibmFma)
                     << "dot n=" << n << " (" << i << ", " << j << ")";
             }
     }
+    // The near-overflow rows reach the top binades.
+    EXPECT_GE(top, 0x1p120f);
 }
 
 #if GTEST_HAS_DEATH_TEST
