@@ -34,10 +34,11 @@
  * vector body that keeps every lane's remaining terms in 16-bit
  * vectors, written in the column's GCC vector extensions (pe/vec16.h),
  * and sums each cycle's fired lanes in int16. Any other shape runs a
- * one-PE FPRakerColumn instead, the model this MAC reproduces. The vector body is integer-exact, and
- * tests/test_fuzz_differential.cpp holds the MAC bit-equal to
- * FPRakerPe::processSet across encodings, every window the vector body
- * takes, thresholds, accumulator widths, chunk sizes and lane counts.
+ * one-PE FPRakerColumn instead, the model this MAC reproduces. The
+ * vector body is integer-exact, and tests/test_fuzz_differential.cpp
+ * holds the MAC bit-equal to FPRakerPe::processSet across encodings,
+ * windows 0 to 8, thresholds, accumulator widths, chunk sizes and lane
+ * counts.
  */
 
 #ifndef FPRAKER_PE_VALUE_MAC_H

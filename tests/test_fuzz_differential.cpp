@@ -435,10 +435,9 @@ valueCaseOperands(ValueCase vc, size_t n, Rng &rng,
             break;
           }
           case ValueCase::AlignedLanes:
-            // Lane 0's A, and its B's sign and exponent with a near-full
-            // significand: every lane fires each term at the window's
-            // top shift. At window 4 the sums reach 8 x (255 << 4), the
-            // most int16 holds; at 5, 8 x (248 << 5) would overflow it.
+            // Lane 0's A, and its B's sign and exponent with near-full
+            // significands: all lanes fire each term at the window's top
+            // shift, so window 4 fills int16 and window 5 overflows it.
             a[i] = i == 0 ? randomNormal(rng, -4, 4) : a[0];
             b[i] = i == 0 ? randomNormal(rng, -4, 4)
                           : BFloat16::fromBits(static_cast<uint16_t>(

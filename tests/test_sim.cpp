@@ -863,7 +863,7 @@ TEST(TileParity, MatchesReferenceTileOverBursts)
 // raw (separator-free) FNV-1a stream over simulated values, so any
 // drift means the simulator's arithmetic changed: a deliberate change
 // updates the constants here and bumps the serve cache epoch. They
-// must hold on every SIMD tier, memo setting, and thread count.
+// must hold at every memo setting and thread count.
 
 constexpr uint64_t kGoldenSeed = 0xf9a4e5;
 constexpr size_t kGoldenBurst = 32; //!< Steps per output block.

@@ -3,7 +3,6 @@
  * Tests for the training-emulation framework (Fig. 17/21 substrate).
  */
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -123,21 +122,17 @@ TEST(MacEngine, MatmulTMatchesPerDotBitForBit)
 }
 
 /**
- * NativeFp32 runs one FP32 dot loop, which x86-64 builds run on the FMA
- * instruction where the CPU has one. Either way, dot() and matmulT()
- * must be bit-equal to the same loop on libm's fmaf (this file is built
- * without -mfma, so std::fma here is a libm call), over signed-zero,
- * subnormal, normal and near-overflow operands at lengths 0 to 100.
- * Every expected sum is finite, so the check compares fused results up
- * to the top binades rather than how infinities propagate.
+ * NativeFp32's one FP32 dot loop, on the FMA instruction where an x86-64
+ * CPU has one, must be bit-equal in dot() and matmulT() to the same loop
+ * on libm's fmaf (this file is built without -mfma) at lengths 0 to 100.
+ * Operands are signed zeros, subnormals, normals in 2^-24 .. 2^0 and, in
+ * a only, near-overflow values in 2^120 .. 2^121: products stay below
+ * 2^121 and sums finite, so the check compares fused sums in the top
+ * binades, not how infinities propagate.
  */
 TEST(MacEngine, Fp32DotMatchesLibmFma)
 {
     Rng rng(4217);
-    // Classes: 0 signed zero, 1 subnormal, 2 normal in 2^-24 .. 2^0,
-    // 3 near-overflow in 2^120 .. 2^121. Only a draws class 3, and a
-    // class-3 value times any other stays below 2^121, so a sum of up
-    // to 100 products stays below FLT_MAX.
     const auto operand = [&rng](uint64_t classes) {
         const float sign = rng.bernoulli(0.5) ? -1.0f : 1.0f;
         const float sig = static_cast<float>(rng.uniform(1, 1.99));
@@ -145,7 +140,7 @@ TEST(MacEngine, Fp32DotMatchesLibmFma)
           case 0:
             return sign * 0.0f;
           case 1:
-            return sign * std::numeric_limits<float>::denorm_min() *
+            return sign * 0x1p-149f *
                    static_cast<float>(rng.uniformInt(1, (1 << 23) - 1));
           case 2:
             return sign * std::ldexp(sig, static_cast<int>(
@@ -156,37 +151,32 @@ TEST(MacEngine, Fp32DotMatchesLibmFma)
     };
 
     const MacEngine eng(MacMode::NativeFp32);
-    float top = 0.0f; // The largest expected magnitude.
+    float top = 0.0f;
     for (size_t n = 0; n <= 100; ++n) {
-        // Row r draws from the first r + 2 classes, capped at 3 for bt,
-        // so that row pairs cover subnormal sums, normal ones and
-        // near-overflow ones.
+        // Row r draws from the first r + 2 classes above, bt's from 3 at most.
         Matrix a(3, n), bt(3, n);
         for (size_t r = 0; r < 3; ++r)
             for (size_t k = 0; k < n; ++k) {
                 a.at(r, k) = operand(r + 2);
-                bt.at(r, k) = operand(std::min<uint64_t>(r + 2, 3));
+                bt.at(r, k) = operand(r == 2 ? 3 : r + 2);
             }
         const Matrix c = eng.matmulT(a, bt);
-        for (size_t i = 0; i < a.rows(); ++i)
-            for (size_t j = 0; j < bt.rows(); ++j) {
+        for (size_t i = 0; i < 3; ++i)
+            for (size_t j = 0; j < 3; ++j) {
                 float libm = 0.0f;
                 for (size_t k = 0; k < n; ++k)
                     libm = std::fma(a.at(i, k), bt.at(j, k), libm);
-                ASSERT_TRUE(std::isfinite(libm))
-                    << "n=" << n << " (" << i << ", " << j << ")";
-                top = std::max(top, std::fabs(libm));
+                ASSERT_TRUE(std::isfinite(libm)) << "n=" << n;
+                top = std::fmax(top, std::fabs(libm));
                 const uint32_t want = std::bit_cast<uint32_t>(libm);
+                const float dot = eng.dot(a.row(i), bt.row(j), n);
                 ASSERT_EQ(std::bit_cast<uint32_t>(c.at(i, j)), want)
                     << "matmulT n=" << n << " (" << i << ", " << j << ")";
-                ASSERT_EQ(std::bit_cast<uint32_t>(
-                              eng.dot(a.row(i), bt.row(j), n)),
-                          want)
+                ASSERT_EQ(std::bit_cast<uint32_t>(dot), want)
                     << "dot n=" << n << " (" << i << ", " << j << ")";
             }
     }
-    // The near-overflow rows reach the top binades.
-    EXPECT_GE(top, 0x1p120f);
+    EXPECT_GE(top, 0x1p120f); // The near-overflow sums are reached.
 }
 
 #if GTEST_HAS_DEATH_TEST
