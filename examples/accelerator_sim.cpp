@@ -33,9 +33,10 @@ main(int argc, char **argv)
     const ModelInfo &model = findModel(model_name);
 
     // One variant, one job: the Session API's smallest sweep. The
-    // session resolves FPRAKER_SAMPLE_STEPS (fallback 96) and binds
-    // the variant to its shared engine.
-    api::Session session;
+    // engine's size comes from FPRAKER_THREADS, and the session
+    // resolves FPRAKER_SAMPLE_STEPS (fallback 96).
+    SimEngine engine;
+    api::Session session(engine);
     AcceleratorConfig cfg = AcceleratorConfig::paperDefault();
     cfg.sampleSteps = session.sampleSteps(96);
     const Accelerator &accel = session.withVariant("full", cfg);

@@ -25,11 +25,11 @@ using namespace fpraker;
 int
 main()
 {
-    // A Session owns the execution substrate: the shared worker pool,
-    // the sampling/thread knobs, and named accelerator variants. All
-    // results are bit-identical at any thread count.
-    api::Session session;
-    session.threads(2);
+    // The program owns the worker pool; a Session runs on it and owns
+    // the sampling knob and named accelerator variants. All results
+    // are bit-identical at any thread count.
+    SimEngine engine(2);
+    api::Session session(engine);
 
     // Register the paper's full FPRaker configuration (Table II) as a
     // named variant. sampleSteps(48) resolves the sampling budget:

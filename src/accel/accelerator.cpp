@@ -54,20 +54,8 @@ ModelRunReport::speedupForOp(TrainingOp op) const
 
 Accelerator::Accelerator(AcceleratorConfig cfg,
                          EnergyModelConfig energy_cfg)
-    : cfg_(cfg), energy_(energy_cfg),
-      ownedEngine_(std::make_unique<SimEngine>(cfg.threads)),
-      engine_(ownedEngine_.get()), tilePool_(cfg_.tile)
+    : cfg_(cfg), energy_(energy_cfg), tilePool_(cfg_.tile)
 {
-    panic_if(cfg_.fprTiles < 1 || cfg_.baselineTiles < 1,
-             "need at least one tile per machine");
-}
-
-Accelerator::Accelerator(AcceleratorConfig cfg,
-                         EnergyModelConfig energy_cfg, SimEngine *shared)
-    : cfg_(cfg), energy_(energy_cfg), engine_(shared),
-      tilePool_(cfg_.tile)
-{
-    panic_if(!shared, "borrowed engine must not be null");
     panic_if(cfg_.fprTiles < 1 || cfg_.baselineTiles < 1,
              "need at least one tile per machine");
 }
@@ -162,21 +150,10 @@ Accelerator::warmBdcCache(const ModelInfo &model, double progress) const
         cachedBdcFootprint(model, kind, progress);
 }
 
-LayerOpReport
-Accelerator::runLayerOp(const ModelInfo &model, const LayerShape &layer,
-                        TrainingOp op, double progress,
-                        const SlabSupply *supply) const
-{
-    return layerOpReport(
-        model, layer, op, progress,
-        runPhaseSample(model, layer, op, progress, phaseConfig(supply)));
-}
-
 PhaseRunConfig
 Accelerator::phaseConfig(const SlabSupply *supply) const
 {
     PhaseRunConfig prc = samplingOf(cfg_);
-    prc.engine = engine_;
     prc.pool = &tilePool_;
     prc.supply = supply;
     prc.memo = cfg_.memoize ? SimMemo::global() : nullptr;
@@ -337,27 +314,6 @@ Accelerator::reduceModel(const ModelInfo &model, double progress,
         report.ops.push_back(std::move(r));
     }
     return report;
-}
-
-ModelRunReport
-Accelerator::runModel(const ModelInfo &model, double progress) const
-{
-    // The (layer, op) units are independent: each seeds its own value
-    // streams and owns fresh tiles. Shard them across the engine, then
-    // reduce in layer/op order so the report is bit-identical for any
-    // thread count.
-    std::vector<LayerOpUnit> units = modelUnits(model);
-
-    // Pre-warm the BDC footprint cache so the parallel phase only
-    // reads it.
-    warmBdcCache(model, progress);
-
-    std::vector<LayerOpReport> results(units.size());
-    engine_->parallelFor(units.size(), [&](size_t i) {
-        results[i] =
-            runLayerOp(model, *units[i].layer, units[i].op, progress);
-    });
-    return reduceModel(model, progress, std::move(results));
 }
 
 } // namespace fpraker

@@ -18,7 +18,6 @@
 #define FPRAKER_ACCEL_ACCELERATOR_H
 
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -26,7 +25,6 @@
 #include "accel/config.h"
 #include "accel/phase_runner.h"
 #include "energy/energy_model.h"
-#include "sim/sim_engine.h"
 #include "sim/tile_pool.h"
 
 namespace fpraker {
@@ -124,7 +122,12 @@ struct LayerOpUnit
     TrainingOp op;
 };
 
-/** The iso-compute-area accelerator pair. */
+/**
+ * The iso-compute-area accelerator pair: its config, energy model,
+ * tile scratch pool and BDC cache. It runs nothing itself; a
+ * SweepRunner simulates its phase samples and hands them to
+ * layerOpReport.
+ */
 class Accelerator
 {
   public:
@@ -132,31 +135,13 @@ class Accelerator
                          EnergyModelConfig energy_cfg = {});
 
     /**
-     * Borrow @p shared as the simulation engine instead of owning one
-     * (the SweepRunner binds every accelerator of a sweep to a single
-     * engine this way; cfg.threads is ignored). @p shared must outlive
-     * the accelerator.
-     */
-    Accelerator(AcceleratorConfig cfg, EnergyModelConfig energy_cfg,
-                SimEngine *shared);
-
-    /**
-     * Simulate one (layer, op): layerOpReport over the phase sample
-     * of phaseConfig(@p supply). @p supply optionally overrides the
-     * operand source of the sampled phase (trace-backed workload
-     * ingestion, src/workload/supply.h); null synthesizes from the
-     * model's value profiles as always.
-     */
-    LayerOpReport runLayerOp(const ModelInfo &model,
-                             const LayerShape &layer, TrainingOp op,
-                             double progress,
-                             const SlabSupply *supply = nullptr) const;
-
-    /**
      * The FPRaker tile's phase-sample config: samplingOf(config()),
-     * this accelerator's engine and scratch pool, the burst memo when
-     * memoize is set, and @p supply. A sweep runs the configs of many
-     * accelerators as one phase group (runPhaseSamples).
+     * this accelerator's scratch pool, the burst memo when memoize is
+     * set, and @p supply (a trace-backed operand source,
+     * src/workload/supply.h; null synthesizes from the model's value
+     * profiles). It names no engine: a SweepRunner runs the configs
+     * of many accelerators as one phase group on its own engine
+     * (runPhaseSamples).
      */
     PhaseRunConfig phaseConfig(const SlabSupply *supply = nullptr) const;
 
@@ -178,15 +163,6 @@ class Accelerator
                                 const PhaseRunResult &sample) const;
 
     /**
-     * Simulate a whole model (all layers, all three ops). The
-     * independent (layer, op) units shard across the engine; reports
-     * are reduced in layer/op order, so the result is bit-identical
-     * for any thread count.
-     */
-    ModelRunReport runModel(const ModelInfo &model,
-                            double progress = 0.5) const;
-
-    /**
      * The (layer, op) units of a model run, in report order. A sweep
      * scheduler fans these out itself (across many models/configs at
      * once) and rebuilds each report with reduceModel.
@@ -194,7 +170,7 @@ class Accelerator
     static std::vector<LayerOpUnit> modelUnits(const ModelInfo &model);
 
     /**
-     * Reduce per-unit reports — results[i] from runLayerOp on
+     * Reduce per-unit reports — results[i] the layerOpReport of
      * modelUnits(model)[i] — into the whole-model report, in unit
      * order (the serial reduction that keeps runs bit-identical).
      */
@@ -205,8 +181,8 @@ class Accelerator
     /**
      * Pre-warm the BDC footprint cache for every tensor kind a model
      * run at @p progress will touch, so a subsequent parallel fan-out
-     * only reads it. runModel does this itself; external schedulers
-     * must call it before fanning out runLayerOp units.
+     * only reads it. A SweepRunner warms every job's accelerator
+     * before it fans out their phase groups.
      */
     void warmBdcCache(const ModelInfo &model, double progress) const;
 
@@ -219,8 +195,6 @@ class Accelerator
 
     AcceleratorConfig cfg_;
     EnergyModel energy_;
-    std::unique_ptr<SimEngine> ownedEngine_;
-    SimEngine *engine_ = nullptr; //!< ownedEngine_.get() or borrowed.
     /** Shared per-burst scratch pool for this config's phase samples
      *  (thread-safe; reuse is bit-identical to fresh construction). */
     mutable TilePool tilePool_;

@@ -74,21 +74,13 @@ struct AcceleratorConfig
     uint64_t seed = 0xf9a4e5;
 
     /**
-     * Burst memoization (sim/sim_memo.h): runLayerOp hands its phase
-     * samples SimMemo::global(), so a generator-backed burst already
-     * simulated under the same plan is served from it. Results are
-     * bit-identical either way (FPRAKER_MEMO=off proves it); false
-     * simulates every burst, e.g. for timing comparisons.
+     * Burst memoization (sim/sim_memo.h): phaseConfig hands this
+     * machine's phase samples SimMemo::global(), so a generator-backed
+     * burst already simulated under the same plan is served from it.
+     * Results are bit-identical either way (FPRAKER_MEMO=off proves
+     * it); false simulates every burst, e.g. for timing comparisons.
      */
     bool memoize = true;
-
-    /**
-     * Simulation worker threads: the independent (layer, op) jobs of a
-     * model run — and the bursts inside each phase sample — shard
-     * across a SimEngine of this size. Results are bit-identical
-     * for any value. 0 defers to FPRAKER_THREADS (default serial).
-     */
-    int threads = 0;
 
     /** Paper Table II values. */
     static AcceleratorConfig paperDefault();

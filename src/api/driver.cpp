@@ -5,6 +5,7 @@
 #include <cstring>
 #include <filesystem>
 
+#include "common/logging.h"
 #include "common/parse.h"
 #include "numeric/slab_ops.h"
 #include "obs/metrics.h"
@@ -75,6 +76,38 @@ printUsage(FILE *to, const char *prog)
         prog);
 }
 
+/**
+ * Make sure a run's documents have somewhere to go before any
+ * experiment runs: create --json-dir, and require --json's directory
+ * to exist. On failure say why on stderr and return false.
+ */
+bool
+prepareOutputs(const char *prog, const CliOptions &opts)
+{
+    namespace fs = std::filesystem;
+    std::error_code ec;
+    if (!opts.jsonDir.empty()) {
+        fs::create_directories(opts.jsonDir, ec);
+        if (ec || !fs::is_directory(opts.jsonDir, ec)) {
+            std::fprintf(stderr, "%s: cannot create --json-dir %s: %s\n",
+                         prog, opts.jsonDir.c_str(),
+                         ec ? ec.message().c_str() : "not a directory");
+            return false;
+        }
+    }
+    if (!opts.json.empty()) {
+        const fs::path dir = fs::path(opts.json).parent_path();
+        if (!dir.empty() && !fs::is_directory(dir, ec)) {
+            std::fprintf(stderr,
+                         "%s: --json directory %s is missing or not a "
+                         "directory\n",
+                         prog, dir.c_str());
+            return false;
+        }
+    }
+    return true;
+}
+
 } // namespace
 
 bool
@@ -98,8 +131,16 @@ parseCliArgs(int argc, char **argv, int first, bool allow_positionals,
                 return false;
             }
         } else if (std::strncmp(arg, "--json=", 7) == 0) {
+            if (!arg[7]) {
+                *error = "--json requires a file path";
+                return false;
+            }
             opts->json = arg + 7;
         } else if (std::strncmp(arg, "--json-dir=", 11) == 0) {
+            if (!arg[11]) {
+                *error = "--json-dir requires a directory path";
+                return false;
+            }
             opts->jsonDir = arg + 11;
         } else if (std::strncmp(arg, "--trace-out=", 12) == 0) {
             if (!arg[12]) {
@@ -140,13 +181,10 @@ parseCliArgs(int argc, char **argv, int first, bool allow_positionals,
 
 Result
 produceResult(const ExperimentInfo &info, const CliOptions &opts,
-              SimEngine *shared)
+              SimEngine *engine)
 {
-    Session session;
-    if (shared)
-        session.shareEngine(shared);
-    else if (opts.threads > 0)
-        session.threads(opts.threads);
+    panic_if(!engine, "produceResult needs the caller's engine");
+    Session session(*engine);
     if (opts.sampleSteps > 0)
         session.overrideSampleSteps(opts.sampleSteps);
     for (const auto &[key, value] : opts.extras)
@@ -173,34 +211,6 @@ produceResult(const ExperimentInfo &info, const CliOptions &opts,
         result.hasTelemetry = true;
     }
     return result;
-}
-
-ExperimentOutcome
-runExperimentBuffered(const ExperimentInfo &info, const CliOptions &opts,
-                      SimEngine *shared)
-{
-    Result result = produceResult(info, opts, shared);
-
-    ExperimentOutcome out;
-    out.text = ReportWriter::renderText(result);
-    if (!opts.json.empty())
-        ReportWriter::writeJson(result, opts.json);
-    if (!opts.jsonDir.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(opts.jsonDir, ec);
-        ReportWriter::writeJson(result,
-                                opts.jsonDir + "/" + info.id + ".json");
-    }
-    out.status = result.ok ? 0 : 1;
-    return out;
-}
-
-int
-runExperiment(const ExperimentInfo &info, const CliOptions &opts)
-{
-    ExperimentOutcome out = runExperimentBuffered(info, opts, nullptr);
-    std::fputs(out.text.c_str(), stdout);
-    return out.status;
 }
 
 int
@@ -286,56 +296,46 @@ cliMain(int argc, char **argv)
             return 2;
         }
 
+        if (!prepareOutputs(prog, opts))
+            return 1;
+
         // Enable span collection before any experiment runs; the
         // merged file is written once, after the last one finishes.
         if (!opts.traceOut.empty())
             obs::TraceCollector::instance().enable();
-        auto write_trace = [&]() {
-            if (opts.traceOut.empty())
-                return;
-            if (!obs::TraceCollector::instance().writeTo(
-                    opts.traceOut))
-                std::fprintf(stderr, "%s: cannot write trace to %s\n",
-                             prog, opts.traceOut.c_str());
-            else
-                std::printf("wrote %s\n", opts.traceOut.c_str());
-        };
 
-        if (opts.all) {
-            // Independent experiments shard across ONE shared engine
-            // (each session borrows it; inner fan-outs re-enter it).
-            // Reports buffer per experiment and print in registry
-            // order, so stdout matches a serial sweep (up to
-            // wall-clock readings) and each document's fingerprint
-            // matches a serial run exactly.
-            SimEngine engine(opts.threads);
-            if (!opts.jsonDir.empty()) {
-                std::error_code ec;
-                std::filesystem::create_directories(opts.jsonDir, ec);
-            }
-            std::vector<ExperimentOutcome> outcomes(todo.size());
-            engine.parallelFor(todo.size(), [&](size_t i) {
-                outcomes[i] =
-                    runExperimentBuffered(*todo[i], opts, &engine);
-            });
-            int status = 0;
-            for (size_t i = 0; i < outcomes.size(); ++i) {
-                if (i)
-                    std::printf("\n");
-                std::fputs(outcomes[i].text.c_str(), stdout);
-                status |= outcomes[i].status;
-            }
-            write_trace();
-            return status;
-        }
-
+        // The experiments shard across ONE engine: each session
+        // borrows it, and their inner fan-outs re-enter it. Reports
+        // buffer per experiment and print in the order given, so
+        // stdout matches a serial run (up to wall-clock readings) and
+        // every fingerprint is the same at any thread count.
+        SimEngine engine(opts.threads);
+        std::vector<std::string> texts(todo.size());
+        std::vector<int> failed(todo.size(), 0);
+        engine.parallelFor(todo.size(), [&](size_t i) {
+            Result result = produceResult(*todo[i], opts, &engine);
+            texts[i] = ReportWriter::renderText(result);
+            if (!opts.json.empty())
+                ReportWriter::writeJson(result, opts.json);
+            if (!opts.jsonDir.empty())
+                ReportWriter::writeJson(
+                    result, opts.jsonDir + "/" + todo[i]->id + ".json");
+            failed[i] = result.ok ? 0 : 1;
+        });
         int status = 0;
         for (size_t i = 0; i < todo.size(); ++i) {
             if (i)
                 std::printf("\n");
-            status |= runExperiment(*todo[i], opts);
+            std::fputs(texts[i].c_str(), stdout);
+            status |= failed[i];
         }
-        write_trace();
+        if (!opts.traceOut.empty()) {
+            if (!obs::TraceCollector::instance().writeTo(opts.traceOut))
+                std::fprintf(stderr, "%s: cannot write trace to %s\n",
+                             prog, opts.traceOut.c_str());
+            else
+                std::printf("wrote %s\n", opts.traceOut.c_str());
+        }
         return status;
     }
 

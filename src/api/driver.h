@@ -3,10 +3,12 @@
  * The experiment CLI driver behind `fpraker list` / `fpraker run`,
  * shared with the serve layer's `submit` and JobScheduler.
  *
- * Flag parsing is strict: unknown --flags and out-of-range values
- * (e.g. --threads=0) print usage to stderr and exit with status 2.
- * Exit status 1 means an experiment ran but failed one of its own
- * gates (a determinism check); 0 is success.
+ * Flag parsing is strict: unknown --flags, out-of-range values
+ * (e.g. --threads=0) and empty paths (--json=) print usage to stderr
+ * and exit with status 2. Exit status 1 means an experiment ran but
+ * failed one of its own gates (a determinism check), or, before any
+ * experiment runs, that --json-dir cannot be created or --json's
+ * directory does not exist; 0 is success.
  */
 
 #ifndef FPRAKER_API_DRIVER_H
@@ -49,41 +51,16 @@ bool parseCliArgs(int argc, char **argv, int first,
                   std::string *error);
 
 /**
- * Run one registered experiment under a fresh Session configured from
- * @p opts and return the finished Result (identity and provenance
- * filled), without rendering or writing anything. This is the
- * execution core shared by the CLI paths below and the serve layer's
- * JobScheduler (src/serve/scheduler.h). When @p shared is non-null
- * the session borrows it as its worker pool and opts.threads is
- * ignored.
+ * Run one registered experiment under a fresh Session on @p engine,
+ * configured from @p opts, and return the finished Result (identity
+ * and provenance filled), without rendering or writing anything. This
+ * is the execution core shared by `fpraker run` and the serve layer's
+ * JobScheduler (src/serve/scheduler.h). The entry point owns the
+ * engine: opts.threads sizes nothing here, and a null @p engine
+ * panics.
  */
 Result produceResult(const ExperimentInfo &info, const CliOptions &opts,
-                     SimEngine *shared);
-
-/** Buffered outcome of one experiment run. */
-struct ExperimentOutcome
-{
-    int status = 0;   //!< Process exit status contribution (0 or 1).
-    std::string text; //!< Rendered text report.
-};
-
-/**
- * Run one registered experiment under a fresh Session configured from
- * @p opts, returning the rendered report instead of printing it (so
- * `run --all` can execute experiments concurrently and still emit
- * ordered output). When @p shared is non-null the session borrows it
- * as its worker pool. JSON documents are still written here.
- */
-ExperimentOutcome runExperimentBuffered(const ExperimentInfo &info,
-                                        const CliOptions &opts,
-                                        SimEngine *shared);
-
-/**
- * Run one registered experiment under a fresh Session configured from
- * @p opts, print its text report, and (optionally) write its JSON
- * document. Returns the process exit status contribution (0 or 1).
- */
-int runExperiment(const ExperimentInfo &info, const CliOptions &opts);
+                     SimEngine *engine);
 
 /** Entry point for the `fpraker` multiplexer (list / run). */
 int cliMain(int argc, char **argv);

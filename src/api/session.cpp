@@ -37,26 +37,6 @@ zooJobs(const std::vector<const Accelerator *> &variants, double progress)
 }
 
 Session &
-Session::threads(int n)
-{
-    panic_if(runner_ != nullptr,
-             "Session::threads must be set before the runner is used");
-    panic_if(n < 1, "Session::threads requires n >= 1 (got %d)", n);
-    requestedThreads_ = n;
-    return *this;
-}
-
-Session &
-Session::shareEngine(SimEngine *engine)
-{
-    panic_if(runner_ != nullptr, "Session::shareEngine must be set "
-                                 "before the runner is used");
-    panic_if(!engine, "shared engine must not be null");
-    sharedEngine_ = engine;
-    return *this;
-}
-
-Session &
 Session::overrideSampleSteps(int n)
 {
     panic_if(n < 1,
@@ -71,12 +51,6 @@ Session::progress(double p)
 {
     progress_ = p;
     return *this;
-}
-
-int
-Session::threadCount()
-{
-    return runner().threads();
 }
 
 int
@@ -212,7 +186,7 @@ Session::withVariant(const std::string &name,
 {
     panic_if(variants_.count(name),
              "variant '%s' registered twice", name.c_str());
-    const Accelerator &accel = runner().addAccelerator(cfg, ecfg);
+    const Accelerator &accel = accels_.emplace_back(cfg, ecfg);
     variantNames_.push_back(name);
     variants_[name] = &accel;
     variantDescs_.push_back(name + ": " + describeConfig(cfg));
@@ -234,32 +208,22 @@ Session::hasVariant(const std::string &name) const
     return variants_.count(name) != 0;
 }
 
-SweepRunner &
-Session::runner()
-{
-    if (!runner_)
-        runner_ = sharedEngine_
-                      ? std::make_unique<SweepRunner>(sharedEngine_)
-                      : std::make_unique<SweepRunner>(requestedThreads_);
-    return *runner_;
-}
-
 std::vector<ModelRunReport>
 Session::runModels(const std::vector<SweepJob> &jobs)
 {
-    return runner().runModels(jobs);
+    return runner_.runModels(jobs);
 }
 
 std::vector<LayerOpReport>
 Session::runLayerOps(const std::vector<SweepLayerJob> &jobs)
 {
-    return runner().runLayerOps(jobs);
+    return runner_.runLayerOps(jobs);
 }
 
 void
 Session::parallelFor(size_t n, const std::function<void(size_t)> &fn)
 {
-    runner().parallelFor(n, fn);
+    runner_.parallelFor(n, fn);
 }
 
 std::vector<SweepJob>

@@ -2,23 +2,21 @@
  * @file
  * Session: the public entry point for running simulations.
  *
- * A Session owns the execution substrate of one experiment run — the
- * shared SimEngine/SweepRunner, the thread and sample-step knobs that
- * the legacy bench_common.h helpers used to read ad hoc, and a set of
- * *named* accelerator variants ("full", "zero+bdc", ...). Experiments
- * receive a configured Session from the driver, register the variants
- * they need, and submit jobs; the Session tracks enough provenance
- * (variant configs, digests, resolved knobs) for the Result document.
- *
- * The fluent knob setters must run before the first variant is added
- * or job is run (the runner materializes lazily on first use).
+ * A Session is one experiment run on the engine its entry point owns:
+ * a SweepRunner over that engine, the sample-step knob and options
+ * that the legacy bench_common.h helpers used to read ad hoc, and a
+ * set of *named* accelerator variants ("full", "zero+bdc", ...).
+ * Experiments receive a configured Session from the driver, register
+ * the variants they need, and submit jobs; the Session tracks enough
+ * provenance (variant configs, digests, resolved knobs) for the
+ * Result document.
  */
 
 #ifndef FPRAKER_API_SESSION_H
 #define FPRAKER_API_SESSION_H
 
+#include <deque>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -52,24 +50,15 @@ zooJobs(const std::vector<const Accelerator *> &variants,
 class Session
 {
   public:
-    Session() = default;
+    /**
+     * Run on @p engine, which must outlive the session. Sessions of
+     * concurrent experiments may share one engine.
+     */
+    explicit Session(SimEngine &engine) : runner_(engine) {}
     Session(const Session &) = delete;
     Session &operator=(const Session &) = delete;
 
     // ------------------------------------------------------ knobs
-    /**
-     * Worker threads (>= 1). Unset defers to FPRAKER_THREADS, then
-     * serial. Must be called before the runner materializes.
-     */
-    Session &threads(int n);
-    /**
-     * Borrow @p engine as the session's worker pool instead of owning
-     * one (how `fpraker run --all` drives many experiments through a
-     * single pool). The shared engine always provides the pool, even
-     * when threads() is also set. Must be set before the runner
-     * materializes; @p engine must outlive the session.
-     */
-    Session &shareEngine(SimEngine *engine);
     /**
      * Explicit sample-step budget; overrides both the
      * FPRAKER_SAMPLE_STEPS environment variable and the experiment's
@@ -79,8 +68,8 @@ class Session
     /** Default training-progress point for zooJobs(). */
     Session &progress(double p);
 
-    /** Resolved worker count (materializes the runner). */
-    int threadCount();
+    /** The engine's worker count. */
+    int threadCount() const { return runner_.threads(); }
 
     /**
      * Sampling budget: explicit sampleSteps(n) wins, then the
@@ -113,9 +102,9 @@ class Session
 
     // --------------------------------------------------- variants
     /**
-     * Build an accelerator variant named @p name, bound to the shared
-     * engine and kept alive for the session's lifetime. Names must be
-     * unique; the returned reference is stable.
+     * Build an accelerator variant named @p name, kept alive for the
+     * session's lifetime. Names must be unique; the returned
+     * reference is stable.
      */
     const Accelerator &withVariant(const std::string &name,
                                    const AcceleratorConfig &cfg,
@@ -130,8 +119,6 @@ class Session
     }
 
     // -------------------------------------------------- execution
-    /** The shared sweep runner (materializes on first use). */
-    SweepRunner &runner();
     std::vector<ModelRunReport>
     runModels(const std::vector<SweepJob> &jobs);
     std::vector<LayerOpReport>
@@ -151,14 +138,13 @@ class Session
     std::string configDigest() const;
 
   private:
-    int requestedThreads_ = 0;
-    SimEngine *sharedEngine_ = nullptr;
+    SweepRunner runner_;
     int requestedSampleSteps_ = 0;
     int lastSampleSteps_ = 0;
     double progress_ = kDefaultProgress;
     std::map<std::string, std::string> options_;
 
-    std::unique_ptr<SweepRunner> runner_;
+    std::deque<Accelerator> accels_; //!< Stable addresses.
     std::vector<std::string> variantNames_;
     std::map<std::string, const Accelerator *> variants_;
     std::vector<std::string> variantDescs_;

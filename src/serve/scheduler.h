@@ -3,11 +3,11 @@
  * JobScheduler: the persistent execution core of the serving layer.
  *
  * One scheduler owns ONE long-lived SimEngine (the warmed worker pool
- * every job shares — the same Session::shareEngine path `fpraker run
- * --all` uses), a ResultCache, and a small team of scheduler workers
- * that drain a priority queue of JobSpecs. Per job the worker builds
- * a fresh Session borrowing the engine, runs the registered
- * experiment through api::produceResult, renders the canonical
+ * every job shares, as one engine serves every experiment of
+ * `fpraker run`), a ResultCache, and a small team of scheduler
+ * workers that drain a priority queue of JobSpecs. Per job the worker
+ * runs the registered experiment through api::produceResult, whose
+ * fresh Session borrows the engine, renders the canonical
  * fpraker-result-v1 document, and admits it to the cache — so
  * served fingerprints are bit-identical to `fpraker run <id>` at any
  * engine thread count or worker count (the existing serial==parallel

@@ -55,18 +55,6 @@ flagError(const char *prog, const std::string &message)
     return 2;
 }
 
-bool
-connectOrFail(ServeClient *client, const std::string &socket,
-              const char *prog)
-{
-    std::string error;
-    if (!client->connectTo(socket, &error)) {
-        std::fprintf(stderr, "%s: %s\n", prog, error.c_str());
-        return false;
-    }
-    return true;
-}
-
 /** True when @p resp carries ok=true; otherwise print the daemon's
  *  error and return false. */
 bool
@@ -79,6 +67,25 @@ responseOk(const char *prog, const api::JsonValue &resp)
     std::fprintf(stderr, "%s: daemon error: %s\n", prog,
                  msg ? msg->str().c_str() : "unknown");
     return false;
+}
+
+/**
+ * One round trip of a query command: connect to @p socket, send
+ * @p request, and require ok=true in *@p response. A transport or
+ * daemon error is printed, and false returned.
+ */
+bool
+ask(const char *prog, const std::string &socket,
+    const api::JsonValue &request, api::JsonValue *response)
+{
+    ServeClient client;
+    std::string error;
+    if (!client.connectTo(socket, &error) ||
+        !client.request(request, response, &error)) {
+        std::fprintf(stderr, "%s: %s\n", prog, error.c_str());
+        return false;
+    }
+    return responseOk(prog, *response);
 }
 
 /**
@@ -344,6 +351,10 @@ parseJobArgs(int argc, char **argv, int first, bool allow_json,
         if (std::strncmp(arg, "--socket=", 9) == 0) {
             *socket = arg + 9;
         } else if (allow_json && std::strncmp(arg, "--json=", 7) == 0) {
+            if (!arg[7]) {
+                flagError(prog, "--json requires a file path");
+                return false;
+            }
             *jsonPath = arg + 7;
         } else if (arg[0] != '-' && !have_job) {
             if (!parsePositive(arg, ~0ull >> 1, job)) {
@@ -373,19 +384,11 @@ statusMain(int argc, char **argv, int first)
                       &socket, &unused, &job, prog))
         return usage(prog, "status <job> [--socket=PATH]");
 
-    ServeClient client;
-    if (!connectOrFail(&client, socket, prog))
-        return 1;
     api::JsonValue req = api::JsonValue::object();
     req.set("op", "status");
     req.set("job", static_cast<int64_t>(job));
     api::JsonValue resp;
-    std::string error;
-    if (!client.request(req, &resp, &error)) {
-        std::fprintf(stderr, "%s: %s\n", prog, error.c_str());
-        return 1;
-    }
-    if (!responseOk(prog, resp))
+    if (!ask(prog, socket, req, &resp))
         return 1;
     const api::JsonValue *status = resp.find("status");
     std::printf("job=%llu status=%s\n",
@@ -405,19 +408,11 @@ resultMain(int argc, char **argv, int first)
         return usage(prog,
                      "result <job> [--socket=PATH] [--json=FILE]");
 
-    ServeClient client;
-    if (!connectOrFail(&client, socket, prog))
-        return 1;
     api::JsonValue req = api::JsonValue::object();
     req.set("op", "result");
     req.set("job", static_cast<int64_t>(job));
     api::JsonValue resp;
-    std::string error;
-    if (!client.request(req, &resp, &error)) {
-        std::fprintf(stderr, "%s: %s\n", prog, error.c_str());
-        return 1;
-    }
-    if (!responseOk(prog, resp))
+    if (!ask(prog, socket, req, &resp))
         return 1;
     return printCompleted(prog, "job " + std::to_string(job), resp,
                           jsonPath);
@@ -456,18 +451,10 @@ statsMain(int argc, char **argv, int first)
         else
             return usage(prog, "stats [--socket=PATH] [--json]");
     }
-    ServeClient client;
-    if (!connectOrFail(&client, socket, prog))
-        return 1;
     api::JsonValue req = api::JsonValue::object();
     req.set("op", "stats");
     api::JsonValue resp;
-    std::string error;
-    if (!client.request(req, &resp, &error)) {
-        std::fprintf(stderr, "%s: %s\n", prog, error.c_str());
-        return 1;
-    }
-    if (!responseOk(prog, resp))
+    if (!ask(prog, socket, req, &resp))
         return 1;
     // Shape check before rendering: a reply that parses as JSON but
     // lost a section is a daemon bug, not something to print around.
@@ -515,20 +502,12 @@ metricsMain(int argc, char **argv, int first)
         else
             return usage(prog, "metrics [--socket=PATH] [--prom]");
     }
-    ServeClient client;
-    if (!connectOrFail(&client, socket, prog))
-        return 1;
     api::JsonValue req = api::JsonValue::object();
     req.set("op", "metrics");
     if (prom)
         req.set("format", "prom");
     api::JsonValue resp;
-    std::string error;
-    if (!client.request(req, &resp, &error)) {
-        std::fprintf(stderr, "%s: %s\n", prog, error.c_str());
-        return 1;
-    }
-    if (!responseOk(prog, resp))
+    if (!ask(prog, socket, req, &resp))
         return 1;
     const char *want = prom ? "text" : "metrics";
     const api::JsonValue *payload = resp.find(want);
@@ -557,24 +536,11 @@ shutdownMain(int argc, char **argv, int first)
         else
             return usage(prog, "shutdown [--socket=PATH]");
     }
-    ServeClient client;
-    if (!connectOrFail(&client, socket, prog))
-        return 1;
     api::JsonValue req = api::JsonValue::object();
     req.set("op", "shutdown");
     api::JsonValue resp;
-    std::string error;
-    if (!client.request(req, &resp, &error)) {
-        std::fprintf(stderr, "%s: %s\n", prog, error.c_str());
+    if (!ask(prog, socket, req, &resp))
         return 1;
-    }
-    const api::JsonValue *ok = resp.find("ok");
-    if (!ok || !ok->boolean()) {
-        const api::JsonValue *msg = resp.find("error");
-        std::fprintf(stderr, "%s: daemon error: %s\n", prog,
-                     msg ? msg->str().c_str() : "unknown");
-        return 1;
-    }
     std::printf("daemon stopping\n");
     return 0;
 }

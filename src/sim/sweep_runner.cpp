@@ -60,29 +60,6 @@ warmBdcCaches(SimEngine &engine, const std::vector<Job> &jobs)
     });
 }
 
-SweepRunner::SweepRunner(int threads)
-    : ownedEngine_(std::make_unique<SimEngine>(threads)),
-      engine_(ownedEngine_.get())
-{
-}
-
-SweepRunner::SweepRunner(SimEngine *shared)
-    : engine_(shared)
-{
-    panic_if(!shared, "borrowed engine must not be null");
-}
-
-SweepRunner::~SweepRunner() = default;
-
-const Accelerator &
-SweepRunner::addAccelerator(const AcceleratorConfig &cfg,
-                            const EnergyModelConfig &ecfg)
-{
-    accels_.push_back(
-        std::make_unique<Accelerator>(cfg, ecfg, engine_));
-    return *accels_.back();
-}
-
 std::vector<ModelRunReport>
 SweepRunner::runModels(const std::vector<SweepJob> &jobs)
 {
@@ -124,7 +101,7 @@ SweepRunner::runLayerOps(const std::vector<SweepLayerJob> &jobs)
     for (const SweepLayerJob &job : jobs)
         panic_if(!job.accel || !job.model || !job.layer,
                  "incomplete sweep layer job");
-    warmBdcCaches(*engine_, jobs);
+    warmBdcCaches(engine_, jobs);
 
     // One group per (model, layer, op, supply), in order of first
     // appearance: every job that samples that phase from one operand
@@ -146,7 +123,7 @@ SweepRunner::runLayerOps(const std::vector<SweepLayerJob> &jobs)
     }
 
     std::vector<LayerOpReport> results(jobs.size());
-    engine_->parallelFor(groups.size(), [&](size_t g) {
+    engine_.parallelFor(groups.size(), [&](size_t g) {
         const std::vector<size_t> &group = groups[g];
         const SweepLayerJob &lead = jobs[group.front()];
         obs::TraceSpan span(
@@ -160,7 +137,7 @@ SweepRunner::runLayerOps(const std::vector<SweepLayerJob> &jobs)
             machines.push_back(PhaseMachine{
                 jobs[i].accel->phaseConfig(jobs[i].supply),
                 jobs[i].progress});
-            machines.back().cfg.engine = engine_;
+            machines.back().cfg.engine = &engine_;
         }
         std::vector<PhaseRunResult> samples = runPhaseSamples(
             *lead.model, *lead.layer, lead.op, machines);
@@ -176,7 +153,7 @@ SweepRunner::runLayerOps(const std::vector<SweepLayerJob> &jobs)
 void
 SweepRunner::parallelFor(size_t n, const std::function<void(size_t)> &fn)
 {
-    engine_->parallelFor(n, fn);
+    engine_.parallelFor(n, fn);
 }
 
 } // namespace fpraker

@@ -3,14 +3,13 @@
  * Whole-sweep scheduling: one engine for every (model, config, phase)
  * job of an evaluation.
  *
- * PR 1 parallelized a single (layer, op) unit and a single model run;
- * the figure/table harnesses still walked the model zoo and config
- * grid serially, so a sweep's wall-clock was the sum of its model
- * runs. SweepRunner lifts the shard grain to the whole evaluation:
+ * SweepRunner is the one thing that drives simulations. An
+ * Accelerator (accel/accelerator.h) only models the machine; a runner
+ * shards the jobs of a whole evaluation across one engine:
  *
- *  - every accelerator variant of a sweep is bound to ONE shared
- *    SimEngine (addAccelerator), so workers drain a single queue
- *    instead of each model run spinning up its own pool;
+ *  - the runner borrows the engine its entry point owns (`fpraker
+ *    run` and fprakerd's scheduler each make one per process), so
+ *    every experiment and every sweep drains a single worker queue;
  *  - runLayerOps shards phase groups: one group per (model, layer,
  *    op, supply), holding every job that samples that phase whatever
  *    its accelerator or progress point. A group runs burst by burst
@@ -29,9 +28,9 @@
  * burst seeds RNG substreams by burst index (trace/rng_stream.h), so
  * a shared slab holds exactly the bytes each machine would have
  * filled alone. Reports are therefore bit-identical at any thread
- * count, and to each job run alone through Accelerator::runLayerOp.
+ * count, and to each job run alone as a one-job sweep.
  *
- * Memoization: every accelerator a runner builds hands its phase
+ * Memoization: every accelerator with memoize set hands its phase
  * samples the process-wide SimMemo::global(), so a job that
  * re-simulates a burst of an identical (tile context, plan) phase —
  * a later sweep or `fpraker run --all` experiment over the same zoo,
@@ -48,7 +47,6 @@
 #ifndef FPRAKER_SIM_SWEEP_RUNNER_H
 #define FPRAKER_SIM_SWEEP_RUNNER_H
 
-#include <memory>
 #include <vector>
 
 #include "accel/accelerator.h"
@@ -76,38 +74,21 @@ struct SweepLayerJob
     const SlabSupply *supply = nullptr;
 };
 
-/** Shards an entire evaluation sweep across one shared engine. */
+/** Shards an entire evaluation sweep across one borrowed engine. */
 class SweepRunner
 {
   public:
-    /** @param threads worker count; 1 = serial, 0 = defaultThreads(). */
-    explicit SweepRunner(int threads = 0);
-
     /**
-     * Borrow @p shared as the engine instead of owning one. This is
-     * how `fpraker run --all` drives many concurrent experiments (each
-     * with its own Session/SweepRunner) through ONE worker pool: the
-     * experiments shard across the engine, and their inner fan-outs
+     * Run on @p engine, which must outlive the runner. Runners of
+     * concurrent experiments may share one engine: their fan-outs
      * re-enter it (nested parallelFor degrades to inline execution).
-     * @p shared must outlive the runner.
      */
-    explicit SweepRunner(SimEngine *shared);
-    ~SweepRunner();
+    explicit SweepRunner(SimEngine &engine) : engine_(engine) {}
 
     SweepRunner(const SweepRunner &) = delete;
     SweepRunner &operator=(const SweepRunner &) = delete;
 
-    /** The shared engine (for ad-hoc parallelFor use). */
-    SimEngine &engine() { return *engine_; }
-    int threads() const { return engine_->threads(); }
-
-    /**
-     * Build an accelerator variant bound to the shared engine and keep
-     * it alive for the runner's lifetime (cfg.threads is ignored — the
-     * runner's engine is the only pool). Returned reference is stable.
-     */
-    const Accelerator &addAccelerator(const AcceleratorConfig &cfg,
-                                      const EnergyModelConfig &ecfg = {});
+    int threads() const { return engine_.threads(); }
 
     /**
      * Run every job: its (layer, op) units go through runLayerOps and
@@ -131,9 +112,7 @@ class SweepRunner
     void parallelFor(size_t n, const std::function<void(size_t)> &fn);
 
   private:
-    std::unique_ptr<SimEngine> ownedEngine_; //!< Null when borrowing.
-    SimEngine *engine_;
-    std::vector<std::unique_ptr<Accelerator>> accels_;
+    SimEngine &engine_;
 };
 
 } // namespace fpraker

@@ -50,10 +50,10 @@ LayerShape lowerLayer(const CatalogLayer &layer, TrainingOp op,
  * A catalog model instantiated at one batch geometry: every (layer,
  * op) unit lowered to its GEMM view, plus one profile-carrier
  * ModelInfo per layer so the accelerator samples each layer under its
- * own statistics (Accelerator::runLayerOp reads model.profile for
- * values and model.layers for the activation-stash footprint — the
- * carrier holds this model's lowered forward shapes, so stash
- * occupancy scales with the batch). Units and carriers have stable
+ * own statistics (a layer job reads model.profile for values and
+ * model.layers for the activation-stash footprint — the carrier holds
+ * this model's lowered forward shapes, so stash occupancy scales with
+ * the batch). Units and carriers have stable
  * addresses for the object's lifetime; jobs() hands out pointers into
  * them, so keep the LoweredModel alive while jobs run.
  */

@@ -105,7 +105,7 @@ unitPlan(const LoweredModel &model, size_t unit,
          const AcceleratorConfig &cfg, double progress)
 {
     const WorkloadUnit &u = model.units().at(unit);
-    // Accelerator::runLayerOp samples with this config too, so the
+    // Accelerator::phaseConfig samples with this config too, so the
     // captured streams are the ones the generator path synthesizes.
     return planPhaseSample(model.carrierOf(unit), u.shape, u.op,
                            progress, Accelerator::samplingOf(cfg));

@@ -87,9 +87,10 @@ class TraceSlabSupply final : public SlabSupply
 
 /**
  * Trace-backed supplies for every unit of a lowered model under one
- * accelerator config: each unit's phase plan is derived exactly as
- * Accelerator::runLayerOp derives it, its streams are captured, and
- * jobs() hands back the model's sweep jobs with the supplies attached.
+ * accelerator config: each unit's phase plan is derived exactly as a
+ * sweep derives it from Accelerator::phaseConfig, its streams are
+ * captured, and jobs() hands back the model's sweep jobs with the
+ * supplies attached.
  */
 class WorkloadSupply
 {
@@ -116,7 +117,7 @@ class WorkloadSupply
     std::vector<std::unique_ptr<TraceSlabSupply>> supplies_;
 };
 
-/** The phase plan runLayerOp uses for @p unit of @p model. */
+/** The phase plan a sweep samples for @p unit of @p model. */
 PhasePlan unitPlan(const LoweredModel &model, size_t unit,
                    const AcceleratorConfig &cfg, double progress);
 

@@ -1,11 +1,13 @@
 /**
  * @file
- * Tests for the phase runner and the whole-accelerator model.
+ * Tests for the phase runner and the whole-accelerator model, whose
+ * reports come from one-job sweeps.
  */
 
 #include <gtest/gtest.h>
 
 #include "accel/accelerator.h"
+#include "sim/sweep_runner.h"
 #include "trace/model_zoo.h"
 
 namespace fpraker {
@@ -17,6 +19,14 @@ smallConfig()
     AcceleratorConfig cfg = AcceleratorConfig::paperDefault();
     cfg.sampleSteps = 48; // keep tests fast
     return cfg;
+}
+
+/** @p job run alone: a one-job sweep on a serial engine. */
+LayerOpReport
+runAlone(const SweepLayerJob &job)
+{
+    SimEngine serial(1);
+    return SweepRunner(serial).runLayerOps({job}).front();
 }
 
 TEST(PhaseRunner, ChoosesSparserOperandAsSerial)
@@ -65,8 +75,8 @@ TEST(Accelerator, LayerReportIsInternallyConsistent)
 {
     Accelerator accel(smallConfig());
     const ModelInfo &model = findModel("SqueezeNet 1.1");
-    LayerOpReport r = accel.runLayerOp(model, model.layers[0],
-                                       TrainingOp::Forward, 0.5);
+    LayerOpReport r = runAlone(SweepLayerJob{
+        &accel, &model, &model.layers[0], TrainingOp::Forward, 0.5});
     EXPECT_GT(r.tileSteps, 0u);
     EXPECT_GT(r.fprComputeCycles, 0.0);
     EXPECT_GT(r.baseComputeCycles, 0.0);
@@ -88,8 +98,8 @@ TEST(Accelerator, SpeedupInPlausibleRange)
     // Use a few representative layers to keep runtime bounded.
     double fpr = 0, base = 0;
     for (size_t i : {size_t{1}, size_t{5}, size_t{9}}) {
-        LayerOpReport r = accel.runLayerOp(model, model.layers[i],
-                                           TrainingOp::Forward, 1.0);
+        LayerOpReport r = runAlone(SweepLayerJob{
+            &accel, &model, &model.layers[i], TrainingOp::Forward, 1.0});
         fpr += r.fprCycles;
         base += r.baseCycles;
     }
@@ -105,10 +115,10 @@ TEST(Accelerator, ObSkippingImprovesPerformance)
     off_cfg.tile.pe.skipOutOfBounds = false;
     Accelerator on(on_cfg), off(off_cfg);
     const ModelInfo &model = findModel("Bert"); // tiny gradients: OB-rich
-    LayerOpReport r_on = on.runLayerOp(model, model.layers[0],
-                                       TrainingOp::WeightGrad, 0.5);
-    LayerOpReport r_off = off.runLayerOp(model, model.layers[0],
-                                         TrainingOp::WeightGrad, 0.5);
+    LayerOpReport r_on = runAlone(SweepLayerJob{
+        &on, &model, &model.layers[0], TrainingOp::WeightGrad, 0.5});
+    LayerOpReport r_off = runAlone(SweepLayerJob{
+        &off, &model, &model.layers[0], TrainingOp::WeightGrad, 0.5});
     EXPECT_LT(r_on.fprComputeCycles, r_off.fprComputeCycles);
     EXPECT_GT(r_on.activity.termsObSkipped, 0.0);
     EXPECT_EQ(r_off.activity.termsObSkipped, 0.0);
@@ -124,10 +134,10 @@ TEST(Accelerator, BdcReducesMemoryCyclesOnly)
     // fc6 is memory-heavy (25088x4096 weights, tiny M).
     const LayerShape &fc6 = model.layers[13];
     ASSERT_EQ(fc6.name, "fc6");
-    LayerOpReport r_bdc = with.runLayerOp(model, fc6,
-                                          TrainingOp::Forward, 0.5);
-    LayerOpReport r_raw = without.runLayerOp(model, fc6,
-                                             TrainingOp::Forward, 0.5);
+    LayerOpReport r_bdc = runAlone(
+        SweepLayerJob{&with, &model, &fc6, TrainingOp::Forward, 0.5});
+    LayerOpReport r_raw = runAlone(
+        SweepLayerJob{&without, &model, &fc6, TrainingOp::Forward, 0.5});
     EXPECT_LT(r_bdc.trafficBytesCompressed, r_raw.trafficBytesCompressed);
     EXPECT_LE(r_bdc.fprMemCycles, r_raw.fprMemCycles);
     EXPECT_NEAR(r_bdc.fprComputeCycles, r_raw.fprComputeCycles, 1e-6);
@@ -138,9 +148,16 @@ TEST(Accelerator, ModelReportAggregatesOps)
     AcceleratorConfig cfg = smallConfig();
     cfg.sampleSteps = 24;
     Accelerator accel(cfg);
-    // NCF is the smallest model; run it end to end.
-    ModelRunReport report = accel.runModel(findModel("NCF"), 0.5);
-    ASSERT_EQ(report.ops.size(), findModel("NCF").layers.size() * 3);
+    // NCF is the smallest model; run it end to end, one unit at a
+    // time, and reduce the units into the model report.
+    const ModelInfo &ncf = findModel("NCF");
+    std::vector<LayerOpReport> ops;
+    for (const LayerOpUnit &u : Accelerator::modelUnits(ncf))
+        ops.push_back(
+            runAlone(SweepLayerJob{&accel, &ncf, u.layer, u.op, 0.5}));
+    ModelRunReport report =
+        Accelerator::reduceModel(ncf, 0.5, std::move(ops));
+    ASSERT_EQ(report.ops.size(), ncf.layers.size() * 3);
     double fpr = 0, base = 0;
     for (const auto &op : report.ops) {
         fpr += op.fprCycles;
@@ -160,8 +177,8 @@ TEST(Accelerator, ScaledActivityTracksSampleRatios)
 {
     Accelerator accel(smallConfig());
     const ModelInfo &model = findModel("SNLI");
-    LayerOpReport r = accel.runLayerOp(model, model.layers[0],
-                                       TrainingOp::Forward, 0.5);
+    LayerOpReport r = runAlone(SweepLayerJob{
+        &accel, &model, &model.layers[0], TrainingOp::Forward, 0.5});
     // Scaling preserves the useful-fraction ratio.
     double sample_useful =
         static_cast<double>(r.sampleStats.laneUseful) /

@@ -1,12 +1,13 @@
 /**
  * @file
- * Tests for the public experiment API: Session parity with direct
- * Accelerator runs, Result JSON round-trip, registry integrity, CLI
+ * Tests for the public experiment API: Session parity with jobs run
+ * alone, Result JSON round-trip, registry integrity, CLI
  * flag strictness, and registry-vs-legacy harness output parity
  * (fig13 rebuilt by hand through SweepRunner must checksum-match the
  * registered experiment).
  */
 
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <set>
@@ -61,6 +62,14 @@ fingerprint(const ModelRunReport &r)
     return h.value();
 }
 
+/** @p job run alone: a one-job sweep on a serial engine. */
+ModelRunReport
+runAlone(const SweepJob &job)
+{
+    SimEngine serial(1);
+    return SweepRunner(serial).runModels({job}).front();
+}
+
 uint64_t
 stringChecksum(const std::string &s)
 {
@@ -69,19 +78,19 @@ stringChecksum(const std::string &s)
     return h.value();
 }
 
-TEST(Session, ParityWithDirectRunModel)
+TEST(Session, ParityWithJobsRunAlone)
 {
     // A Session-run sweep job must reproduce, bit for bit, what the
-    // accelerator's own runModel produces for the same config.
+    // same config produces as a job run alone.
     const ModelInfo &m0 = findModel("SNLI");
     const ModelInfo &m1 = findModel("NCF");
 
     Accelerator direct(smallConfig());
-    uint64_t want0 = fingerprint(direct.runModel(m0, 0.5));
-    uint64_t want1 = fingerprint(direct.runModel(m1, 0.25));
+    uint64_t want0 = fingerprint(runAlone(SweepJob{&direct, &m0, 0.5}));
+    uint64_t want1 = fingerprint(runAlone(SweepJob{&direct, &m1, 0.25}));
 
-    Session session;
-    session.threads(4);
+    SimEngine engine(4);
+    Session session(engine);
     const Accelerator &accel =
         session.withVariant("full", smallConfig());
     std::vector<ModelRunReport> reports = session.runModels(
@@ -93,8 +102,8 @@ TEST(Session, ParityWithDirectRunModel)
 
 TEST(Session, KnobsAndVariants)
 {
-    Session session;
-    session.threads(2);
+    SimEngine engine(2);
+    Session session(engine);
     EXPECT_EQ(session.threadCount(), 2);
 
     session.overrideSampleSteps(17);
@@ -119,10 +128,10 @@ TEST(Session, KnobsAndVariants)
     EXPECT_EQ(session.configDigest().size(), 16u);
 
     // Same variants => same digest; different config => different.
-    Session other;
+    Session other(engine);
     other.withVariant("a", smallConfig());
     EXPECT_EQ(other.configDigest(), session.configDigest());
-    Session third;
+    Session third(engine);
     AcceleratorConfig changed = smallConfig();
     changed.useBdc = false;
     third.withVariant("a", changed);
@@ -251,12 +260,13 @@ TEST(Registry, Fig13MatchesLegacyHarnessChecksum)
     const int sample_steps = 24;
     AcceleratorConfig cfg = AcceleratorConfig::paperDefault();
     cfg.sampleSteps = sample_steps;
-    SweepRunner runner(2);
-    const Accelerator &accel = runner.addAccelerator(cfg);
+    SimEngine engine(2);
+    const Accelerator accel(cfg);
     std::vector<SweepJob> jobs;
     for (const auto &model : modelZoo())
         jobs.push_back(SweepJob{&accel, &model, 0.5});
-    std::vector<ModelRunReport> reports = runner.runModels(jobs);
+    std::vector<ModelRunReport> reports =
+        SweepRunner(engine).runModels(jobs);
 
     std::string legacy;
     for (const ModelRunReport &r : reports) {
@@ -273,8 +283,7 @@ TEST(Registry, Fig13MatchesLegacyHarnessChecksum)
     const api::ExperimentInfo *info =
         ExperimentRegistry::instance().find("fig13");
     ASSERT_NE(info, nullptr);
-    Session session;
-    session.threads(2);
+    Session session(engine);
     session.overrideSampleSteps(sample_steps);
     Result result = info->fn(session);
     ASSERT_EQ(result.tables().size(), 1u);
@@ -328,12 +337,60 @@ TEST(Driver, StrictFlagParsing)
     EXPECT_FALSE(parse({"--reps=1"}, true, &bad));
     EXPECT_FALSE(parse({"stray"}, false, &bad));
     EXPECT_FALSE(parse({"--all"}, false, &bad)); // only `run` takes --all
+    // An empty path is a usage error, never a run that writes nothing.
+    EXPECT_FALSE(parse({"--json="}, true, &bad));
+    EXPECT_FALSE(parse({"--json-dir="}, true, &bad));
+    EXPECT_FALSE(parse({"--trace-out="}, true, &bad));
 
     CliOptions run_opts;
     EXPECT_TRUE(parse({"run-id", "--all"}, true, &run_opts));
     EXPECT_TRUE(run_opts.all);
     ASSERT_EQ(run_opts.ids.size(), 1u);
     EXPECT_EQ(run_opts.ids[0], "run-id");
+}
+
+/** cliMain over @p args (after the program name); *out gets stdout. */
+int
+runCli(std::vector<const char *> args, std::string *out)
+{
+    args.insert(args.begin(), "fpraker");
+    ::testing::internal::CaptureStdout();
+    const int status = api::cliMain(static_cast<int>(args.size()),
+                                    const_cast<char **>(args.data()));
+    *out = ::testing::internal::GetCapturedStdout();
+    return status;
+}
+
+TEST(Driver, RunPrintsInTheOrderGiven)
+{
+    // The experiments share one engine and may finish in any order;
+    // their reports print in the order the command line gave them.
+    std::string out;
+    ASSERT_EQ(runCli({"run", "table3", "table2", "--threads=2"}, &out), 0);
+    const size_t table3 = out.find("Table III:");
+    const size_t table2 = out.find("Table II:");
+    ASSERT_NE(table3, std::string::npos) << out;
+    ASSERT_NE(table2, std::string::npos) << out;
+    EXPECT_LT(table3, table2);
+}
+
+TEST(Driver, UnusableOutputPathFailsBeforeAnyExperimentRuns)
+{
+    // A --json-dir that cannot be created, or a --json whose directory
+    // does not exist, exits 1 before any experiment runs or prints.
+    const std::string file = ::testing::TempDir() + "fpraker_not_a_dir";
+    std::FILE *f = std::fopen(file.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fclose(f);
+
+    std::string out;
+    const std::string json_dir = "--json-dir=" + file + "/sub";
+    EXPECT_EQ(runCli({"run", "table2", json_dir.c_str()}, &out), 1);
+    EXPECT_EQ(out, "");
+    const std::string json = "--json=" + file + "/table2.json";
+    EXPECT_EQ(runCli({"run", "table2", json.c_str()}, &out), 1);
+    EXPECT_EQ(out, "");
+    std::remove(file.c_str());
 }
 
 TEST(Driver, SampleStepsEnvIsReadAfreshAndStrictly)
@@ -347,7 +404,8 @@ TEST(Driver, SampleStepsEnvIsReadAfreshAndStrictly)
     EXPECT_EQ(api::envSampleSteps(), 0);
     ::setenv("FPRAKER_SAMPLE_STEPS", "24", 1);
     EXPECT_EQ(api::envSampleSteps(), 24);
-    Session session;
+    SimEngine engine(1);
+    Session session(engine);
     EXPECT_EQ(session.sampleSteps(96), 24);
     ::setenv("FPRAKER_SAMPLE_STEPS", "1000000000", 1);
     EXPECT_EQ(api::envSampleSteps(), 1000000000);
@@ -373,16 +431,16 @@ TEST(Driver, SampleStepsEnvIsReadAfreshAndStrictly)
 
 TEST(SweepRunner, ShardedWarmupMatchesSerialWarmup)
 {
-    // The sharded BDC warm-up must leave sweeps bit-identical to the
-    // pre-sharding behavior: same reports whether the cache was
-    // warmed by a serial loop (runModel path) or the parallel prelude.
+    // The sharded BDC warm-up must leave sweeps bit-identical to a
+    // serial one: same reports whether the cache was warmed on a
+    // serial engine (the job run alone) or by an 8-thread prelude.
     const ModelInfo &model = findModel("VGG16");
     Accelerator direct(smallConfig());
-    uint64_t want = fingerprint(direct.runModel(model, 0.75));
+    uint64_t want = fingerprint(runAlone(SweepJob{&direct, &model, 0.75}));
 
-    SweepRunner runner(8);
-    const Accelerator &accel = runner.addAccelerator(smallConfig());
-    std::vector<ModelRunReport> reports = runner.runModels(
+    SimEngine engine(8);
+    const Accelerator accel(smallConfig());
+    std::vector<ModelRunReport> reports = SweepRunner(engine).runModels(
         {SweepJob{&accel, &model, 0.75},
          SweepJob{&accel, &model, 0.75}});
     ASSERT_EQ(reports.size(), 2u);
@@ -392,18 +450,19 @@ TEST(SweepRunner, ShardedWarmupMatchesSerialWarmup)
 
 TEST(RunAll, ParallelExperimentsFingerprintMatchSerial)
 {
-    // The `run --all` scheduler runs each experiment in its own
-    // Session borrowing one shared engine. A document's fingerprint
-    // must not depend on that: serial dedicated-session runs and
-    // engine-sharing concurrent runs agree experiment by experiment.
+    // `fpraker run` runs each experiment in its own Session, all
+    // borrowing one engine. A document's fingerprint must not depend
+    // on that: one-at-a-time runs on a serial engine and concurrent
+    // runs sharing an engine agree experiment by experiment.
     const std::vector<std::string> ids = {"fig01", "fig02", "fig13"};
     const ExperimentRegistry &reg = ExperimentRegistry::instance();
 
+    SimEngine serial(1);
     std::vector<uint64_t> serial_fp;
     for (const std::string &id : ids) {
         const api::ExperimentInfo *info = reg.find(id);
         ASSERT_NE(info, nullptr) << id;
-        Session session;
+        Session session(serial);
         session.overrideSampleSteps(16);
         Result r = info->fn(session);
         r.experiment = info->id;
@@ -414,8 +473,7 @@ TEST(RunAll, ParallelExperimentsFingerprintMatchSerial)
     std::vector<uint64_t> parallel_fp(ids.size());
     engine.parallelFor(ids.size(), [&](size_t i) {
         const api::ExperimentInfo *info = reg.find(ids[i]);
-        Session session;
-        session.shareEngine(&engine);
+        Session session(engine);
         session.overrideSampleSteps(16);
         Result r = info->fn(session);
         r.experiment = info->id;
@@ -424,16 +482,6 @@ TEST(RunAll, ParallelExperimentsFingerprintMatchSerial)
 
     for (size_t i = 0; i < ids.size(); ++i)
         EXPECT_EQ(serial_fp[i], parallel_fp[i]) << ids[i];
-}
-
-TEST(Session, SharedEngineProvidesPoolButKeepsThreadsKnob)
-{
-    SimEngine engine(2);
-    Session session;
-    session.shareEngine(&engine);
-    session.threads(5);
-    // The shared engine wins for the pool.
-    EXPECT_EQ(2, session.threadCount());
 }
 
 } // namespace

@@ -8,6 +8,7 @@
  * socket.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -65,8 +66,9 @@ directDocument(const JobSpec &spec)
     api::CliOptions opts;
     opts.sampleSteps = spec.sampleSteps;
     opts.extras = spec.options;
+    SimEngine engine;
     return api::ReportWriter::renderJson(
-        api::produceResult(*info, opts, nullptr));
+        api::produceResult(*info, opts, &engine));
 }
 
 /** Flip a hot document's provenance.cached back to false — the
@@ -244,6 +246,45 @@ TEST(ServeCli, MalformedKnobFailsBeforeBind)
 #else
     GTEST_SKIP() << "death tests unavailable";
 #endif
+}
+
+TEST(ServeCli, EmptyJsonPathIsAUsageError)
+{
+    // `--json=` names no file: exit 2 before any connection, for
+    // `result` as for `submit` (which shares `fpraker run`'s parser).
+    const char *result_argv[] = {"fpraker", "result", "7", "--json="};
+    EXPECT_EQ(serve::resultMain(4, const_cast<char **>(result_argv), 2),
+              2);
+    const char *submit_argv[] = {"fpraker", "submit", "table2",
+                                 "--json="};
+    EXPECT_EQ(serve::submitMain(4, const_cast<char **>(submit_argv), 2),
+              2);
+}
+
+TEST(ServeCli, QueryWithoutDaemonReportsTheTransportError)
+{
+    // Every query command fails the same way when nothing listens:
+    // one "<prog>: <error>" line on stderr, exit 1.
+    const std::string socket = "--socket=/nonexistent/fpraker.sock";
+    const std::vector<std::vector<const char *>> commands = {
+        {"fpraker", "status", "7", socket.c_str()},
+        {"fpraker", "result", "7", socket.c_str()},
+        {"fpraker", "stats", socket.c_str()},
+        {"fpraker", "metrics", socket.c_str()},
+        {"fpraker", "shutdown", socket.c_str()}};
+    const std::vector<int (*)(int, char **, int)> mains = {
+        serve::statusMain, serve::resultMain, serve::statsMain,
+        serve::metricsMain, serve::shutdownMain};
+    for (size_t i = 0; i < commands.size(); ++i) {
+        ::testing::internal::CaptureStderr();
+        const int status =
+            mains[i](static_cast<int>(commands[i].size()),
+                     const_cast<char **>(commands[i].data()), 2);
+        const std::string err = ::testing::internal::GetCapturedStderr();
+        EXPECT_EQ(status, 1) << commands[i][1];
+        EXPECT_EQ(err.rfind("fpraker: ", 0), 0u) << err;
+        EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+    }
 }
 
 TEST(ResultCache, HitIsByteIdenticalAndMarkedCached)

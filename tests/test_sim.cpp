@@ -991,7 +991,8 @@ TEST(GoldenChecksum, SweepOfTileJobs)
     for (uint64_t j = 0; j < 6; ++j)
         jobs.push_back(goldenWorkload(48, substreamSeed(kGoldenSeed, j)));
     for (int threads : {1, 2, 8}) {
-        SweepRunner runner(threads);
+        SimEngine engine(threads);
+        SweepRunner runner(engine);
         std::vector<uint64_t> digests(jobs.size());
         runner.parallelFor(jobs.size(), [&](size_t j) {
             digests[j] = optimizedTileDigest(jobs[j]);
@@ -1011,13 +1012,13 @@ TEST(GoldenChecksum, ModelSweep)
     cfg.sampleSteps = 96;
     cfg.memoize = false;
     for (int threads : {1, 4}) {
-        SweepRunner runner(threads);
-        const Accelerator &accel = runner.addAccelerator(cfg);
+        SimEngine engine(threads);
+        const Accelerator accel(cfg);
         std::vector<SweepJob> jobs;
         for (const char *name : {"ResNet18-Q", "SNLI", "SqueezeNet 1.1"})
             jobs.push_back(SweepJob{&accel, &findModel(name), 0.5});
         Fnv64 h;
-        for (const ModelRunReport &r : runner.runModels(jobs))
+        for (const ModelRunReport &r : SweepRunner(engine).runModels(jobs))
             h.addRaw(modelDigest(r));
         EXPECT_EQ(h.hex(), "30a7aef3d8679d93") << threads << " threads";
     }
@@ -1177,16 +1178,22 @@ reportFingerprint(const ModelRunReport &r)
 
 TEST(SimEngine, ModelRunIsBitIdenticalAcrossThreadCounts)
 {
+    // One model as a one-job sweep: its (layer, op) units and their
+    // bursts shard across engines of 1, 2 and 8 threads. Unmemoized,
+    // so every run simulates.
     const ModelInfo &model = findModel("SNLI");
+    AcceleratorConfig cfg = AcceleratorConfig::paperDefault();
+    cfg.sampleSteps = 24;
+    cfg.memoize = false;
+    const Accelerator accel(cfg);
     uint64_t fingerprints[3];
     double totals[3];
     int idx = 0;
     for (int threads : {1, 2, 8}) {
-        AcceleratorConfig cfg = AcceleratorConfig::paperDefault();
-        cfg.sampleSteps = 24;
-        cfg.threads = threads;
-        Accelerator accel(cfg);
-        ModelRunReport r = accel.runModel(model, 0.5);
+        SimEngine engine(threads);
+        ModelRunReport r = SweepRunner(engine)
+                               .runModels({SweepJob{&accel, &model, 0.5}})
+                               .front();
         fingerprints[idx] = reportFingerprint(r);
         totals[idx] = r.fprCycles;
         ++idx;

@@ -1,16 +1,16 @@
 /**
  * @file
  * Tests for the sweep scheduler: SweepRunner's job fan-out must agree
- * with serial per-model runs, reports must be bit-identical at any
- * thread count (the per-worker RNG substream contract), and the
- * substream derivation itself must be stable and collision-free over
- * the index ranges the simulator uses. A sweep's phase groups must
+ * with each job run alone on a serial engine, reports must be
+ * bit-identical at any thread count (the per-worker RNG substream
+ * contract), and the substream derivation itself must be stable and
+ * collision-free over the index ranges the simulator uses. A sweep's phase groups must
  * return what each job returns alone while filling each shared
  * operand slab once.
  */
 
 #include <cstring>
-#include <memory>
+#include <deque>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -51,6 +51,14 @@ reportFingerprint(const ModelRunReport &r)
     return h.value();
 }
 
+/** @p job run alone: a one-job sweep on a serial engine. */
+LayerOpReport
+runAlone(const SweepLayerJob &job)
+{
+    SimEngine serial(1);
+    return SweepRunner(serial).runLayerOps({job}).front();
+}
+
 TEST(RngStream, SubstreamSeedsAreStableAndDistinct)
 {
     EXPECT_EQ(substreamSeed(42, 7), substreamSeed(42, 7));
@@ -63,19 +71,23 @@ TEST(RngStream, SubstreamSeedsAreStableAndDistinct)
 
 TEST(SweepRunner, AgreesWithSerialModelRuns)
 {
-    // The sweep fan-out must reproduce, bit for bit, what each model's
-    // own runModel produces: same units, same seeds, same reduction
-    // order.
+    // The sweep fan-out must reproduce, bit for bit, what each model
+    // run alone on a serial engine produces: same units, same seeds,
+    // same reduction order.
     const ModelInfo &m0 = findModel("SNLI");
     const ModelInfo &m1 = findModel("NCF");
 
-    Accelerator serial(smallConfig());
-    uint64_t want0 = reportFingerprint(serial.runModel(m0, 0.5));
-    uint64_t want1 = reportFingerprint(serial.runModel(m1, 0.25));
+    SimEngine serial(1);
+    SweepRunner alone(serial);
+    const Accelerator serial_accel(smallConfig());
+    uint64_t want0 = reportFingerprint(
+        alone.runModels({SweepJob{&serial_accel, &m0, 0.5}}).front());
+    uint64_t want1 = reportFingerprint(
+        alone.runModels({SweepJob{&serial_accel, &m1, 0.25}}).front());
 
-    SweepRunner runner(4);
-    const Accelerator &accel = runner.addAccelerator(smallConfig());
-    std::vector<ModelRunReport> reports = runner.runModels(
+    SimEngine engine(4);
+    const Accelerator accel(smallConfig());
+    std::vector<ModelRunReport> reports = SweepRunner(engine).runModels(
         {SweepJob{&accel, &m0, 0.5}, SweepJob{&accel, &m1, 0.25}});
     ASSERT_EQ(reports.size(), 2u);
     EXPECT_EQ(reportFingerprint(reports[0]), want0);
@@ -93,11 +105,12 @@ TEST(SweepRunner, SweepIsBitIdenticalAcrossThreadCounts)
     uint64_t fingerprints[3];
     int idx = 0;
     for (int threads : {1, 2, 8}) {
-        SweepRunner runner(threads);
-        const Accelerator &accel = runner.addAccelerator(smallConfig());
-        std::vector<ModelRunReport> reports = runner.runModels(
-            {SweepJob{&accel, &m0, 0.5}, SweepJob{&accel, &m1, 0.5},
-             SweepJob{&accel, &m0, 1.0}});
+        SimEngine engine(threads);
+        const Accelerator accel(smallConfig());
+        std::vector<ModelRunReport> reports =
+            SweepRunner(engine).runModels(
+                {SweepJob{&accel, &m0, 0.5}, SweepJob{&accel, &m1, 0.5},
+                 SweepJob{&accel, &m0, 1.0}});
         Fnv64 h;
         for (const ModelRunReport &r : reports)
             h.addRaw(reportFingerprint(r));
@@ -107,17 +120,17 @@ TEST(SweepRunner, SweepIsBitIdenticalAcrossThreadCounts)
     EXPECT_EQ(fingerprints[0], fingerprints[2]);
 }
 
-TEST(SweepRunner, LayerJobsMatchDirectRunLayerOp)
+TEST(SweepRunner, LayerJobsMatchTheJobRunAlone)
 {
     const ModelInfo &model = findModel("SqueezeNet 1.1");
-    Accelerator serial(smallConfig());
-    serial.warmBdcCache(model, 0.5);
-    LayerOpReport want = serial.runLayerOp(
-        model, model.layers.front(), TrainingOp::InputGrad, 0.5);
+    const Accelerator serial_accel(smallConfig());
+    LayerOpReport want =
+        runAlone(SweepLayerJob{&serial_accel, &model, &model.layers.front(),
+                               TrainingOp::InputGrad, 0.5});
 
-    SweepRunner runner(2);
-    const Accelerator &accel = runner.addAccelerator(smallConfig());
-    std::vector<LayerOpReport> got = runner.runLayerOps(
+    SimEngine engine(2);
+    const Accelerator accel(smallConfig());
+    std::vector<LayerOpReport> got = SweepRunner(engine).runLayerOps(
         {SweepLayerJob{&accel, &model, &model.layers.front(),
                        TrainingOp::InputGrad, 0.5}});
     ASSERT_EQ(got.size(), 1u);
@@ -236,16 +249,16 @@ TEST(SweepGroups, MatchEachJobRunAlone)
 
     // References: every (layer, op) of every job, run alone on a
     // standalone unmemoized accelerator.
-    std::vector<std::unique_ptr<Accelerator>> alone;
+    std::deque<Accelerator> alone;
     std::vector<std::vector<LayerOpReport>> want;
     for (const auto &[name, cfg] : mixedVariants(false)) {
-        alone.push_back(std::make_unique<Accelerator>(cfg));
+        const Accelerator &accel = alone.emplace_back(cfg);
         for (const auto &[model_name, progress] : points) {
             const ModelInfo &model = findModel(model_name);
             want.emplace_back();
             for (const LayerOpUnit &u : Accelerator::modelUnits(model))
-                want.back().push_back(alone.back()->runLayerOp(
-                    model, *u.layer, u.op, progress));
+                want.back().push_back(runAlone(
+                    SweepLayerJob{&accel, &model, u.layer, u.op, progress}));
         }
     }
 
@@ -255,24 +268,26 @@ TEST(SweepGroups, MatchEachJobRunAlone)
     const LayerShape &traced_layer = traced_model.layers[3];
     const workload::PhaseTrace trace = workload::PhaseTrace::capture(
         planPhaseSample(traced_model, traced_layer, TrainingOp::WeightGrad,
-                        0.1, alone.front()->phaseConfig()));
+                        0.1, alone.front().phaseConfig()));
     const workload::TraceSlabSupply supply(trace);
     std::vector<LayerOpReport> want_traced;
-    for (const auto &accel : alone)
-        if (accel->config().tile.rows == 8)
-            want_traced.push_back(accel->runLayerOp(
-                traced_model, traced_layer, TrainingOp::WeightGrad, 0.1,
-                &supply));
+    for (const Accelerator &accel : alone)
+        if (accel.config().tile.rows == 8)
+            want_traced.push_back(runAlone(
+                SweepLayerJob{&accel, &traced_model, &traced_layer,
+                              TrainingOp::WeightGrad, 0.1, &supply}));
 
     for (bool memoize : {true, false}) {
         for (int threads : {1, 2, 8}) {
             const std::string run = " memo=" + std::to_string(memoize) +
                                     " t=" + std::to_string(threads);
-            SweepRunner runner(threads);
+            SimEngine engine(threads);
+            SweepRunner runner(engine);
+            std::deque<Accelerator> accels;
             std::vector<SweepJob> jobs;
             std::vector<SweepLayerJob> traced_jobs;
             for (const auto &[name, cfg] : mixedVariants(memoize)) {
-                const Accelerator &accel = runner.addAccelerator(cfg);
+                const Accelerator &accel = accels.emplace_back(cfg);
                 for (const auto &[model_name, progress] : points)
                     jobs.push_back(
                         SweepJob{&accel, &findModel(model_name), progress});
@@ -309,18 +324,19 @@ TEST(SweepGroups, WindowVariantsShareEverySlab)
     AcceleratorConfig base = AcceleratorConfig::paperDefault();
     base.sampleSteps = 40;
     base.memoize = false;
-    SweepRunner runner(2);
+    std::deque<Accelerator> accels;
     std::vector<SweepJob> jobs;
     for (int delta : {0, 3, 7}) {
         AcceleratorConfig cfg = base;
         cfg.tile.pe.maxDelta = delta;
         jobs.push_back(
-            SweepJob{&runner.addAccelerator(cfg), &findModel("NCF"), 0.5});
+            SweepJob{&accels.emplace_back(cfg), &findModel("NCF"), 0.5});
     }
 
     const uint64_t filled0 = counterValue("phase.slabs_filled");
     const uint64_t shared0 = counterValue("phase.slabs_shared");
-    runner.runModels(jobs);
+    SimEngine engine(2);
+    SweepRunner(engine).runModels(jobs);
     const uint64_t filled = counterValue("phase.slabs_filled") - filled0;
     const uint64_t shared = counterValue("phase.slabs_shared") - shared0;
     EXPECT_GT(filled, 0u);
@@ -343,9 +359,7 @@ TEST(SweepGroups, IdenticalTileContextsInsertEachBurstOnce)
     AcceleratorConfig no_bdc = cfg;
     no_bdc.useBdc = false;
 
-    SweepRunner runner(2);
-    const Accelerator &with = runner.addAccelerator(cfg);
-    const Accelerator &without = runner.addAccelerator(no_bdc);
+    const Accelerator with(cfg), without(no_bdc);
     const ModelInfo &model = findModel("NCF");
     uint64_t bursts = 0;
     for (const LayerOpUnit &u : Accelerator::modelUnits(model))
@@ -354,7 +368,8 @@ TEST(SweepGroups, IdenticalTileContextsInsertEachBurstOnce)
                       .bursts;
 
     const SimMemo::Stats before = memo->stats();
-    std::vector<ModelRunReport> reports = runner.runModels(
+    SimEngine engine(2);
+    std::vector<ModelRunReport> reports = SweepRunner(engine).runModels(
         {SweepJob{&with, &model, 0.5}, SweepJob{&without, &model, 0.5}});
     const SimMemo::Stats after = memo->stats();
     EXPECT_EQ(after.insertions - before.insertions, bursts);
@@ -368,7 +383,8 @@ TEST(SweepGroups, IdenticalTileContextsInsertEachBurstOnce)
 
 TEST(SweepRunner, ParallelForCoversOrderedSlots)
 {
-    SweepRunner runner(4);
+    SimEngine engine(4);
+    SweepRunner runner(engine);
     std::vector<int> slots(57, 0);
     runner.parallelFor(slots.size(),
                        [&](size_t i) { slots[i] = static_cast<int>(i); });

@@ -2,7 +2,7 @@
  * @file
  * Tests for the workload subsystem: im2col/GEMM lowering dimensions
  * against hand-computed values, trace-backed vs generator-backed slab
- * bit-identity, runLayerOp parity through the SlabSupply seam,
+ * bit-identity, layer-op report parity through the SlabSupply seam,
  * ContainerMatrix slab ingestion, and thread-count fingerprint
  * determinism of the workload experiments.
  */
@@ -15,6 +15,7 @@
 #include "api/registry.h"
 #include "api/result.h"
 #include "memory/data_supply.h"
+#include "sim/sweep_runner.h"
 #include "workload/supply.h"
 
 namespace fpraker {
@@ -27,6 +28,14 @@ using workload::lowerLayer;
 using workload::LoweredModel;
 using workload::PhaseTrace;
 using workload::TraceSlabSupply;
+
+/** @p job run alone: a one-job sweep on a serial engine. */
+LayerOpReport
+runAlone(const SweepLayerJob &job)
+{
+    SimEngine serial(1);
+    return SweepRunner(serial).runLayerOps({job}).front();
+}
 
 const CatalogLayer &
 layerNamed(const CatalogModel &m, const std::string &name)
@@ -174,9 +183,9 @@ TEST(Supply, TraceReplayMatchesGeneratorBitExactly)
     }
 }
 
-TEST(Supply, RunLayerOpTraceParity)
+TEST(Supply, TraceBackedLayerOpParity)
 {
-    // A trace-backed runLayerOp must reproduce the generator-backed
+    // A trace-backed layer op must reproduce the generator-backed
     // report exactly — cycles, stats, serial side.
     AcceleratorConfig cfg = AcceleratorConfig::paperDefault();
     cfg.sampleSteps = 24;
@@ -189,10 +198,11 @@ TEST(Supply, RunLayerOpTraceParity)
 
     for (size_t i = 0; i < lm.units().size(); ++i) {
         const auto &u = lm.units()[i];
-        LayerOpReport plain =
-            accel.runLayerOp(lm.carrierOf(i), u.shape, u.op, 0.5);
-        LayerOpReport traced = accel.runLayerOp(
-            lm.carrierOf(i), u.shape, u.op, 0.5, &supply.supplyOf(i));
+        LayerOpReport plain = runAlone(
+            SweepLayerJob{&accel, &lm.carrierOf(i), &u.shape, u.op, 0.5});
+        LayerOpReport traced =
+            runAlone(SweepLayerJob{&accel, &lm.carrierOf(i), &u.shape,
+                                   u.op, 0.5, &supply.supplyOf(i)});
         EXPECT_EQ(plain.fprCycles, traced.fprCycles) << u.shape.name;
         EXPECT_EQ(plain.baseCycles, traced.baseCycles) << u.shape.name;
         EXPECT_EQ(plain.avgCyclesPerStep, traced.avgCyclesPerStep);
@@ -226,12 +236,12 @@ runFingerprint(const char *experiment, int threads)
         api::ExperimentRegistry::instance().find(experiment);
     EXPECT_NE(info, nullptr) << experiment;
     api::CliOptions opts;
-    opts.threads = threads;
     opts.sampleSteps = 6;
     opts.extras = {{"batch", "2"},
                    {"seq", "16"},
                    {"batches", "2,4"}};
-    return api::produceResult(*info, opts, nullptr).fingerprint();
+    SimEngine engine(threads);
+    return api::produceResult(*info, opts, &engine).fingerprint();
 }
 
 TEST(WorkloadExperiments, FingerprintsAreThreadInvariant)
