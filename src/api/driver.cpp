@@ -78,8 +78,10 @@ printUsage(FILE *to, const char *prog)
 
 /**
  * Make sure a run's documents have somewhere to go before any
- * experiment runs: create --json-dir, and require --json's directory
- * to exist. On failure say why on stderr and return false.
+ * experiment runs: create --json-dir, require --json's directory to
+ * exist, and refuse a --json that names a directory. The file itself
+ * is not created here, so a run that fails later leaves none behind.
+ * On failure say why on stderr and return false.
  */
 bool
 prepareOutputs(const char *prog, const CliOptions &opts)
@@ -102,6 +104,11 @@ prepareOutputs(const char *prog, const CliOptions &opts)
                          "%s: --json directory %s is missing or not a "
                          "directory\n",
                          prog, dir.c_str());
+            return false;
+        }
+        if (fs::is_directory(opts.json, ec)) {
+            std::fprintf(stderr, "%s: --json %s is a directory\n", prog,
+                         opts.json.c_str());
             return false;
         }
     }

@@ -49,17 +49,23 @@ struct FPRakerValueMac::TermQueues
     }
 };
 
+bool
+FPRakerValueMac::vectorBody(const PeConfig &cfg)
+{
+    // The vector body shifts eight 8-bit significands by up to maxDelta
+    // and sums them in int16 elements, exact up to a window of 4.
+    constexpr int kVectorWindow = 4;
+    static_assert(8 * (255 << kVectorWindow) <= INT16_MAX);
+    return cfg.lanes == 8 && cfg.maxDelta <= kVectorWindow;
+}
+
 FPRakerValueMac::FPRakerValueMac(const PeConfig &cfg)
     : queues_(nullptr), maxDelta_(cfg.maxDelta),
       skipOb_(cfg.skipOutOfBounds),
       obThreshold_(cfg.effectiveObThreshold()), acc_(cfg.acc)
 {
     panic_if(maxDelta_ < 0, "negative shifter window");
-    // The vector body shifts eight 8-bit significands by up to maxDelta
-    // and sums them in int16 elements, exact up to a window of 4.
-    constexpr int kVectorWindow = 4;
-    static_assert(8 * (255 << kVectorWindow) <= INT16_MAX);
-    if (cfg.lanes == 8 && maxDelta_ <= kVectorWindow) {
+    if (vectorBody(cfg)) {
         queues_ = &TermQueues::of(cfg.encoding);
         return;
     }
@@ -67,12 +73,12 @@ FPRakerValueMac::FPRakerValueMac(const PeConfig &cfg)
 }
 
 void
-FPRakerValueMac::processSet(const BFloat16 *a, const BFloat16 *b)
+FPRakerValueMac::processSet(const SerialSet &s, const BFloat16 *b)
 {
     if (queues_)
-        processSet8(a, b);
+        processSet8(s, b);
     else
-        column_->runSet(a, b, column_->config().lanes);
+        column_->runSet(s.a, b, column_->config().lanes);
 }
 
 namespace {
@@ -105,6 +111,23 @@ interleave(const Vec (&r)[8], Vec (&t)[8])
 
 } // namespace
 
+void
+FPRakerValueMac::loadSerial(const PeConfig &cfg, const BFloat16 *a,
+                            SerialSet &s)
+{
+    std::copy(a, a + cfg.lanes, s.a);
+    if (!vectorBody(cfg))
+        return;
+    // Transpose the lanes' queue rows into per-term vectors.
+    const TermQueues &tq = TermQueues::of(cfg.encoding);
+    Vec r[8], t[8];
+    for (int l = 0; l < 8; ++l)
+        r[l] = tq.rows[a[l].significand()];
+    interleave(r, t);
+    interleave(t, r);
+    interleave(r, s.terms);
+}
+
 /**
  * One PE's set on eight 16-bit lanes at once. q[k] holds every lane's
  * k-th remaining term as 2 * lsb + sign (TermQueues), so q[0] is the
@@ -114,18 +137,18 @@ interleave(const Vec (&r)[8], Vec (&t)[8])
  * kDead.
  */
 void
-FPRakerValueMac::processSet8(const BFloat16 *a, const BFloat16 *b)
+FPRakerValueMac::processSet8(const SerialSet &s, const BFloat16 *b)
 {
     constexpr int16_t kDead = -0x4000;
     ExtendedAccumulator &reg = acc_.chunkRegister();
     Vec va, vb;
-    std::memcpy(&va, a, sizeof va);
+    std::memcpy(&va, s.a, sizeof va);
     std::memcpy(&vb, b, sizeof vb);
 
     const Vec ea = va & 0x7f80;
     const Vec eb = vb & 0x7f80;
     if (anyElement((ea == 0x7f80) | (eb == 0x7f80)))
-        checkFinite(a, b, 8);
+        checkFinite(s.a, b, 8);
 
     // Exponent block: the accumulator aligns up to the largest
     // non-zero product exponent.
@@ -142,26 +165,26 @@ FPRakerValueMac::processSet8(const BFloat16 *a, const BFloat16 *b)
     const Vec prodNeg = ((va ^ vb) >> 15) & 1;
     const Vec base2 = (ab - 7) << 1;
 
-    // Transpose the lanes' queue rows into per-term vectors.
-    const TermQueues &tq = *queues_;
-    Vec r[8], t[8], q[8];
-    for (int l = 0; l < 8; ++l)
-        r[l] = tq.rows[a[l].significand()];
-    interleave(r, t);
-    interleave(t, r);
-    interleave(r, q);
-    const int depth = tq.depth;
+    Vec q[8];
+    const int depth = queues_->depth;
     for (int k = 0; k < depth; ++k)
-        q[k] = (q[k] + base2) ^ prodNeg;
+        q[k] = (s.terms[k] + base2) ^ prodNeg;
 
+    // Out of bounds: lsb < e_acc - 7 - threshold, i.e. k past the
+    // threshold. Clamped: no live LSB sits outside [-300, 300]. Within
+    // the set only addValue moves e_acc, so the bound is refreshed
+    // after an add that moved it; read from the register every cycle,
+    // it would hold each cycle's vector work behind the previous add.
+    const auto obBound = [this](int e_acc) {
+        return splat(2 * static_cast<int>(std::clamp<int64_t>(
+                             int64_t{e_acc} - 7 - obThreshold_, -8192,
+                             8191)));
+    };
+    int eAcc = reg.exponent();
+    Vec ob = obBound(eAcc);
     for (;;) {
-        if (skipOb_) {
-            // lsb < e_acc - 7 - threshold, i.e. k past the threshold.
-            // Clamped: no live LSB sits outside [-300, 300].
-            const int bound = static_cast<int>(std::clamp<int64_t>(
-                int64_t{reg.exponent()} - 7 - obThreshold_, -8192, 8191));
-            q[0] = select(q[0] < splat(2 * bound), splat(kDead), q[0]);
-        }
+        if (skipOb_)
+            q[0] = select(q[0] < ob, splat(kDead), q[0]);
         const int top = maxElement(q[0]);
         if (top <= kDead)
             break;
@@ -183,9 +206,14 @@ FPRakerValueMac::processSet8(const BFloat16 *a, const BFloat16 *b)
         const Vec neg = bit<0>(q[0]);
         c = ((c ^ neg) - neg) & fire;
         const int sum = sumElements(c);
-        if (sum != 0)
+        if (sum != 0) {
             reg.addValue(sum < 0, ref,
                          static_cast<uint64_t>(sum < 0 ? -sum : sum));
+            if (reg.exponent() != eAcc) {
+                eAcc = reg.exponent();
+                ob = obBound(eAcc);
+            }
+        }
 
         // Fired lanes move to their next term.
         for (int k = 0; k + 1 < depth; ++k)

@@ -33,12 +33,17 @@
  * Full 8-lane sets with maxDelta <= 4 (the paper's PE has 3) run a
  * vector body that keeps every lane's remaining terms in 16-bit
  * vectors, written in the column's GCC vector extensions (pe/vec16.h),
- * and sums each cycle's fired lanes in int16. Any other shape runs a
- * one-PE FPRakerColumn instead, the model this MAC reproduces. The
- * vector body is integer-exact, and tests/test_fuzz_differential.cpp
- * holds the MAC bit-equal to FPRakerPe::processSet across encodings,
- * windows 0 to 8, thresholds, accumulator widths, chunk sizes and lane
- * counts.
+ * and sums each cycle's fired lanes in int16. A set is two parts:
+ * loadSerial decodes the serial operand (its lanes' term queues,
+ * transposed into per-term vectors), which depends on nothing else, so
+ * a caller streaming one row against many keeps it; processSet runs
+ * the one cycle loop over a parallel operand. Within that loop the
+ * out-of-bounds bound is refreshed only after an add that moved the
+ * accumulator's exponent. Any other shape runs a one-PE FPRakerColumn
+ * instead, the model this MAC reproduces. The vector body is
+ * integer-exact, and tests/test_fuzz_differential.cpp holds the MAC
+ * bit-equal to FPRakerPe::processSet across encodings, windows 0 to 8,
+ * thresholds, accumulator widths, chunk sizes and lane counts.
  */
 
 #ifndef FPRAKER_PE_VALUE_MAC_H
@@ -48,6 +53,7 @@
 
 #include "pe/fpraker_pe.h"
 #include "pe/pe_common.h"
+#include "pe/vec16.h"
 
 namespace fpraker {
 
@@ -57,13 +63,31 @@ class FPRakerValueMac
   public:
     static constexpr int kMaxLanes = 16;
 
+    /**
+     * One set's serial operand, decoded once by loadSerial: its lanes
+     * and, for the vector body, their term queues transposed into
+     * per-term vectors. It depends on nothing but the cfg.lanes serial
+     * values and cfg.encoding, so every dot that streams the same
+     * values may reuse it.
+     */
+    struct SerialSet
+    {
+        vec16::Vec terms[8]; //!< terms[k]: each lane's k-th term.
+        BFloat16 a[kMaxLanes];
+    };
+
     explicit FPRakerValueMac(const PeConfig &cfg);
 
+    /** Decode cfg.lanes serial values @p a for processSet. */
+    static void loadSerial(const PeConfig &cfg, const BFloat16 *a,
+                           SerialSet &s);
+
     /**
-     * Accumulate one set of cfg.lanes operand pairs (lane l is
-     * a[l] * b[l]). Panics on a non-finite operand, like the PE.
+     * Accumulate one set of cfg.lanes operand pairs: lane l is
+     * s.a[l] * b[l], @p s loaded under this MAC's cfg. Panics on a
+     * non-finite operand, like the PE.
      */
-    void processSet(const BFloat16 *a, const BFloat16 *b);
+    void processSet(const SerialSet &s, const BFloat16 *b);
 
     /** FP32 running sum plus the current chunk. */
     float
@@ -76,8 +100,11 @@ class FPRakerValueMac
     /** Every significand's terms as 16-bit queue entries. */
     struct TermQueues;
 
+    /** True when cfg's sets run the vector body. */
+    static bool vectorBody(const PeConfig &cfg);
+
     /** The vector body: one full 8-lane set. */
-    void processSet8(const BFloat16 *a, const BFloat16 *b);
+    void processSet8(const SerialSet &s, const BFloat16 *b);
 
     const TermQueues *queues_; //!< Set when the vector body applies.
     int maxDelta_;

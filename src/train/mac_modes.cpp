@@ -52,46 +52,90 @@ fp32Dot(const float *a, const float *b, size_t n)
     return fmaLoop(a, b, n);
 }
 
-/** Bf16Chunked: every product through the chunked register. */
-float
-chunkedDot(const BFloat16 *a, const BFloat16 *b, size_t n,
-           const AccumulatorConfig &cfg)
+/**
+ * Bf16Chunked: the dots of row @p a with the D consecutive rows at
+ * @p b, into out[0..D). Each dot has its own chunked register, fed its
+ * own products in k order; walking the D in lockstep lets their
+ * normalize-and-round chains overlap. dot() is the case D = 1.
+ */
+template <size_t D>
+void
+chunkedDots(const BFloat16 *a, const BFloat16 *b, size_t n,
+            const AccumulatorConfig &cfg, float *out)
 {
-    ChunkedAccumulator acc(cfg);
-    for (size_t i = 0; i < n; ++i)
-        acc.addProduct(a[i], b[i]);
-    return acc.total();
+    ChunkedAccumulator acc[D];
+    for (ChunkedAccumulator &x : acc)
+        x = ChunkedAccumulator(cfg);
+    for (size_t k = 0; k < n; ++k)
+        for (size_t d = 0; d < D; ++d)
+            acc[d].addProduct(a[k], b[d * n + k]);
+    for (size_t d = 0; d < D; ++d)
+        out[d] = acc[d].total();
 }
 
-/** FPRakerEmulated: sets of cfg.lanes pairs through the value MAC. */
+/**
+ * The set at lanes i.. of row @p x of length n: the row itself, or a
+ * ragged tail copied into @p pad and padded with zeros, so every set
+ * ticks the chunk counter by cfg.lanes.
+ */
+const BFloat16 *
+wholeSet(const BFloat16 *x, size_t i, size_t n, size_t lanes,
+         BFloat16 (&pad)[FPRakerValueMac::kMaxLanes])
+{
+    if (i + lanes <= n)
+        return x + i;
+    std::fill(std::copy(x + i, x + n, pad), pad + lanes, BFloat16());
+    return pad;
+}
+
+/** FPRakerEmulated: row @p a decoded into whole sets of cfg.lanes. */
+std::vector<FPRakerValueMac::SerialSet>
+serialRow(const PeConfig &cfg, const BFloat16 *a, size_t n)
+{
+    const size_t lanes = static_cast<size_t>(cfg.lanes);
+    std::vector<FPRakerValueMac::SerialSet> sets((n + lanes - 1) / lanes);
+    BFloat16 pad[FPRakerValueMac::kMaxLanes];
+    for (size_t s = 0; s < sets.size(); ++s)
+        FPRakerValueMac::loadSerial(
+            cfg, wholeSet(a, s * lanes, n, lanes, pad), sets[s]);
+    return sets;
+}
+
+/** FPRakerEmulated: one dot of a row decoded by serialRow with b. */
 float
-fprakerDot(const BFloat16 *a, const BFloat16 *b, size_t n,
-           const PeConfig &cfg)
+fprakerDot(const PeConfig &cfg,
+           const std::vector<FPRakerValueMac::SerialSet> &sets,
+           const BFloat16 *b, size_t n)
 {
     FPRakerValueMac mac(cfg);
     const size_t lanes = static_cast<size_t>(cfg.lanes);
-    size_t i = 0;
-    for (; i + lanes <= n; i += lanes)
-        mac.processSet(a + i, b + i);
-    if (i < n) {
-        // A ragged tail runs as a whole set padded with zero pairs,
-        // so every set ticks the chunk counter by cfg.lanes.
-        BFloat16 sa[FPRakerValueMac::kMaxLanes] = {};
-        BFloat16 sb[FPRakerValueMac::kMaxLanes] = {};
-        std::copy(a + i, a + n, sa);
-        std::copy(b + i, b + n, sb);
-        mac.processSet(sa, sb);
-    }
+    BFloat16 pad[FPRakerValueMac::kMaxLanes];
+    for (size_t s = 0; s < sets.size(); ++s)
+        mac.processSet(sets[s], wholeSet(b, s * lanes, n, lanes, pad));
     return mac.total();
 }
 
-/** One dot of bfloat16 rows under a bf16 mode. */
-float
-bf16Dot(MacMode mode, const PeConfig &cfg, const BFloat16 *a,
-        const BFloat16 *b, size_t n)
+/**
+ * One row of C under a bf16 mode: the dots of row @p a with each of
+ * the @p m rows at @p bt, all of length n, into out[0..m). dot() is the
+ * case m = 1, so dot() and matmulT() run the same body.
+ */
+void
+bf16Row(MacMode mode, const PeConfig &cfg, const BFloat16 *a,
+        const BFloat16 *bt, size_t m, size_t n, float *out)
 {
-    return mode == MacMode::Bf16Chunked ? chunkedDot(a, b, n, cfg.acc)
-                                        : fprakerDot(a, b, n, cfg);
+    if (mode == MacMode::Bf16Chunked) {
+        size_t j = 0;
+        for (; j + 4 <= m; j += 4)
+            chunkedDots<4>(a, bt + j * n, n, cfg.acc, out + j);
+        for (; j < m; ++j)
+            chunkedDots<1>(a, bt + j * n, n, cfg.acc, out + j);
+        return;
+    }
+    // The row's term queues are built once for all m dots.
+    const std::vector<FPRakerValueMac::SerialSet> sets = serialRow(cfg, a, n);
+    for (size_t j = 0; j < m; ++j)
+        out[j] = fprakerDot(cfg, sets, bt + j * n, n);
 }
 
 /** @p n floats rounded to bfloat16, the bf16 modes' operand type. */
@@ -102,19 +146,6 @@ toBf16(const float *v, size_t n)
     for (size_t i = 0; i < n; ++i)
         out[i] = BFloat16::fromFloat(v[i]);
     return out;
-}
-
-/** C(i, j) = dot(row i of @p a, row j of @p bt), rows of length n. */
-template <typename T, typename Dot>
-Matrix
-rowPairs(const T *a, size_t a_rows, const T *bt, size_t bt_rows, size_t n,
-         Dot dot)
-{
-    Matrix c(a_rows, bt_rows);
-    for (size_t i = 0; i < a_rows; ++i)
-        for (size_t j = 0; j < bt_rows; ++j)
-            c.at(i, j) = dot(a + i * n, bt + j * n, n);
-    return c;
 }
 
 } // namespace
@@ -145,7 +176,9 @@ MacEngine::dot(const float *a, const float *b, size_t n) const
         return fp32Dot(a, b, n);
     const std::vector<BFloat16> ah = toBf16(a, n);
     const std::vector<BFloat16> bh = toBf16(b, n);
-    return bf16Dot(mode_, peCfg_, ah.data(), bh.data(), n);
+    float out;
+    bf16Row(mode_, peCfg_, ah.data(), bh.data(), 1, n, &out);
+    return out;
 }
 
 Matrix
@@ -155,16 +188,19 @@ MacEngine::matmulT(const Matrix &a, const Matrix &bt) const
              "matmulT inner dimensions differ (%zu vs %zu)", a.cols(),
              bt.cols());
     const size_t n = a.cols();
-    if (mode_ == MacMode::NativeFp32)
-        return rowPairs(a.data(), a.rows(), bt.data(), bt.rows(), n,
-                        fp32Dot);
+    Matrix c(a.rows(), bt.rows());
+    if (mode_ == MacMode::NativeFp32) {
+        for (size_t i = 0; i < a.rows(); ++i)
+            for (size_t j = 0; j < bt.rows(); ++j)
+                c.at(i, j) = fp32Dot(a.row(i), bt.row(j), n);
+        return c;
+    }
     const std::vector<BFloat16> ah = toBf16(a.data(), a.size());
     const std::vector<BFloat16> bh = toBf16(bt.data(), bt.size());
-    return rowPairs(ah.data(), a.rows(), bh.data(), bt.rows(), n,
-                    [this](const BFloat16 *x, const BFloat16 *y,
-                           size_t k) {
-                        return bf16Dot(mode_, peCfg_, x, y, k);
-                    });
+    for (size_t i = 0; i < a.rows(); ++i)
+        bf16Row(mode_, peCfg_, ah.data() + i * n, bh.data(), bt.rows(), n,
+                c.row(i));
+    return c;
 }
 
 } // namespace fpraker

@@ -22,12 +22,15 @@
  * The unit a layer hands over is a GEMM: matmulT(A, B^T) computes the
  * dot of every row of A with every row of B^T, each accumulated in k
  * order exactly as dot() accumulates it. The bf16 modes convert each
- * operand matrix to bfloat16 once per call and walk contiguous rows;
- * NativeFp32 walks the float rows as they are, on the FMA instruction
- * where the host has one (it rounds exactly as libm's fmaf does).
- * dot() and matmulT() run the same per-dot body for each mode, so the
- * two cannot drift apart. How dots are walked is decided here, not in
- * the layers.
+ * operand matrix to bfloat16 once per call and compute C a row at a
+ * time: FPRakerEmulated decodes the row's serial sets (their term
+ * queues) once for all of the row's dots, and Bf16Chunked walks four
+ * dots in lockstep, each on its own chunked register, so their
+ * rounding chains overlap. dot() is that row body with one dot, so the
+ * two cannot drift apart. NativeFp32 walks the float rows as they are,
+ * on the FMA instruction where the host has one (it rounds exactly as
+ * libm's fmaf does). How dots are walked is decided here, not in the
+ * layers.
  *
  * A MacEngine holds only its configuration: every dot builds its
  * accumulator on the stack, so one const engine may serve any number

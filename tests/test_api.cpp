@@ -376,8 +376,9 @@ TEST(Driver, RunPrintsInTheOrderGiven)
 
 TEST(Driver, UnusableOutputPathFailsBeforeAnyExperimentRuns)
 {
-    // A --json-dir that cannot be created, or a --json whose directory
-    // does not exist, exits 1 before any experiment runs or prints.
+    // A --json-dir that cannot be created, a --json whose directory
+    // does not exist, or a --json that is a directory exits 1 before
+    // any experiment runs or prints.
     const std::string file = ::testing::TempDir() + "fpraker_not_a_dir";
     std::FILE *f = std::fopen(file.c_str(), "w");
     ASSERT_NE(f, nullptr);
@@ -389,6 +390,9 @@ TEST(Driver, UnusableOutputPathFailsBeforeAnyExperimentRuns)
     EXPECT_EQ(out, "");
     const std::string json = "--json=" + file + "/table2.json";
     EXPECT_EQ(runCli({"run", "table2", json.c_str()}, &out), 1);
+    EXPECT_EQ(out, "");
+    const std::string json_is_dir = "--json=" + ::testing::TempDir();
+    EXPECT_EQ(runCli({"run", "table2", json_is_dir.c_str()}, &out), 1);
     EXPECT_EQ(out, "");
     std::remove(file.c_str());
 }

@@ -3,6 +3,7 @@
  * Tests for the training-emulation framework (Fig. 17/21 substrate).
  */
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -62,6 +63,8 @@ TEST(MacEngine, ModesAgreeOnBenignData)
  * every element must still be bit-equal to dot() over the same two
  * rows, in every mode and in both value-MAC paths (the vector body for
  * the default 8-lane PE, the one-PE column for the other shapes).
+ * Bf16Chunked walks a row's dots four at a time, so bt takes 1 to 7
+ * rows: full groups of four and every leftover count.
  */
 TEST(MacEngine, MatmulTMatchesPerDotBitForBit)
 {
@@ -84,8 +87,8 @@ TEST(MacEngine, MatmulTMatchesPerDotBitForBit)
     for (size_t n : {1, 7, 8, 9, 32, 100}) {
         // a: a +0 row, a ReLU-like row, a row of signed zeros among
         // values, and two rows spread over 2^-60..2^60. bt: a -0 row,
-        // small weights, and two wide rows.
-        Matrix a(5, n), bt(4, n);
+        // small weights, and wide rows.
+        Matrix a(5, n), bt(7, n);
         for (size_t k = 0; k < n; ++k) {
             const double g = rng.gaussian(0.0, 1.0);
             a.at(1, k) = static_cast<float>(g > 0.0 ? g : 0.0);
@@ -98,25 +101,31 @@ TEST(MacEngine, MatmulTMatchesPerDotBitForBit)
                     std::ldexp(rng.gaussian(0.0, 1.0),
                                static_cast<int>(rng.uniformInt(0, 120)) -
                                    60));
-            for (size_t r : {2, 3})
+            for (size_t r = 2; r < bt.rows(); ++r)
                 bt.at(r, k) = static_cast<float>(
                     std::ldexp(rng.gaussian(0.0, 1.0),
                                static_cast<int>(rng.uniformInt(0, 120)) -
                                    60));
         }
-        for (const auto &[mode, cfg] : engines) {
-            const MacEngine eng(mode, cfg);
-            const Matrix c = eng.matmulT(a, bt);
-            ASSERT_EQ(c.rows(), a.rows());
-            ASSERT_EQ(c.cols(), bt.rows());
-            for (size_t i = 0; i < a.rows(); ++i)
-                for (size_t j = 0; j < bt.rows(); ++j)
-                    ASSERT_EQ(std::bit_cast<uint32_t>(c.at(i, j)),
-                              std::bit_cast<uint32_t>(
-                                  eng.dot(a.row(i), bt.row(j), n)))
-                        << macModeLabel(mode) << " lanes=" << cfg.lanes
-                        << " maxDelta=" << cfg.maxDelta << " n=" << n
-                        << " (" << i << ", " << j << ")";
+        for (size_t m = 1; m <= bt.rows(); ++m) {
+            // bt's first m rows.
+            Matrix btm(m, n);
+            std::copy(bt.data(), bt.data() + m * n, btm.data());
+            for (const auto &[mode, cfg] : engines) {
+                const MacEngine eng(mode, cfg);
+                const Matrix c = eng.matmulT(a, btm);
+                ASSERT_EQ(c.rows(), a.rows());
+                ASSERT_EQ(c.cols(), m);
+                for (size_t i = 0; i < a.rows(); ++i)
+                    for (size_t j = 0; j < m; ++j)
+                        ASSERT_EQ(std::bit_cast<uint32_t>(c.at(i, j)),
+                                  std::bit_cast<uint32_t>(eng.dot(
+                                      a.row(i), btm.row(j), n)))
+                            << macModeLabel(mode) << " lanes=" << cfg.lanes
+                            << " maxDelta=" << cfg.maxDelta << " n=" << n
+                            << " bt rows=" << m << " (" << i << ", " << j
+                            << ")";
+            }
         }
     }
 }
