@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <mutex>
 
 #include "common/bitutil.h"
 #include "common/logging.h"
 #include "compress/base_delta.h"
+#include "obs/metrics.h"
 
 namespace fpraker {
 
@@ -62,6 +65,24 @@ Accelerator::Accelerator(AcceleratorConfig cfg,
 
 namespace {
 
+FPRAKER_METRIC_COUNTER(g_bdcAnalyses, "accel.bdc_analyses",
+                       "BDC footprint analyses run");
+
+/** Values one BDC analysis compresses. */
+constexpr size_t kBdcValues = 8192;
+
+/** Distinct samples the footprint table keeps. */
+constexpr size_t kBdcTableCap = 4096;
+
+double
+analyzeFootprint(const BdcSample &sample)
+{
+    g_bdcAnalyses.add();
+    TensorGenerator gen(sample.profile, sample.seed);
+    return BaseDeltaCodec().analyze(gen.generate(kBdcValues))
+        .totalFootprint();
+}
+
 /** Off-chip bytes for one (layer, op): operands in, result out. */
 struct OpTraffic
 {
@@ -116,38 +137,66 @@ trafficBytes(const LayerShape &l, TrainingOp op, int conv_weight_batch,
 
 } // namespace
 
-double
-Accelerator::cachedBdcFootprint(const ModelInfo &model, TensorKind kind,
-                                double progress) const
+BdcSample::Key
+BdcSample::key() const
 {
-    std::string key = model.name + "/" + tensorLabel(kind) + "/" +
-                      std::to_string(progress);
-    {
-        std::lock_guard<std::mutex> lock(bdcMutex_);
-        auto it = bdcCache_.find(key);
-        if (it != bdcCache_.end())
-            return it->second;
-    }
-    // Analysis runs unlocked (it is deterministic per key, so a rare
-    // duplicate computation inserts the same value).
-    ValueProfile p = model.profile.of(kind).at(progress);
-    TensorGenerator gen(p,
-                        cfg_.seed ^ (static_cast<uint64_t>(kind) + 11));
-    BaseDeltaCodec codec;
-    double footprint = codec.analyze(gen.generate(8192)).totalFootprint();
-    std::lock_guard<std::mutex> lock(bdcMutex_);
-    bdcCache_.emplace(std::move(key), footprint);
-    return footprint;
+    Key key{};
+    const ProfileWords words = profileWords(profile);
+    std::copy(words.begin(), words.end(), key.begin());
+    key[words.size()] = seed;
+    key[words.size() + 1] = kBdcValues;
+    return key;
 }
 
-void
-Accelerator::warmBdcCache(const ModelInfo &model, double progress) const
+double
+bdcFootprint(const BdcSample &sample)
+{
+    // Entries are never erased, so a found entry stays valid after the
+    // lock drops; its once_flag makes a second asker wait for the first
+    // analysis instead of repeating it.
+    struct Entry
+    {
+        std::once_flag once;
+        double footprint = 0;
+    };
+    static std::mutex mutex;
+    static auto *table = new std::map<BdcSample::Key, Entry>;
+
+    const BdcSample::Key key = sample.key();
+    Entry *entry = nullptr;
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        auto it = table->find(key);
+        if (it != table->end())
+            entry = &it->second;
+        else if (table->size() < kBdcTableCap)
+            entry = &(*table)[key];
+    }
+    if (!entry)
+        return analyzeFootprint(sample);
+    std::call_once(entry->once,
+                   [&] { entry->footprint = analyzeFootprint(sample); });
+    return entry->footprint;
+}
+
+BdcSample
+Accelerator::bdcSample(const ModelInfo &model, TensorKind kind,
+                       double progress) const
+{
+    return BdcSample{model.profile.of(kind).at(progress),
+                     cfg_.seed ^ (static_cast<uint64_t>(kind) + 11)};
+}
+
+std::vector<BdcSample>
+Accelerator::bdcSamples(const ModelInfo &model, double progress) const
 {
     if (!cfg_.useBdc)
-        return;
+        return {};
+    std::vector<BdcSample> samples;
     for (TensorKind kind : {TensorKind::Activation, TensorKind::Weight,
                             TensorKind::Gradient})
-        cachedBdcFootprint(model, kind, progress);
+        samples.push_back(bdcSample(model, kind, progress));
+    return samples;
 }
 
 PhaseRunConfig
@@ -223,12 +272,13 @@ Accelerator::layerOpReport(const ModelInfo &model, const LayerShape &layer,
             op == TrainingOp::Forward ? TensorKind::Activation
             : op == TrainingOp::InputGrad ? TensorKind::Gradient
                                           : TensorKind::Weight;
+        auto footprint = [&](TensorKind kind) {
+            return bdcFootprint(bdcSample(model, kind, progress));
+        };
         r.trafficBytesCompressed =
-            traffic.first *
-                cachedBdcFootprint(model, operands.first, progress) +
-            traffic.second *
-                cachedBdcFootprint(model, operands.second, progress) +
-            traffic.out * cachedBdcFootprint(model, out_kind, progress);
+            traffic.first * footprint(operands.first) +
+            traffic.second * footprint(operands.second) +
+            traffic.out * footprint(out_kind);
     } else {
         r.trafficBytesCompressed = r.trafficBytes;
     }

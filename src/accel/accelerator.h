@@ -17,8 +17,7 @@
 #ifndef FPRAKER_ACCEL_ACCELERATOR_H
 #define FPRAKER_ACCEL_ACCELERATOR_H
 
-#include <map>
-#include <mutex>
+#include <array>
 #include <string>
 #include <vector>
 
@@ -115,6 +114,30 @@ struct ModelRunReport
     }
 };
 
+/**
+ * One BDC footprint analysis: base-delta compression of a fixed count
+ * of @ref profile values drawn from generator @ref seed. Its footprint
+ * is a pure function of those, so a process analyzes each once
+ * (bdcFootprint), whatever model, variant or experiment asks.
+ */
+struct BdcSample
+{
+    ValueProfile profile;
+    uint64_t seed = 0;
+
+    /** What the analysis reads: the profile's words, seed and count. */
+    using Key = std::array<uint64_t, 9>;
+    Key key() const;
+};
+
+/**
+ * The compressed-to-raw footprint of @p sample. One process-wide table
+ * keeps the first 4096 distinct samples, each analyzed once however
+ * many threads ask for it; past that cap a footprint is computed and
+ * not kept, so a long-lived daemon stays bounded.
+ */
+double bdcFootprint(const BdcSample &sample);
+
 /** One independent (layer, op) unit of a model run. */
 struct LayerOpUnit
 {
@@ -123,10 +146,9 @@ struct LayerOpUnit
 };
 
 /**
- * The iso-compute-area accelerator pair: its config, energy model,
- * tile scratch pool and BDC cache. It runs nothing itself; a
- * SweepRunner simulates its phase samples and hands them to
- * layerOpReport.
+ * The iso-compute-area accelerator pair: its config, energy model and
+ * tile scratch pool. It runs nothing itself; a SweepRunner simulates
+ * its phase samples and hands them to layerOpReport.
  */
 class Accelerator
 {
@@ -179,27 +201,25 @@ class Accelerator
                                       std::vector<LayerOpReport> results);
 
     /**
-     * Pre-warm the BDC footprint cache for every tensor kind a model
-     * run at @p progress will touch, so a subsequent parallel fan-out
-     * only reads it. A SweepRunner warms every job's accelerator
-     * before it fans out their phase groups.
+     * The BDC analyses a run of @p model at @p progress reads, one per
+     * tensor kind (none without BDC). A SweepRunner analyzes every
+     * job's distinct samples before it fans out their phase groups.
      */
-    void warmBdcCache(const ModelInfo &model, double progress) const;
+    std::vector<BdcSample> bdcSamples(const ModelInfo &model,
+                                      double progress) const;
 
     const AcceleratorConfig &config() const { return cfg_; }
     const EnergyModel &energyModel() const { return energy_; }
 
   private:
-    double cachedBdcFootprint(const ModelInfo &model, TensorKind kind,
-                              double progress) const;
+    BdcSample bdcSample(const ModelInfo &model, TensorKind kind,
+                        double progress) const;
 
     AcceleratorConfig cfg_;
     EnergyModel energy_;
     /** Shared per-burst scratch pool for this config's phase samples
      *  (thread-safe; reuse is bit-identical to fresh construction). */
     mutable TilePool tilePool_;
-    mutable std::mutex bdcMutex_;
-    mutable std::map<std::string, double> bdcCache_;
 };
 
 } // namespace fpraker

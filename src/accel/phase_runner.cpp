@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <functional>
 #include <optional>
 #include <string>
@@ -27,6 +26,9 @@ FPRAKER_METRIC_COUNTER(g_phaseSteps, "phase.steps",
                        "sample steps of simulated bursts");
 FPRAKER_METRIC_COUNTER(g_phaseCycles, "phase.sim_cycles",
                        "tile cycles of simulated bursts");
+FPRAKER_METRIC_COUNTER(
+    g_burstsReplayed, "phase.bursts_replayed",
+    "bursts retimed from another machine's run of the same datapath");
 FPRAKER_METRIC_COUNTER(g_slabsFilled, "phase.slabs_filled",
                        "operand slabs filled for simulated bursts");
 FPRAKER_METRIC_COUNTER(
@@ -54,7 +56,8 @@ FPRAKER_METRIC_HISTOGRAM(g_tileSeconds, "phase.tile_seconds",
 // its operands come from substreamSeed(baseSeed, 2 * bi [+ 1]), its
 // accumulators reset before it, and phase runs read only its cycles
 // and statistics. That is the whole memo key, so a 48-step and a
-// 96-step phase of one layer share their leading bursts.
+// 96-step phase of one layer share their leading bursts. The same key
+// over datapathOf(tile) groups the machines one tile run can serve.
 
 uint64_t
 tileContextDigest(const TileConfig &t, int steps_per_output)
@@ -75,21 +78,6 @@ tileContextDigest(const TileConfig &t, int steps_per_output)
     h.add(static_cast<uint64_t>(t.bufferDepth));
     h.add(static_cast<uint64_t>(steps_per_output));
     return h.value();
-}
-
-/** A value profile's fields as key words (doubles by bit pattern). */
-using ProfileWords = std::array<uint64_t, 7>;
-
-ProfileWords
-profileWords(const ValueProfile &p)
-{
-    return {std::bit_cast<uint64_t>(p.sparsity),
-            std::bit_cast<uint64_t>(p.zeroClusterLen),
-            std::bit_cast<uint64_t>(p.expMu),
-            std::bit_cast<uint64_t>(p.expSigma),
-            std::bit_cast<uint64_t>(p.expCorr),
-            static_cast<uint64_t>(p.mantissaBits),
-            std::bit_cast<uint64_t>(p.bitDensity)};
 }
 
 /** Memo key of one burst; the last two words are its index and length. */
@@ -172,7 +160,7 @@ struct Member
         : cfg(&c), plan(p),
           generated(p.serialProfile, p.parallelProfile, p.baseSeed),
           memo(c.supply ? nullptr : c.memo), key(planKey(c.tile, p)),
-          bursts(p.bursts)
+          datapath(planKey(datapathOf(c.tile), p)), bursts(p.bursts)
     {}
 
     /** The operand source: the config's supply, else the generator. */
@@ -197,7 +185,9 @@ struct Member
     GeneratorSlabSupply generated;
     SimMemo *memo; //!< Null for trace-backed phases.
     BurstKey key;  //!< Plan key; the last two words are zero.
+    BurstKey datapath; //!< The plan key of datapathOf(the tile).
     size_t leader = 0; //!< First machine of the group with this key.
+    size_t family = 0; //!< First machine with this datapath key.
     std::vector<BurstMemoValue> bursts;
 };
 
@@ -296,10 +286,15 @@ runPhaseSamples(const ModelInfo &model, const LayerShape &layer,
                  "tile pool config does not match the phase config");
         Member &mb = members.emplace_back(
             cfg, planPhaseSample(model, layer, op, machine.progress, cfg));
-        mb.leader = members.size() - 1;
+        mb.leader = mb.family = members.size() - 1;
         for (size_t e = 0; e < mb.leader; ++e)
             if (members[e].key == mb.key) {
                 mb.leader = e;
+                break;
+            }
+        for (size_t e = 0; e < mb.family; ++e)
+            if (members[e].datapath == mb.datapath) {
+                mb.family = e;
                 break;
             }
         n_bursts = std::max(n_bursts, mb.plan.bursts);
@@ -439,10 +434,30 @@ runPhaseSamples(const ModelInfo &model, const LayerShape &layer,
             }
             g_classifySeconds.observe(secondsSince(t0));
 
+            // A machine that differs from an earlier simulated one only
+            // in timing (same datapath and plan, so the same slabs and
+            // burst length) is retimed from that machine's tile run.
+            std::vector<size_t> runner(sims.size());
+            for (size_t i = 0; i < sims.size(); ++i) {
+                const Member &mb = members[sims[i]];
+                runner[i] = i;
+                for (size_t j = 0; j < i; ++j) {
+                    const Member &mj = members[sims[j]];
+                    if (mj.family == mb.family &&
+                        mj.plan.burstSteps(bi) == mb.plan.burstSteps(bi) &&
+                        reads[j] == reads[i]) {
+                        runner[i] = j;
+                        break;
+                    }
+                }
+            }
+
             t0 = now_ns();
             {
                 obs::TraceSpan span("stage", "tile");
                 for (size_t i = 0; i < sims.size(); ++i) {
+                    if (runner[i] != i)
+                        continue;
                     Member &mb = members[sims[i]];
                     const PhasePlan &plan = mb.plan;
                     const size_t steps = plan.burstSteps(bi);
@@ -472,6 +487,18 @@ runPhaseSamples(const ModelInfo &model, const LayerShape &layer,
                     out.peStats = scratch.tile.aggregateStats();
                     g_phaseSteps.add(steps);
                     g_phaseCycles.add(out.cycles);
+                    for (size_t j = i + 1; j < sims.size(); ++j) {
+                        if (runner[j] != i)
+                            continue;
+                        Member &mj = members[sims[j]];
+                        const TileTiming timing =
+                            scratch.tile.retime(mj.cfg->tile);
+                        BurstMemoValue &other = mj.bursts[bi];
+                        other.cycles = timing.cycles;
+                        other.peStats = out.peStats;
+                        timing.applyTo(other.peStats);
+                        g_burstsReplayed.add();
+                    }
                 }
             }
             g_tileSeconds.observe(secondsSince(t0));

@@ -30,8 +30,11 @@
  * operand slab the missing machines need once and classifies it once
  * per term encoding, runs each missing machine's tile on views into
  * those slabs, and serves a machine whose burst key equals an earlier
- * machine's from that machine's result, as a memo hit would. Slabs
- * live for that one burst. runPhaseSample is the one-machine case.
+ * machine's from that machine's result, as a memo hit would. Missing
+ * machines that differ only in timing (datapathOf, tile/tile.h) run
+ * one tile, and each of the others is retimed from its recorded set
+ * cycles (Tile::retime). Slabs live for that one burst.
+ * runPhaseSample is the one-machine case.
  */
 
 #ifndef FPRAKER_ACCEL_PHASE_RUNNER_H

@@ -1,9 +1,12 @@
 #include "api/driver.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+
+#include <unistd.h>
 
 #include "common/logging.h"
 #include "common/parse.h"
@@ -79,9 +82,11 @@ printUsage(FILE *to, const char *prog)
 /**
  * Make sure a run's documents have somewhere to go before any
  * experiment runs: create --json-dir, require --json's directory to
- * exist, and refuse a --json that names a directory. The file itself
- * is not created here, so a run that fails later leaves none behind.
- * On failure say why on stderr and return false.
+ * exist, and refuse a --json that names a directory, an existing file
+ * the process cannot write, or a new file in a directory it cannot
+ * write. The file itself is not created here, so a run that fails
+ * later leaves none behind. On failure say why on stderr and return
+ * false.
  */
 bool
 prepareOutputs(const char *prog, const CliOptions &opts)
@@ -109,6 +114,14 @@ prepareOutputs(const char *prog, const CliOptions &opts)
         if (fs::is_directory(opts.json, ec)) {
             std::fprintf(stderr, "%s: --json %s is a directory\n", prog,
                          opts.json.c_str());
+            return false;
+        }
+        const bool exists = fs::exists(opts.json, ec);
+        const fs::path target =
+            exists ? fs::path(opts.json) : dir.empty() ? "." : dir;
+        if (::access(target.c_str(), exists ? W_OK : W_OK | X_OK) != 0) {
+            std::fprintf(stderr, "%s: cannot write --json %s: %s\n", prog,
+                         opts.json.c_str(), std::strerror(errno));
             return false;
         }
     }

@@ -545,17 +545,6 @@ FPRakerColumn::dot(const BFloat16 *a, const BFloat16 *b, int b_stride,
     return cycles;
 }
 
-void
-FPRakerColumn::chargeInterPeStall(int cycles)
-{
-    panic_if(cycles < 0, "negative stall charge");
-    for (int r = 0; r < numPes_; ++r) {
-        pes_[r].stats.laneInterPe +=
-            static_cast<uint64_t>(cycles) * cfg_.lanes;
-        pes_[r].stats.setCycles += static_cast<uint64_t>(cycles);
-    }
-}
-
 ChunkedAccumulator &
 FPRakerColumn::accumulator(int pe)
 {

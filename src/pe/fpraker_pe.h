@@ -219,9 +219,6 @@ class FPRakerColumn
     int dot(const BFloat16 *a, const BFloat16 *b, int b_stride,
             size_t len);
 
-    /** Charge tile-level broadcast-wait cycles to every lane. */
-    void chargeInterPeStall(int cycles);
-
     /** Accumulator of PE @p pe. */
     ChunkedAccumulator &accumulator(int pe);
     const ChunkedAccumulator &accumulator(int pe) const;

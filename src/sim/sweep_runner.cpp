@@ -1,6 +1,6 @@
 #include "sim/sweep_runner.h"
 
-#include <algorithm>
+#include <iterator>
 #include <map>
 #include <tuple>
 
@@ -9,55 +9,27 @@
 
 namespace fpraker {
 
-namespace {
-
-/** One deduplicated BDC warm-up unit: (accelerator, model, progress). */
-struct WarmUnit
-{
-    const Accelerator *accel;
-    const ModelInfo *model;
-    double progress;
-
-    bool
-    operator<(const WarmUnit &o) const
-    {
-        if (accel != o.accel)
-            return accel < o.accel;
-        if (model != o.model)
-            return model < o.model;
-        return progress < o.progress;
-    }
-};
-
-} // namespace
-
 /**
- * Shard the BDC warm-up prelude across the engine. The analysis is
- * pure per-(model, kind, progress) work guarded by the accelerator's
- * cache mutex, and a racing duplicate computation inserts an
- * identical value, so warming in parallel keeps the subsequent
- * fan-out allocation-quiet without affecting results. Units dedupe
- * first: a sweep usually repeats the same (accel, model, progress)
- * triple across many jobs.
+ * Analyze every BDC sample the jobs read, each distinct one once,
+ * sharded across the engine. Footprints are pure functions of their
+ * samples and the process-wide table analyzes a sample once, so
+ * warming in parallel leaves the group fan-out only reading it without
+ * affecting results.
  */
-template <typename Job>
 static void
-warmBdcCaches(SimEngine &engine, const std::vector<Job> &jobs)
+warmBdcFootprints(SimEngine &engine, const std::vector<SweepLayerJob> &jobs)
 {
-    std::vector<WarmUnit> units;
-    units.reserve(jobs.size());
-    for (const Job &job : jobs)
-        units.push_back(WarmUnit{job.accel, job.model, job.progress});
-    std::sort(units.begin(), units.end());
-    units.erase(std::unique(units.begin(), units.end(),
-                            [](const WarmUnit &a, const WarmUnit &b) {
-                                return !(a < b) && !(b < a);
-                            }),
-                units.end());
-    engine.parallelFor(units.size(), [&](size_t i) {
-        units[i].accel->warmBdcCache(*units[i].model,
-                                     units[i].progress);
-    });
+    std::map<BdcSample::Key, BdcSample> distinct;
+    for (const SweepLayerJob &job : jobs)
+        for (const BdcSample &sample :
+             job.accel->bdcSamples(*job.model, job.progress))
+            distinct.try_emplace(sample.key(), sample);
+    std::vector<const BdcSample *> samples;
+    samples.reserve(distinct.size());
+    for (const auto &entry : distinct)
+        samples.push_back(&entry.second);
+    engine.parallelFor(samples.size(),
+                       [&](size_t i) { bdcFootprint(*samples[i]); });
 }
 
 std::vector<ModelRunReport>
@@ -96,12 +68,12 @@ SweepRunner::runModels(const std::vector<SweepJob> &jobs)
 std::vector<LayerOpReport>
 SweepRunner::runLayerOps(const std::vector<SweepLayerJob> &jobs)
 {
-    // The BDC caches warm up front, themselves sharded across the
+    // The BDC footprints warm up front, themselves sharded across the
     // engine, so the group fan-out only reads them.
     for (const SweepLayerJob &job : jobs)
         panic_if(!job.accel || !job.model || !job.layer,
                  "incomplete sweep layer job");
-    warmBdcCaches(engine_, jobs);
+    warmBdcFootprints(engine_, jobs);
 
     // One group per (model, layer, op, supply), in order of first
     // appearance: every job that samples that phase from one operand

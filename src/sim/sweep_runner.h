@@ -23,7 +23,7 @@
  *    sparsity/compression harnesses that never build an accelerator).
  *
  * Determinism: jobs only read shared state (models, configs, the
- * pre-warmed BDC caches); every job writes its own result slot;
+ * pre-warmed BDC footprints); every job writes its own result slot;
  * reductions run serially in job order; and all sampling inside a
  * burst seeds RNG substreams by burst index (trace/rng_stream.h), so
  * a shared slab holds exactly the bytes each machine would have

@@ -7,6 +7,14 @@
 
 namespace fpraker {
 
+TileConfig
+datapathOf(TileConfig cfg)
+{
+    cfg.bufferDepth = 1;
+    cfg.pe.exponentFloor = 0;
+    return cfg;
+}
+
 Tile::Tile(const TileConfig &cfg)
     : cfg_(cfg), decodedLanes_(cfg.pe.lanes, cfg.rows)
 {
@@ -16,10 +24,11 @@ Tile::Tile(const TileConfig &cfg)
              "tile of %d columns exceeds the 64-column busy-mask limit",
              cfg_.cols);
     panic_if(cfg_.bufferDepth < 1, "buffer depth must be at least 1");
+    const PeConfig datapath = datapathOf(cfg_).pe;
     columns_.reserve(static_cast<size_t>(cfg_.cols));
     for (int c = 0; c < cfg_.cols; ++c)
         columns_.push_back(
-            std::make_unique<FPRakerColumn>(cfg_.pe, cfg_.rows));
+            std::make_unique<FPRakerColumn>(datapath, cfg_.rows));
 }
 
 TileRunResult
@@ -45,15 +54,12 @@ TileRunResult
 Tile::run(const TileStepView *steps, size_t n_steps)
 {
     const int lanes = cfg_.pe.lanes;
-    const int depth = cfg_.bufferDepth;
     const size_t cols = static_cast<size_t>(cfg_.cols);
 
     TileRunResult result;
     result.steps = n_steps;
     result.macs =
         n_steps * static_cast<uint64_t>(macsPerStep());
-    if (n_steps == 0)
-        return result;
 
     // Phase A: simulate every column's set batch. A column's per-set
     // cycle counts, accumulator contents, and datapath statistics
@@ -65,6 +71,7 @@ Tile::run(const TileStepView *steps, size_t n_steps)
     // under one busy mask that drops each column the cycle it settles.
     // Columns never share mutable state, so any interleaving of their
     // stepCycle calls is bit-identical to a column-major walk.
+    lastSteps_ = n_steps;
     cycleScratch_.resize(cols * n_steps);
     for (size_t s = 0; s < n_steps; ++s) {
         decodedLanes_.decode(steps[s].b, lanes, lanes);
@@ -87,45 +94,69 @@ Tile::run(const TileStepView *steps, size_t n_steps)
             cycleScratch_[c * n_steps + s] = columns_[c]->finishSet();
     }
 
-    // Phase B: replay the bounded-run-ahead recurrence over the cycle
-    // matrix. finish[c] holds the completion time of column c's latest
-    // set; startHistory[s % depth][c] records when column c began set
-    // s: a column's buffer slot frees once the set it held moves into
-    // the PE's working registers, so broadcast of set s waits on
+    // Phase B, under this tile's own timing fields.
+    const TileTiming timing = retime(cfg_);
+    timing_.laneExponent += timing.laneExponent;
+    timing_.laneInterPe += timing.laneInterPe;
+    timing_.setCycles += timing.setCycles;
+    result.cycles = timing.cycles;
+    return result;
+}
+
+TileTiming
+Tile::retime(const TileConfig &timing)
+{
+    panic_if(!(datapathOf(timing) == datapathOf(cfg_)),
+             "retime needs a config of this tile's datapath");
+    panic_if(timing.bufferDepth < 1, "buffer depth must be at least 1");
+    const size_t depth = static_cast<size_t>(timing.bufferDepth);
+    const int floor = timing.pe.exponentFloor;
+    const size_t cols = static_cast<size_t>(cfg_.cols);
+    const size_t n_steps = lastSteps_;
+
+    // The exponent block's floor stretches each short set to floor
+    // cycles. Then the bounded-run-ahead recurrence: finish[c] holds
+    // the completion time of column c's latest set;
+    // startHistory[s % depth][c] records when column c began set s: a
+    // column's buffer slot frees once the set it held moves into the
+    // PE's working registers, so broadcast of set s waits on
     // max_c start[c][s - depth]. With the paper's depth of one this
     // lets a fast column run exactly one set ahead of the slowest.
     // The scratch lives in members (assign() re-zeroes without
-    // reallocating) so per-burst run() calls stay allocation-free.
+    // reallocating) so per-burst calls stay allocation-free.
     finishScratch_.assign(cols, 0);
-    startScratch_.assign(static_cast<size_t>(depth) * cols, 0);
-    waitScratch_.assign(cols, 0);
+    startScratch_.assign(depth * cols, 0);
     uint64_t *finish = finishScratch_.data();
-    uint64_t *waitTotal = waitScratch_.data();
-
+    uint64_t floor_cycles = 0, set_cycles = 0, wait_cycles = 0;
     for (size_t s = 0; s < n_steps; ++s) {
-        uint64_t *starts =
-            startScratch_.data() + (s % static_cast<size_t>(depth)) * cols;
+        uint64_t *starts = startScratch_.data() + (s % depth) * cols;
         uint64_t avail = 0;
-        if (s >= static_cast<size_t>(depth))
+        if (s >= depth)
             avail = *std::max_element(starts, starts + cols);
         for (size_t c = 0; c < cols; ++c) {
-            uint64_t start = std::max(finish[c], avail);
-            waitTotal[c] += start - finish[c];
+            const int raw = cycleScratch_[c * n_steps + s];
+            const uint64_t set =
+                static_cast<uint64_t>(std::max(raw, floor));
+            floor_cycles += set - static_cast<uint64_t>(raw);
+            set_cycles += set;
+            const uint64_t start = std::max(finish[c], avail);
+            wait_cycles += start - finish[c];
             starts[c] = start;
-            finish[c] = start + static_cast<uint64_t>(
-                                    cycleScratch_[c * n_steps + s]);
+            finish[c] = start + set;
         }
     }
-    // Broadcast-wait stalls are pure statistics (they never touch the
-    // accumulators), so charging each column its batch total is
-    // bit-identical to the seed's per-set charges.
-    for (size_t c = 0; c < cols; ++c)
-        if (waitTotal[c] > 0)
-            columns_[c]->chargeInterPeStall(
-                static_cast<int>(waitTotal[c]));
 
-    result.cycles = *std::max_element(finish, finish + cols);
-    return result;
+    // Every PE of a column is charged its column's floor and
+    // broadcast-wait cycles on every lane; both are pure statistics
+    // (they never touch the accumulators).
+    const uint64_t rows = static_cast<uint64_t>(cfg_.rows);
+    const uint64_t lanes = static_cast<uint64_t>(cfg_.pe.lanes);
+    TileTiming t;
+    t.cycles = *std::max_element(finish, finish + cols);
+    t.laneExponent = rows * lanes * floor_cycles;
+    t.laneInterPe = rows * lanes * wait_cycles;
+    t.setCycles = rows * (set_cycles + wait_cycles);
+    return t;
 }
 
 float
@@ -147,13 +178,8 @@ Tile::aggregateStats() const
     PeStats agg;
     for (const auto &col : columns_)
         agg.merge(col->aggregateStats());
+    timing_.applyTo(agg);
     return agg;
-}
-
-PeStats
-Tile::columnStats(int c) const
-{
-    return columns_[static_cast<size_t>(c)]->aggregateStats();
 }
 
 void
@@ -161,6 +187,7 @@ Tile::clearStats()
 {
     for (auto &col : columns_)
         col->clearStats();
+    timing_ = {};
 }
 
 BaselineTile::BaselineTile(const TileConfig &cfg)

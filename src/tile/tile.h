@@ -26,11 +26,17 @@
  * contents depend only on its own operand/set sequence, never on the
  * other columns' timing, so phase A sweeps every column's sets
  * step-major under one 64-bit busy mask (which bounds a tile at 64
- * columns, as FPRakerColumn bounds a column at 64 PEs), and phase B
- * replays the recurrence over the recorded per-set cycle counts and
- * charges each column its broadcast-wait stalls. A tile runs on its
- * caller's thread; the phase runner shards whole bursts (one tile
- * each) instead.
+ * columns, as FPRakerColumn bounds a column at 64 PEs) and records
+ * each set's raw cycles, before the exponent block's floor. Phase B
+ * (Tile::retime) applies the floor and replays the recurrence over
+ * those cycles, charging each column its broadcast-wait stalls.
+ *
+ * The two fields phase B reads, bufferDepth and pe.exponentFloor, are
+ * the only timing-only fields (datapathOf): machines that differ only
+ * in them run the same phase A, so one run serves them all, each
+ * retimed from the recorded cycles. A tile runs on its caller's
+ * thread; the phase runner shards whole bursts (one tile each)
+ * instead.
  */
 
 #ifndef FPRAKER_TILE_TILE_H
@@ -54,6 +60,36 @@ struct TileConfig
     int bufferDepth = 1; //!< B-set run-ahead depth (paper: one set).
 
     bool operator==(const TileConfig &) const = default;
+};
+
+/**
+ * @p cfg with its timing-only fields, bufferDepth and pe.exponentFloor,
+ * fixed at depth one and no floor. Configs with one datapath compute
+ * the same sets in the same raw cycles, with the same PeStats but for
+ * the fields retime() derives.
+ */
+TileConfig datapathOf(TileConfig cfg);
+
+/**
+ * What a run's timing-only fields decide: its cycles and the tile
+ * totals of the three PeStats fields that depend on them. Every other
+ * PeStats field is the datapath's.
+ */
+struct TileTiming
+{
+    uint64_t cycles = 0;
+    uint64_t laneExponent = 0;
+    uint64_t laneInterPe = 0;
+    uint64_t setCycles = 0;
+
+    /** Put these timing fields in place of @p stats' own. */
+    void
+    applyTo(PeStats &stats) const
+    {
+        stats.laneExponent = laneExponent;
+        stats.laneInterPe = laneInterPe;
+        stats.setCycles = setCycles;
+    }
 };
 
 /**
@@ -103,6 +139,14 @@ class Tile
     /** View-based variant: @p steps[i] must have tile arity. */
     TileRunResult run(const TileStepView *steps, size_t n);
 
+    /**
+     * Phase B of the last run under @p timing's bufferDepth and
+     * pe.exponentFloor: the cycles and timing stats a fresh tile of
+     * @p timing reports for the same steps. @p timing must have this
+     * tile's datapath; run() times itself this way.
+     */
+    TileTiming retime(const TileConfig &timing);
+
     /** Accumulated output of PE (r, c). */
     float output(int r, int c) const;
 
@@ -124,9 +168,6 @@ class Tile
     /** Tile-aggregate PE statistics. */
     PeStats aggregateStats() const;
 
-    /** Stats of one column (aggregated over its PEs). */
-    PeStats columnStats(int c) const;
-
     void clearStats();
 
     const TileConfig &config() const { return cfg_; }
@@ -140,17 +181,21 @@ class Tile
 
   private:
     TileConfig cfg_;
+    //! Columns of the datapath (no floor); timing_ replaces the
+    //! timing fields of their statistics.
     std::vector<std::unique_ptr<FPRakerColumn>> columns_;
     //! Shared decoded B rows: the broadcast rows are identical for
     //! every column, so phase A decodes each step's rows once,
     //! lane-major, and all columns consume them.
     FPRakerColumn::DecodedBLanes decodedLanes_;
-    std::vector<int> cycleScratch_; //!< Phase-A cycles, [c * steps + s].
-    // Phase-B recurrence scratch, members so repeated run() calls
-    // (one per phase burst) stay allocation-free.
+    //! Phase-A raw cycles of the last run, [c * lastSteps_ + s].
+    std::vector<int> cycleScratch_;
+    size_t lastSteps_ = 0;
+    TileTiming timing_; //!< Timing stats summed over runs.
+    // Phase-B recurrence scratch, members so repeated run() and
+    // retime() calls (one per phase burst) stay allocation-free.
     std::vector<uint64_t> finishScratch_; //!< Per-column finish time.
     std::vector<uint64_t> startScratch_;  //!< [s % depth][c], flat.
-    std::vector<uint64_t> waitScratch_;   //!< Per-column stall total.
 };
 
 /**

@@ -1,6 +1,7 @@
 #include "trace/training_profile.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/logging.h"
@@ -19,6 +20,18 @@ ValueProfile::expectedTermsPerValue() const
     double terms = 1.0 + 0.7 * static_cast<double>(mantissaBits) *
                              bitDensity;
     return (1.0 - sparsity) * terms;
+}
+
+ProfileWords
+profileWords(const ValueProfile &p)
+{
+    return {std::bit_cast<uint64_t>(p.sparsity),
+            std::bit_cast<uint64_t>(p.zeroClusterLen),
+            std::bit_cast<uint64_t>(p.expMu),
+            std::bit_cast<uint64_t>(p.expSigma),
+            std::bit_cast<uint64_t>(p.expCorr),
+            static_cast<uint64_t>(p.mantissaBits),
+            std::bit_cast<uint64_t>(p.bitDensity)};
 }
 
 TensorProfile::TensorProfile(std::vector<ProfileKnot> knots)

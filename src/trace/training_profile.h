@@ -23,6 +23,8 @@
 #ifndef FPRAKER_TRACE_TRAINING_PROFILE_H
 #define FPRAKER_TRACE_TRAINING_PROFILE_H
 
+#include <array>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -52,6 +54,16 @@ struct ValueProfile
     /** Expected NAF terms per value (for potential-speedup estimates). */
     double expectedTermsPerValue() const;
 };
+
+/** A value profile's seven fields as key words (doubles by bit pattern). */
+using ProfileWords = std::array<uint64_t, 7>;
+
+/**
+ * The words that key anything computed from @p p: a phase's burst
+ * memo key and operand slabs (accel/phase_runner.cpp) and its BDC
+ * footprints (accel/accelerator.h).
+ */
+ProfileWords profileWords(const ValueProfile &p);
 
 /** A knot on the training-progress axis. */
 struct ProfileKnot

@@ -139,9 +139,8 @@ LoweredModel::LoweredModel(const CatalogModel &model,
     for (size_t i = 0; i < model.layers.size(); ++i) {
         const CatalogLayer &layer = model.layers[i];
         ModelInfo carrier;
-        // Unique carrier names keep per-layer BDC footprints from
-        // colliding in the accelerator's cache, and distinct
-        // geometries sampling distinct value substreams.
+        // A unique name per layer and geometry labels the carrier;
+        // its BDC footprints are keyed by its profile, not its name.
         carrier.name = name_ + "/" + layer.name;
         carrier.application = model.family;
         carrier.dataset = "synthetic";

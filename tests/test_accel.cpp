@@ -143,6 +143,33 @@ TEST(Accelerator, BdcReducesMemoryCyclesOnly)
     EXPECT_NEAR(r_bdc.fprComputeCycles, r_raw.fprComputeCycles, 1e-6);
 }
 
+TEST(Accelerator, BdcFootprintsFollowTheProfileNotTheName)
+{
+    // Two models with one name and different value profiles: each gets
+    // the compressed traffic a fresh accelerator gives it, whichever
+    // one accelerator met first.
+    const ModelInfo &vgg = findModel("VGG16");
+    ModelInfo renamed = findModel("ResNet18-Q");
+    renamed.name = vgg.name;
+    renamed.layers = vgg.layers;
+    const LayerShape &fc6 = vgg.layers[13];
+    auto traffic = [&](const Accelerator &accel, const ModelInfo &model) {
+        // Traffic reads no phase sample.
+        return accel
+            .layerOpReport(model, fc6, TrainingOp::Forward, 0.5,
+                           PhaseRunResult{})
+            .trafficBytesCompressed;
+    };
+    const double want_vgg = traffic(Accelerator(smallConfig()), vgg);
+    const double want_renamed =
+        traffic(Accelerator(smallConfig()), renamed);
+    ASSERT_NE(want_vgg, want_renamed);
+
+    const Accelerator shared(smallConfig());
+    EXPECT_EQ(traffic(shared, vgg), want_vgg);
+    EXPECT_EQ(traffic(shared, renamed), want_renamed);
+}
+
 TEST(Accelerator, ModelReportAggregatesOps)
 {
     AcceleratorConfig cfg = smallConfig();

@@ -13,6 +13,9 @@
 #include <set>
 #include <string>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "api/driver.h"
@@ -377,8 +380,8 @@ TEST(Driver, RunPrintsInTheOrderGiven)
 TEST(Driver, UnusableOutputPathFailsBeforeAnyExperimentRuns)
 {
     // A --json-dir that cannot be created, a --json whose directory
-    // does not exist, or a --json that is a directory exits 1 before
-    // any experiment runs or prints.
+    // does not exist, a --json that is a directory, or one the process
+    // cannot write exits 1 before any experiment runs or prints.
     const std::string file = ::testing::TempDir() + "fpraker_not_a_dir";
     std::FILE *f = std::fopen(file.c_str(), "w");
     ASSERT_NE(f, nullptr);
@@ -394,6 +397,23 @@ TEST(Driver, UnusableOutputPathFailsBeforeAnyExperimentRuns)
     const std::string json_is_dir = "--json=" + ::testing::TempDir();
     EXPECT_EQ(runCli({"run", "table2", json_is_dir.c_str()}, &out), 1);
     EXPECT_EQ(out, "");
+
+    // A read-only file, and a new file in a read-only directory. A
+    // process that writes through permission bits (root) cannot see
+    // them refused, so it skips these rows.
+    ASSERT_EQ(::chmod(file.c_str(), 0444), 0);
+    if (::access(file.c_str(), W_OK) != 0) {
+        const std::string read_only = "--json=" + file;
+        EXPECT_EQ(runCli({"run", "table2", read_only.c_str()}, &out), 1);
+        EXPECT_EQ(out, "");
+        const std::string dir = ::testing::TempDir() + "fpraker_read_only";
+        ::rmdir(dir.c_str());
+        ASSERT_EQ(::mkdir(dir.c_str(), 0555), 0);
+        const std::string in_read_only = "--json=" + dir + "/table2.json";
+        EXPECT_EQ(runCli({"run", "table2", in_read_only.c_str()}, &out), 1);
+        EXPECT_EQ(out, "");
+        ::rmdir(dir.c_str());
+    }
     std::remove(file.c_str());
 }
 

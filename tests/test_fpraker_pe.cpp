@@ -415,17 +415,6 @@ TEST(FPRakerColumn, ObConsensusKeepsStreamAliveForHungryPe)
     EXPECT_NEAR(col.accumulator(1).total(), 24.0f, 0.1f);
 }
 
-TEST(FPRakerColumn, InterPeStallChargesEveryLane)
-{
-    PeConfig cfg = defaultConfig();
-    FPRakerColumn col(cfg, 2);
-    col.chargeInterPeStall(3);
-    for (int r = 0; r < 2; ++r) {
-        EXPECT_EQ(col.stats(r).laneInterPe, 3u * 8u);
-        EXPECT_EQ(col.stats(r).setCycles, 3u);
-    }
-}
-
 TEST(FPRakerPe, DotHandlesShortTails)
 {
     FPRakerPe pe(defaultConfig());

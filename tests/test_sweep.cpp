@@ -212,8 +212,10 @@ counterValue(const char *name)
 /**
  * Variants that share operand slabs in different ways: three shifter
  * windows and raw-bit terms on one geometry (both slabs shared), 4
- * tile rows (the serial slab shared, the parallel one not), and a
- * variant whose tile context equals the default's (served whole).
+ * tile rows (the serial slab shared, the parallel one not), a variant
+ * whose tile context equals the default's (served whole), and three
+ * that differ from the default only in timing (retimed from its tile
+ * run).
  */
 std::vector<std::pair<std::string, AcceleratorConfig>>
 mixedVariants(bool memoize)
@@ -236,6 +238,14 @@ mixedVariants(bool memoize)
     AcceleratorConfig no_bdc = base;
     no_bdc.useBdc = false;
     out.emplace_back("no-bdc", no_bdc);
+    for (auto [depth, floor] : {std::pair{2, 2}, {1, 1}, {4, 4}}) {
+        AcceleratorConfig cfg = base;
+        cfg.tile.bufferDepth = depth;
+        cfg.tile.pe.exponentFloor = floor;
+        out.emplace_back("depth-" + std::to_string(depth) + "-floor-" +
+                             std::to_string(floor),
+                         cfg);
+    }
     return out;
 }
 
@@ -341,6 +351,79 @@ TEST(SweepGroups, WindowVariantsShareEverySlab)
     const uint64_t shared = counterValue("phase.slabs_shared") - shared0;
     EXPECT_GT(filled, 0u);
     EXPECT_EQ(shared, 2 * filled);
+}
+
+TEST(SweepGroups, TimingVariantsRetimeOneTileRun)
+{
+    // Three buffer depths of one NCF sweep, unmemoized: each burst runs
+    // one tile, and the other two depths are retimed from it, so they
+    // add no simulated steps.
+    AcceleratorConfig base = AcceleratorConfig::paperDefault();
+    base.sampleSteps = 40;
+    base.memoize = false;
+    const ModelInfo &model = findModel("NCF");
+    std::deque<Accelerator> accels;
+    std::vector<SweepJob> jobs;
+    for (int depth : {1, 2, 4}) {
+        AcceleratorConfig cfg = base;
+        cfg.tile.bufferDepth = depth;
+        jobs.push_back(SweepJob{&accels.emplace_back(cfg), &model, 0.5});
+    }
+    uint64_t bursts = 0, steps = 0;
+    for (const LayerOpUnit &u : Accelerator::modelUnits(model)) {
+        const PhasePlan plan = planPhaseSample(
+            model, *u.layer, u.op, 0.5, accels.front().phaseConfig());
+        bursts += plan.bursts;
+        steps += static_cast<uint64_t>(plan.sampleSteps);
+    }
+
+    const uint64_t replayed0 = counterValue("phase.bursts_replayed");
+    const uint64_t steps0 = counterValue("phase.steps");
+    SimEngine engine(2);
+    SweepRunner(engine).runModels(jobs);
+    EXPECT_GT(bursts, 0u);
+    EXPECT_EQ(counterValue("phase.bursts_replayed") - replayed0,
+              2 * bursts);
+    EXPECT_EQ(counterValue("phase.steps") - steps0, steps);
+}
+
+TEST(SweepGroups, BdcAnalysesRunOncePerDistinctSample)
+{
+    // A sweep analyzes each distinct BDC sample once, even on four
+    // threads, however many variants and progress points read it (the
+    // 4-row variant and the constant-profile model's progress points
+    // repeat samples); a second sweep analyzes none. A seed no other
+    // test uses keeps the process-wide footprint table cold for these
+    // samples.
+    AcceleratorConfig cfg = AcceleratorConfig::paperDefault();
+    cfg.sampleSteps = 8;
+    cfg.seed = 0xbdc5eed;
+    AcceleratorConfig rows = cfg;
+    rows.tile.rows = 4;
+    const Accelerator square(cfg), short_cols(rows);
+
+    std::vector<SweepJob> jobs;
+    std::set<BdcSample::Key> keys;
+    size_t reads = 0;
+    for (const Accelerator *accel : {&square, &short_cols})
+        for (const char *name : {"NCF", "ResNet18-Q"})
+            for (double progress : {0.1, 0.5, 0.9}) {
+                const ModelInfo &model = findModel(name);
+                jobs.push_back(SweepJob{accel, &model, progress});
+                for (const BdcSample &sample :
+                     accel->bdcSamples(model, progress)) {
+                    keys.insert(sample.key());
+                    ++reads;
+                }
+            }
+    ASSERT_LT(keys.size(), reads);
+
+    const uint64_t before = counterValue("accel.bdc_analyses");
+    SimEngine engine(4);
+    SweepRunner(engine).runModels(jobs);
+    EXPECT_EQ(counterValue("accel.bdc_analyses") - before, keys.size());
+    SweepRunner(engine).runModels(jobs);
+    EXPECT_EQ(counterValue("accel.bdc_analyses") - before, keys.size());
 }
 
 TEST(SweepGroups, IdenticalTileContextsInsertEachBurstOnce)
