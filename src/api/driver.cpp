@@ -81,12 +81,12 @@ printUsage(FILE *to, const char *prog)
 
 /**
  * Make sure a run's documents have somewhere to go before any
- * experiment runs: create --json-dir, require --json's directory to
- * exist, and refuse a --json that names a directory, an existing file
- * the process cannot write, or a new file in a directory it cannot
- * write. The file itself is not created here, so a run that fails
- * later leaves none behind. On failure say why on stderr and return
- * false.
+ * experiment runs: create --json-dir and require that the process can
+ * write in it, require --json's directory to exist, and refuse a
+ * --json that names a directory, an existing file the process cannot
+ * write, or a new file in a directory it cannot write. The file itself
+ * is not created here, so a run that fails later leaves none behind.
+ * On failure say why on stderr and return false.
  */
 bool
 prepareOutputs(const char *prog, const CliOptions &opts)
@@ -99,6 +99,11 @@ prepareOutputs(const char *prog, const CliOptions &opts)
             std::fprintf(stderr, "%s: cannot create --json-dir %s: %s\n",
                          prog, opts.jsonDir.c_str(),
                          ec ? ec.message().c_str() : "not a directory");
+            return false;
+        }
+        if (::access(opts.jsonDir.c_str(), W_OK | X_OK) != 0) {
+            std::fprintf(stderr, "%s: cannot write in --json-dir %s: %s\n",
+                         prog, opts.jsonDir.c_str(), std::strerror(errno));
             return false;
         }
     }

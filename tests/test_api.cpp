@@ -379,10 +379,12 @@ TEST(Driver, RunPrintsInTheOrderGiven)
 
 TEST(Driver, UnusableOutputPathFailsBeforeAnyExperimentRuns)
 {
-    // A --json-dir that cannot be created, a --json whose directory
-    // does not exist, a --json that is a directory, or one the process
-    // cannot write exits 1 before any experiment runs or prints.
+    // A --json-dir that cannot be created or written in, a --json
+    // whose directory does not exist, a --json that is a directory, or
+    // one the process cannot write exits 1 before any experiment runs
+    // or prints.
     const std::string file = ::testing::TempDir() + "fpraker_not_a_dir";
+    std::remove(file.c_str()); // a read-only leftover of a failed run
     std::FILE *f = std::fopen(file.c_str(), "w");
     ASSERT_NE(f, nullptr);
     std::fclose(f);
@@ -398,9 +400,9 @@ TEST(Driver, UnusableOutputPathFailsBeforeAnyExperimentRuns)
     EXPECT_EQ(runCli({"run", "table2", json_is_dir.c_str()}, &out), 1);
     EXPECT_EQ(out, "");
 
-    // A read-only file, and a new file in a read-only directory. A
-    // process that writes through permission bits (root) cannot see
-    // them refused, so it skips these rows.
+    // A read-only file, a new file in a read-only directory, and a
+    // read-only --json-dir. A process that writes through permission
+    // bits (root) cannot see them refused, so it skips these rows.
     ASSERT_EQ(::chmod(file.c_str(), 0444), 0);
     if (::access(file.c_str(), W_OK) != 0) {
         const std::string read_only = "--json=" + file;
@@ -411,6 +413,10 @@ TEST(Driver, UnusableOutputPathFailsBeforeAnyExperimentRuns)
         ASSERT_EQ(::mkdir(dir.c_str(), 0555), 0);
         const std::string in_read_only = "--json=" + dir + "/table2.json";
         EXPECT_EQ(runCli({"run", "table2", in_read_only.c_str()}, &out), 1);
+        EXPECT_EQ(out, "");
+        const std::string read_only_dir = "--json-dir=" + dir;
+        EXPECT_EQ(runCli({"run", "table2", read_only_dir.c_str()}, &out),
+                  1);
         EXPECT_EQ(out, "");
         ::rmdir(dir.c_str());
     }

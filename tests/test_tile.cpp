@@ -194,9 +194,8 @@ TEST(Tile, InterPeStallsAppearWhenColumnsAreImbalanced)
 std::vector<uint64_t>
 statFields(const PeStats &s)
 {
-    return {s.laneUseful,     s.laneNoTerm,     s.laneShiftRange,
-            s.laneExponent,   s.laneInterPe,    s.setCycles,
-            s.sets,           s.macs,           s.termsProcessed,
+    return {s.laneUseful, s.laneNoTerm, s.laneShiftRange, s.laneExponent,
+            s.laneInterPe, s.setCycles, s.sets, s.macs, s.termsProcessed,
             s.termsZeroSkipped, s.termsObSkipped};
 }
 
@@ -207,43 +206,39 @@ TEST(Tile, RetimeMatchesAFreshRun)
     // steps: its cycles and every statistic. Sparse values with a wide
     // exponent spread give short sets (the floor binds) and imbalanced
     // columns (the depth binds).
-    TileConfig cfg;
+    const TileConfig cfg;
     Rng rng(109);
     const auto steps = randomSteps(rng, cfg, 40, 0.6, 2.5);
     Tile tile(cfg);
     tile.run(steps);
     const PeStats ran = tile.aggregateStats();
 
-    auto fresh = [&](int depth, int floor, uint64_t *cycles) {
+    auto timing = [&](int depth, int floor) {
         TileConfig other = cfg;
         other.bufferDepth = depth;
         other.pe.exponentFloor = floor;
-        Tile t(other);
-        *cycles = t.run(steps).cycles;
-        return t.aggregateStats();
+        return other;
     };
     for (int depth : {1, 2, 4})
         for (int floor : {0, 1, 2, 4}) {
-            uint64_t want_cycles = 0;
-            const PeStats want = fresh(depth, floor, &want_cycles);
-            TileConfig other = cfg;
-            other.bufferDepth = depth;
-            other.pe.exponentFloor = floor;
-            const TileTiming timing = tile.retime(other);
-            PeStats got = ran;
-            timing.applyTo(got);
+            Tile fresh(timing(depth, floor));
+            const uint64_t want_cycles = fresh.run(steps).cycles;
+            const TileTiming got = tile.retime(timing(depth, floor));
+            PeStats got_stats = ran;
+            got.applyTo(got_stats);
             const std::string what = "depth " + std::to_string(depth) +
                                      " floor " + std::to_string(floor);
-            EXPECT_EQ(timing.cycles, want_cycles) << what;
-            EXPECT_EQ(statFields(got), statFields(want)) << what;
+            EXPECT_EQ(got.cycles, want_cycles) << what;
+            EXPECT_EQ(statFields(got_stats),
+                      statFields(fresh.aggregateStats()))
+                << what;
         }
     EXPECT_EQ(statFields(tile.aggregateStats()), statFields(ran));
 
     // Both fields move this run's timing, so a retime that kept the
-    // run's own depth or floor would fail above.
-    uint64_t cycles = 0;
-    EXPECT_NE(fresh(4, 2, &cycles).laneInterPe, ran.laneInterPe);
-    EXPECT_NE(fresh(1, 4, &cycles).laneExponent, ran.laneExponent);
+    // run's own depth or floor fails above.
+    EXPECT_NE(tile.retime(timing(4, 2)).laneInterPe, ran.laneInterPe);
+    EXPECT_NE(tile.retime(timing(1, 4)).laneExponent, ran.laneExponent);
 }
 
 TEST(Tile, ResetAccumulatorsClearsOutputs)
