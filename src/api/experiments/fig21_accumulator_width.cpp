@@ -54,8 +54,8 @@ addWidthJobs(Session &session, const std::string &prefix,
     // Each (layer, op) carries its own profiled accumulator width.
     // Distinct widths need distinct accelerator variants, but many
     // units share a width (and the fixed sweep shares one config
-    // outright), so variants dedupe by threshold — each variant's BDC
-    // cache then warms once instead of once per unit.
+    // outright), so variants dedupe by threshold: one accelerator,
+    // and one tile pool, per width instead of per unit.
     auto variant_for = [&](int ob_threshold) -> const Accelerator * {
         std::string name = prefix + "/ob" + std::to_string(ob_threshold);
         if (session.hasVariant(name))

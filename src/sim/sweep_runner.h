@@ -38,7 +38,9 @@
  * tile. A varied tile knob changes the tile context, so only a grid
  * point equal to an earlier config hits. Within one group, machines
  * with equal burst keys (equal tile contexts, or progress points a
- * constant profile cannot tell apart) simulate once. Cached values
+ * constant profile cannot tell apart) simulate once, and machines
+ * that differ only in timing (datapathOf) run one tile between them.
+ * Cached values
  * are byte copies of the identical computation, so reports stay
  * bit-identical whether the memo is cold, warm, or off
  * (FPRAKER_MEMO=off).
